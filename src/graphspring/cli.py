@@ -74,7 +74,10 @@ def _sha256(path: str) -> str:
 
 
 def _config_hash(config: dict) -> str:
-    return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
+    """Hash of the settings that determine a run's results; the worker count only
+    schedules independent runs, so reports do not depend on it."""
+    kept = {key: value for key, value in config.items() if key != "threads"}
+    return hashlib.sha256(json.dumps(kept, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def _resolve(defaults: dict, args: argparse.Namespace, config_file: str | None,
@@ -297,19 +300,39 @@ def cmd_embed(args) -> int:
 
 
 def _hide_listed(graph: SignedGraph, path: str) -> SignedGraph:
-    """Additionally hide the exact 'u v' pairs listed in a file."""
-    wanted = set()
+    """Additionally hide the exact 'u v' pairs listed in a file.
+
+    Every listed pair must be an edge of the graph: a line that is not two node
+    ids, or a pair the graph lacks, fails with the file, the line and the pair.
+    """
+    lines, pairs = [], []
     with _open_text(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
+        for lineno, line in enumerate(fh, 1):
+            tokens = line.split()
+            if not tokens or tokens[0].startswith("#"):
                 continue
-            a, b = (int(tok) for tok in line.split()[:2])
-            wanted.add((min(a, b), max(a, b)))
+            try:
+                a, b = (np.int64(tok) for tok in tokens[:2])
+            except (ValueError, OverflowError):
+                raise ValueError(f"{path}:{lineno}: expected two node ids 'u v', "
+                                 f"got {line.strip()!r}") from None
+            lines.append(lineno)
+            pairs.append((min(a, b), max(a, b)))
+    lo, hi = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    n = graph.n_nodes
+    # graph edges are sorted by (u, v), so their codes u * n + v are sorted
+    codes = graph.u.astype(np.int64) * n + graph.v
+    wanted = lo * n + hi
+    at = np.searchsorted(codes, wanted)
+    found = (lo >= 0) & (hi < n) & (lo < hi) & (at < codes.size)
+    found[found] = codes[at[found]] == wanted[found]
+    if not found.all():
+        first = int(np.flatnonzero(~found)[0])
+        raise ValueError(
+            f"{path}:{lines[first]}: pair ({lo[first]}, {hi[first]}) is not an edge "
+            f"of the graph ({int((~found).sum())} of {len(pairs)} listed pairs are not)")
     observed = graph.observed_sign.copy()
-    for i, (u, v) in enumerate(zip(graph.u, graph.v)):
-        if (int(u), int(v)) in wanted:
-            observed[i] = 0
+    observed[at] = 0
     return graph.with_observed(observed)
 
 
@@ -436,9 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, help="master seed")
     common.add_argument("--threads", type=int, default=None,
                         help="worker threads for independent runs")
-    common.add_argument("--deterministic", action="store_true", default=None,
-                        help="force the serial reduction order (always on; "
-                             "flag kept for interface stability)")
     common.add_argument("--config", type=str, default=None, help="JSON config file")
     common.add_argument("--out", type=str, default=None, help="output directory")
     common.add_argument("--from-manifest", type=str, default=None,

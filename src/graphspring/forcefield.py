@@ -1,17 +1,35 @@
 """Force-field evaluation over a signed graph in O(edges * dims).
 
-Geometry is computed once per undirected edge: the difference vector, its
-length and the unit direction.  Each edge then contributes to both endpoints
-with opposite directions; the force magnitude toward each endpoint is
-evaluated from that endpoint's viewpoint (the feature vector swaps its node
-order, so the two magnitudes differ for the neural model).  Gathers and
-scatters run as sparse incidence-matrix products, which keeps the whole pass
-linear in edges and dimensions with a fixed, reproducible accumulation order.
+Every edge pulls its endpoints along the line between them with a magnitude
+that depends on distance alone (and, for the neural model, on static node
+features), so the net force is a weighted graph Laplacian applied to the
+positions:
+
+    F = g * (A X - rowsum(A) * X),   A[u, v] = f_uv(d) / d,   A[v, u] = f_vu(d) / d,
+
+where d is the edge length and g the per-node gain.  The magnitude toward
+each endpoint is evaluated from that endpoint's viewpoint (the feature vector
+swaps its node order), so A is symmetric in structure but not in value for
+the neural model.  This is the form spring and stress layouts are written in
+(Koren, "Drawing graphs by eigenvectors", 2005; Gansner, Koren & North,
+"Graph drawing by stress majorization", 2004).  `prepare` builds the sparse
+structure of A - diag(rowsum(A)) once; each evaluation fills in its 2m edge
+weights and n diagonal entries and applies it to X in one sparse-matrix
+product, with a fixed, reproducible accumulation order.  An edge whose
+endpoints are closer than eps has weight 0 in A and instead pushes its
+endpoints along a seeded tie-break unit vector.
 
 `force_field_vjp` is the exact reverse-mode counterpart: given the gradient
-of a scalar objective with respect to the returned force matrix, it
-recomputes the forward intermediates from the same positions and returns the
-gradients with respect to positions and the flat parameter vector.
+w of a scalar objective with respect to the returned force matrix, it
+recomputes the edge geometry from the same positions and returns the
+gradients with respect to positions and the flat parameter vector.  With
+W = g * w, s the per-edge products of w with the edge vector, and
+t = (dL/dd) / d (0 on tie-broken edges), the position gradient is
+
+    dX = A^T W - rowsum(A) * W - (T X - rowsum(T) * X),   T[u, v] = T[v, u] = t,
+
+two more products on the same structure.  One MLP pass per direction gives
+the magnitudes, their parameter gradient and df/dd together.
 """
 
 from __future__ import annotations
@@ -66,20 +84,41 @@ def edge_force(f_val: float, x_i: np.ndarray, x_j: np.ndarray, eps: float = 1e-9
 
 
 @dataclass(frozen=True)
+class SignGroup:
+    """The edges of one observed sign, with their position-independent features."""
+
+    edges: np.ndarray           # (m_s,) edge indices
+    sign: np.ndarray            # (m_s,) the observed sign, as force_batch takes it
+    static_fwd: np.ndarray      # (m_s, 6) [deg_u, deg_v, neg_u, neg_v, pos_u, pos_v]
+    static_rev: np.ndarray      # (m_s, 6) node order swapped; both column-major
+
+
+def _features(dist: np.ndarray, grp: SignGroup, static: np.ndarray) -> np.ndarray:
+    """Edge feature rows [dist, static...] of a group, column-major, so the MLPs
+    read each feature as one contiguous run."""
+    z = np.empty((grp.edges.size, 1 + static.shape[1]), order="F")
+    z[:, 0] = dist[grp.edges]
+    z[:, 1:] = static
+    return z
+
+
+@dataclass(frozen=True)
 class FieldContext:
-    """Sparse incidence operators plus position-independent edge features."""
+    """Sparse edge operators, the Laplacian structure and the edge features."""
 
     n_nodes: int
     n_edges: int
+    u: np.ndarray               # (m,) edge endpoints, u < v
+    v: np.ndarray
     sign: np.ndarray            # (m,) observed sign per undirected edge
     diff_op: sp.csr_matrix      # (m, n): diff_op @ X = X[v] - X[u]
-    diff_op_t: sp.csr_matrix    # (n, m)
     gather_u: sp.csr_matrix     # (m, n): rows of a node matrix at u
     gather_v: sp.csr_matrix
-    scatter_u: sp.csr_matrix    # (n, m): transpose of gather_u
-    scatter_v: sp.csr_matrix
-    static_fwd: np.ndarray      # (m, 6) [deg_u, deg_v, neg_u, neg_v, pos_u, pos_v]
-    static_rev: np.ndarray      # (m, 6) node order swapped
+    lap_indptr: np.ndarray      # CSR structure of the (n, n) graph Laplacian:
+    lap_indices: np.ndarray     # both directions of every edge plus the diagonal
+    slots: np.ndarray           # (2m + n,) CSR slot of [(v, u) per edge;
+                                # (i, i) per node; (u, v) per edge]
+    groups: tuple[SignGroup, ...]
     node_features: np.ndarray   # (n, 3) [deg_norm, neg_frac, pos_frac]
 
 
@@ -97,6 +136,16 @@ def prepare(graph: SignedGraph, statics: NodeStatics,
         shape=(m, n))
     gather_u = sp.csr_matrix((ones, (edge_idx, u)), shape=(m, n))
     gather_v = sp.csr_matrix((ones, (edge_idx, v)), shape=(m, n))
+    # each stored value names the slot its pair landed in; the pairs are
+    # distinct (u < v, sorted), and in this order every row's columns ascend,
+    # so the conversion neither sums nor sorts
+    nodes = np.arange(n)
+    pattern = sp.csr_matrix(
+        (np.arange(1.0, 2 * m + n + 1),
+         (np.concatenate([v, nodes, u]), np.concatenate([u, nodes, v]))),
+        shape=(n, n))
+    slots = np.empty(2 * m + n, dtype=np.int64)
+    slots[pattern.data.astype(np.int64) - 1] = np.arange(2 * m + n)
 
     if m > 0 and statics.p80 <= 0:
         raise ValueError("p80 must be positive for a graph with edges")
@@ -105,24 +154,46 @@ def prepare(graph: SignedGraph, statics: NodeStatics,
     # per-edge feature vector back to literal degrees
     node_features = np.column_stack([deg_norm, statics.neg_frac, statics.pos_frac])
     deg_feat = statics.deg.astype(np.float64) if raw_degree_features else deg_norm
-    static_fwd = np.column_stack([
-        deg_feat[u], deg_feat[v],
-        statics.neg_frac[u], statics.neg_frac[v],
-        statics.pos_frac[u], statics.pos_frac[v],
-    ])
-    static_rev = static_fwd[:, [1, 0, 3, 2, 5, 4]].copy()
+
+    def static(a, b):
+        out = np.empty((a.size, 6), order="F")
+        for j, node_col in enumerate((deg_feat, statics.neg_frac, statics.pos_frac)):
+            out[:, 2 * j] = node_col[a]
+            out[:, 2 * j + 1] = node_col[b]
+        return out
+
+    sign = graph.observed_sign.copy()
+    groups = []
+    for sign_val in (0, 1, -1):
+        e = np.flatnonzero(sign == sign_val)
+        if e.size:
+            groups.append(SignGroup(e, sign[e], static(u[e], v[e]), static(v[e], u[e])))
     return FieldContext(
-        n_nodes=n, n_edges=m, sign=graph.observed_sign.copy(),
-        diff_op=diff_op, diff_op_t=diff_op.T.tocsr(),
-        gather_u=gather_u, gather_v=gather_v,
-        scatter_u=gather_u.T.tocsr(), scatter_v=gather_v.T.tocsr(),
-        static_fwd=static_fwd, static_rev=static_rev,
-        node_features=node_features)
+        n_nodes=n, n_edges=m, u=u, v=v, sign=sign,
+        diff_op=diff_op, gather_u=gather_u, gather_v=gather_v,
+        lap_indptr=pattern.indptr, lap_indices=pattern.indices, slots=slots,
+        groups=tuple(groups), node_features=node_features)
 
 
-def _edge_geometry(ctx: FieldContext, X: np.ndarray, eps: float,
-                   seed: int, step: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per undirected edge: distance, unit direction (u toward v), coincidence mask.
+def _rowsum(ctx: FieldContext, at_uv: np.ndarray, at_vu: np.ndarray) -> np.ndarray:
+    """Row sums of the adjacency with at_uv[e] at (u, v) and at_vu[e] at (v, u)."""
+    return (np.bincount(ctx.u, at_uv, ctx.n_nodes)
+            + np.bincount(ctx.v, at_vu, ctx.n_nodes))
+
+
+def _weighted(ctx: FieldContext, at_uv: np.ndarray, at_vu: np.ndarray,
+              diag: np.ndarray) -> sp.csr_matrix:
+    """The (n, n) matrix with at_uv[e] at (u, v) and at_vu[e] at (v, u) for each
+    edge e, and diag on the diagonal, on the prepared Laplacian structure."""
+    data = np.empty(ctx.slots.size)
+    data[ctx.slots] = np.concatenate([at_vu, diag, at_uv])
+    return sp.csr_matrix((data, ctx.lap_indices, ctx.lap_indptr),
+                         shape=(ctx.n_nodes, ctx.n_nodes))
+
+
+def _distances(ctx: FieldContext, X: np.ndarray, eps: float
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per undirected edge: the vector X[v] - X[u], its length, the coincidence mask.
 
     Overflow from an already-diverging state is tolerated here; the simulator
     aborts on the resulting non-finite values right after the update.
@@ -130,39 +201,51 @@ def _edge_geometry(ctx: FieldContext, X: np.ndarray, eps: float,
     with np.errstate(over="ignore", invalid="ignore"):
         diff = ctx.diff_op @ X
         dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        tied = dist < eps
-        unit = np.divide(diff, np.maximum(dist, eps)[:, None], out=diff)
-    if tied.any():
-        k = X.shape[1]
-        for e in np.flatnonzero(tied):
-            unit[e] = tie_break_unit(k, int(e), step, seed)
-    return dist, unit, tied
+    return diff, dist, dist < eps
 
 
-def _force_magnitudes(ctx: FieldContext, model: ForceParams, dist: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray]:
+def _tie_units(tied: np.ndarray, k: int, seed: int, step: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The tie-broken edges and their unit directions, one row each."""
+    edges = np.flatnonzero(tied)
+    return edges, np.array([tie_break_unit(k, int(e), step, seed) for e in edges])
+
+
+def _magnitudes(ctx: FieldContext, model: ForceParams, dist: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
     """Force magnitude per edge from each endpoint's viewpoint (f_uv, f_vu)."""
     if isinstance(model, SpringParams):
         f = force_batch(model, ctx.sign, dist[:, None])
         return f, f
-    z_fwd = np.column_stack([dist, ctx.static_fwd])
-    z_rev = np.column_stack([dist, ctx.static_rev])
-    return (force_batch(model, ctx.sign, z_fwd),
-            force_batch(model, ctx.sign, z_rev))
+    f_fwd, f_rev = np.empty(ctx.n_edges), np.empty(ctx.n_edges)
+    for grp in ctx.groups:
+        f_fwd[grp.edges] = force_batch(model, grp.sign,
+                                       _features(dist, grp, grp.static_fwd))
+        f_rev[grp.edges] = force_batch(model, grp.sign,
+                                       _features(dist, grp, grp.static_rev))
+    return f_fwd, f_rev
 
 
-def _scaled(op: sp.csr_matrix, per_edge: np.ndarray) -> sp.csr_matrix:
-    """The operator with column j (an edge) scaled by per_edge[j]; no copies of
-    the index structure, so applying it fuses the scaling into the matmul."""
-    return sp.csr_matrix((per_edge[op.indices], op.indices, op.indptr),
-                         shape=op.shape)
-
-
-def _aggregate(ctx: FieldContext, f_fwd: np.ndarray, f_rev: np.ndarray,
-               unit: np.ndarray) -> np.ndarray:
-    agg = _scaled(ctx.scatter_u, f_fwd) @ unit
-    agg -= _scaled(ctx.scatter_v, f_rev) @ unit
-    return agg
+def _magnitudes_vjp(ctx: FieldContext, model: ForceParams, dist: np.ndarray,
+                    up_fwd: np.ndarray, up_rev: np.ndarray):
+    """(f_uv, f_vu, grad wrt params, dL/ddist through the magnitudes) for the
+    upstream gradients dL/df_uv and dL/df_vu."""
+    if isinstance(model, SpringParams):
+        f, grad, dfdd = force_batch_vjp(model, ctx.sign, dist[:, None], up_fwd + up_rev)
+        return f, f, grad, (up_fwd + up_rev) * dfdd
+    f_fwd, f_rev = np.empty(ctx.n_edges), np.empty(ctx.n_edges)
+    ddist = np.empty(ctx.n_edges)
+    grad = np.zeros(model.n_params)
+    for grp in ctx.groups:
+        e = grp.edges
+        f_fwd[e], g_fwd, dfdd_fwd = force_batch_vjp(
+            model, grp.sign, _features(dist, grp, grp.static_fwd), up_fwd[e])
+        f_rev[e], g_rev, dfdd_rev = force_batch_vjp(
+            model, grp.sign, _features(dist, grp, grp.static_rev), up_rev[e])
+        grad += g_fwd
+        grad += g_rev
+        ddist[e] = up_fwd[e] * dfdd_fwd + up_rev[e] * dfdd_rev
+    return f_fwd, f_rev, grad, ddist
 
 
 def force_field(graph_or_ctx: SignedGraph | FieldContext, statics: NodeStatics | None,
@@ -180,12 +263,18 @@ def force_field(graph_or_ctx: SignedGraph | FieldContext, statics: NodeStatics |
         raise ValueError(f"X has {X.shape[0]} rows, graph has {ctx.n_nodes} nodes")
     if ctx.n_edges == 0:
         return np.zeros_like(X, dtype=np.float64)
-    dist, unit, _ = _edge_geometry(ctx, X, eps, seed, step)
-    with np.errstate(over="ignore", invalid="ignore"):
-        f_fwd, f_rev = _force_magnitudes(ctx, model, dist)
-        agg = _aggregate(ctx, f_fwd, f_rev, unit)
-        gain = gain_batch(model, ctx.node_features)
-        return gain[:, None] * agg
+    _, dist, tied = _distances(ctx, X, eps)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        f_fwd, f_rev = _magnitudes(ctx, model, dist)
+        c_fwd = np.where(tied, 0.0, f_fwd / dist)
+        c_rev = np.where(tied, 0.0, f_rev / dist)
+        agg = _weighted(ctx, c_fwd, c_rev, -_rowsum(ctx, c_fwd, c_rev)) @ X
+        if tied.any():
+            edges, units = _tie_units(tied, X.shape[1], seed, step)
+            np.add.at(agg, ctx.u[edges], f_fwd[edges, None] * units)
+            np.add.at(agg, ctx.v[edges], -f_rev[edges, None] * units)
+        agg *= gain_batch(model, ctx.node_features)[:, None]
+        return agg
 
 
 def force_field_vjp(ctx: FieldContext, model: ForceParams, X: np.ndarray,
@@ -194,42 +283,31 @@ def force_field_vjp(ctx: FieldContext, model: ForceParams, X: np.ndarray,
     """Gradients (d/dX, d/dparams) of sum(w * force_field(X)) for cotangent w."""
     if ctx.n_edges == 0:
         return np.zeros_like(X, dtype=np.float64), np.zeros(model.flatten().shape[0])
-    dist, unit, tied = _edge_geometry(ctx, X, eps, seed, step)
-    f_fwd, f_rev = _force_magnitudes(ctx, model, dist)
-    agg = _aggregate(ctx, f_fwd, f_rev, unit)
+    diff, dist, tied = _distances(ctx, X, eps)
+    # a tie-broken edge acts as an edge of length 1 along its tie-break unit
+    scale = dist
+    if tied.any():
+        edges, units = _tie_units(tied, X.shape[1], seed, step)
+        diff[edges] = units
+        scale = np.where(tied, 1.0, dist)
+    s_u = np.einsum("ij,ij->i", ctx.gather_u @ w, diff)
+    s_v = np.einsum("ij,ij->i", ctx.gather_v @ w, diff)
     gain = gain_batch(model, ctx.node_features)
 
-    grad_params = gain_batch_vjp(model, ctx.node_features, (w * agg).sum(axis=1))
+    # force on u is g_u f_uv diff / d, force on v is -g_v f_vu diff / d
+    up_fwd = gain[ctx.u] * s_u / scale
+    up_rev = -gain[ctx.v] * s_v / scale
+    f_fwd, f_rev, grad_params, ddist = _magnitudes_vjp(ctx, model, dist, up_fwd, up_rev)
+    c_fwd, c_rev = f_fwd / scale, f_rev / scale
+    grad_params += gain_batch_vjp(model, ctx.node_features,
+                                  _rowsum(ctx, c_fwd * s_u, -c_rev * s_v))
 
-    gw = gain[:, None] * w
-    a_fwd = ctx.gather_u @ gw          # dL/d(f_fwd * unit) rows
-    b_rev = ctx.gather_v @ gw          # minus dL/d(f_rev * unit) rows
-    df_fwd = np.einsum("ij,ij->i", a_fwd, unit)
-    df_rev = -np.einsum("ij,ij->i", b_rev, unit)
-
-    if isinstance(model, SpringParams):
-        g_f, dfdd = force_batch_vjp(model, ctx.sign, dist[:, None], df_fwd + df_rev)
-        grad_params += g_f
-        ddist = (df_fwd + df_rev) * dfdd
-    else:
-        z_fwd = np.column_stack([dist, ctx.static_fwd])
-        z_rev = np.column_stack([dist, ctx.static_rev])
-        g_f, dfdd_fwd = force_batch_vjp(model, ctx.sign, z_fwd, df_fwd)
-        grad_params += g_f
-        g_f, dfdd_rev = force_batch_vjp(model, ctx.sign, z_rev, df_rev)
-        grad_params += g_f
-        ddist = df_fwd * dfdd_fwd + df_rev * dfdd_rev
-
-    # through the geometry: unit = diff / dist and dist = |diff|; the unit of a
-    # tie-broken edge is a constant, so its geometric gradient is zero
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ddiff = np.multiply(f_fwd[:, None], a_fwd, out=a_fwd)
-        ddiff -= np.multiply(f_rev[:, None], b_rev, out=b_rev)
-        proj = f_fwd * df_fwd + f_rev * df_rev
-        ddiff -= proj[:, None] * unit
-        ddiff /= dist[:, None]
-        ddiff += ddist[:, None] * unit
+    # weights and d of a tie-broken edge do not depend on X: its geometric
+    # gradient is zero
+    ddist -= up_fwd * c_fwd + up_rev * c_rev
+    t = ddist / scale
     if tied.any():
-        ddiff[tied] = 0.0
-    dx = ctx.diff_op_t @ ddiff
+        c_fwd[tied] = c_rev[tied] = t[tied] = 0.0
+    dx = _weighted(ctx, c_rev, c_fwd, -_rowsum(ctx, c_fwd, c_rev)) @ (gain[:, None] * w)
+    dx -= _weighted(ctx, t, t, -_rowsum(ctx, t, t)) @ X
     return dx, grad_params

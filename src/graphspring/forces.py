@@ -189,7 +189,8 @@ def neural_gain(p: NeuralSpringParams, node_features: np.ndarray) -> float:
 # The simulation evaluates f over all directed edges and g over all nodes each
 # step; the backward pass needs, for an upstream scalar per edge/node, the
 # gradient with respect to the flat parameter vector plus df/ddist (the only
-# feature that depends on positions).
+# feature that depends on positions).  The force VJPs return the magnitudes
+# too, so the backward pass evaluates each MLP once.
 
 
 def spring_force_batch(p: SpringParams, signs: np.ndarray, dist: np.ndarray) -> np.ndarray:
@@ -200,8 +201,9 @@ def spring_force_batch(p: SpringParams, signs: np.ndarray, dist: np.ndarray) -> 
 
 
 def spring_force_batch_vjp(p: SpringParams, signs: np.ndarray, dist: np.ndarray,
-                           upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (grad wrt flat params, df/ddist * upstream is NOT applied: raw df/ddist)."""
+                           upstream: np.ndarray
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Returns (magnitudes, grad wrt flat params, raw df/ddist with no upstream applied)."""
     grad = np.zeros(7)
     dfdd = np.zeros_like(dist)
 
@@ -227,55 +229,65 @@ def spring_force_batch_vjp(p: SpringParams, signs: np.ndarray, dist: np.ndarray,
         grad[2] = -p.a_neg * np.dot(upstream[m], active)          # l_neg
         dfdd[m] = p.a_neg * active
 
-    return grad, dfdd
+    return spring_force_batch(p, signs, dist), grad, dfdd
 
 
 def mlp_batch(p: MlpParams, x: np.ndarray) -> np.ndarray:
     """Evaluate the MLP on rows of x, shape (n, in) -> (n,)."""
-    hidden = np.maximum(x @ p.w0.T + p.b0, 0.0)
-    return hidden @ p.w1 + p.b1
+    pre = p.w0 @ x.T
+    pre += p.b0[:, None]
+    return p.w1 @ np.maximum(pre, 0.0, out=pre) + p.b1
 
 
 def mlp_batch_vjp(p: MlpParams, x: np.ndarray, upstream: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (grad wrt flat MLP params, grad wrt x), given dL/doutput rows."""
-    pre = x @ p.w0.T + p.b0
-    act = pre > 0                       # relu subgradient at 0 is 0
-    hidden = np.where(act, pre, 0.0)
-    d_w1 = hidden.T @ upstream
-    d_b1 = upstream.sum()
-    d_hidden = np.outer(upstream, p.w1) * act
-    d_w0 = d_hidden.T @ x
-    d_b0 = d_hidden.sum(axis=0)
-    d_x = d_hidden @ p.w0
-    return np.concatenate([d_w0.ravel(), d_b0, d_w1, [d_b1]]), d_x
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One pass over rows of x: (outputs as `mlp_batch` gives them, grad wrt the
+    flat MLP params given dL/doutput rows, raw doutput/dx[:, 0] per row)."""
+    # hidden units run along rows of length n: the bias, the ReLU and the
+    # reductions then stream over long rows instead of n rows of a few columns
+    pre = p.w0 @ x.T
+    pre += p.b0[:, None]
+    slope = (pre > 0) * p.w1[:, None]   # relu subgradient at 0 is 0
+    hidden = np.maximum(pre, 0.0, out=pre)
+    d_hidden = slope * upstream
+    grad = np.concatenate([(d_hidden @ x).ravel(), d_hidden.sum(axis=1),
+                           hidden @ upstream, [upstream.sum()]])
+    return p.w1 @ hidden + p.b1, grad, p.w0[:, 0] @ slope
+
+
+def _sign_blocks(p: NeuralSpringParams, signs: np.ndarray):
+    """(parameter slot, force net, row selector) for each sign present in `signs`.
+    A batch of one sign is selected by a full slice, so its rows are not copied."""
+    for slot, (sign_val, net) in enumerate(((0, p.f_neutral), (1, p.f_positive),
+                                            (-1, p.f_negative))):
+        m = signs == sign_val
+        if m.all():
+            yield slot, net, slice(None)
+        elif m.any():
+            yield slot, net, m
 
 
 def neural_force_batch(p: NeuralSpringParams, signs: np.ndarray, z: np.ndarray) -> np.ndarray:
     out = np.zeros(z.shape[0])
-    for sign_val, net in ((0, p.f_neutral), (1, p.f_positive), (-1, p.f_negative)):
-        m = signs == sign_val
-        if m.any():
-            out[m] = mlp_batch(net, z[m])
+    for _, net, rows in _sign_blocks(p, signs):
+        out[rows] = mlp_batch(net, z[rows])
     return out
 
 
 def neural_force_batch_vjp(p: NeuralSpringParams, signs: np.ndarray, z: np.ndarray,
-                           upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (grad wrt flat params, raw df/ddist) where dist is column 0 of z."""
+                           upstream: np.ndarray
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Returns (magnitudes, grad wrt flat params, raw df/ddist) where dist is column 0
+    of z; one MLP pass per sign."""
     n_g = p.gain_net.n_params
     n_f = p.f_neutral.n_params
+    out = np.zeros(z.shape[0])
     grad = np.zeros(p.n_params)
     dfdd = np.zeros(z.shape[0])
-    for slot, (sign_val, net) in enumerate(((0, p.f_neutral), (1, p.f_positive),
-                                            (-1, p.f_negative))):
-        m = signs == sign_val
-        if m.any():
-            g_net, _ = mlp_batch_vjp(net, z[m], upstream[m])
-            grad[n_g + slot * n_f: n_g + (slot + 1) * n_f] = g_net
-            act = (z[m] @ net.w0.T + net.b0) > 0
-            dfdd[m] = (act * net.w1) @ net.w0[:, 0]
-    return grad, dfdd
+    for slot, net, rows in _sign_blocks(p, signs):
+        out[rows], grad[n_g + slot * n_f: n_g + (slot + 1) * n_f], dfdd[rows] = \
+            mlp_batch_vjp(net, z[rows], upstream[rows])
+    return out, grad, dfdd
 
 
 def gain_batch(params: ForceParams, node_features: np.ndarray) -> np.ndarray:
@@ -291,7 +303,7 @@ def gain_batch_vjp(params: ForceParams, node_features: np.ndarray,
     if isinstance(params, SpringParams):
         grad[6] = np.dot(upstream, node_features[:, 0])
     else:
-        grad[: params.gain_net.n_params], _ = mlp_batch_vjp(
+        _, grad[: params.gain_net.n_params], _ = mlp_batch_vjp(
             params.gain_net, node_features, upstream)
     return grad
 
@@ -304,7 +316,9 @@ def force_batch(params: ForceParams, signs: np.ndarray, z: np.ndarray) -> np.nda
 
 
 def force_batch_vjp(params: ForceParams, signs: np.ndarray, z: np.ndarray,
-                    upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                    upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One pass over the edges: (magnitudes as `force_batch` gives them, grad wrt the
+    flat params given dL/dmagnitude per edge, raw dmagnitude/ddist per edge)."""
     if isinstance(params, SpringParams):
         return spring_force_batch_vjp(params, signs, z[:, 0], upstream)
     return neural_force_batch_vjp(params, signs, z, upstream)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from graphspring import dump_graph, parse_graph_dump
-from graphspring.cli import main
+from graphspring.cli import _hide_listed, main
+from graphspring.forces import SpringParams, init_params, params_to_json
 
 from conftest import hidden_toy
 
@@ -295,6 +296,50 @@ def test_hidden_edges_file(toy_csv, tmp_path):
             "--k", "3", "--n-steps", "3", "--seed", "2", "--out", out)
     meta = json.loads((out / "embed_meta.json").read_text())
     assert meta["n_nodes"] == graph.n_nodes
+
+
+def test_hidden_edges_file_must_list_graph_edges(toy_csv, tmp_path, capsys):
+    ing = tmp_path / "ing"
+    run_cli("ingest", "--input", toy_csv, "--format", "rating_csv", "--out", ing)
+    graph = parse_graph_dump((ing / "graph.txt").read_text())
+    params = tmp_path / "params.json"
+    params.write_text(params_to_json(SpringParams()))
+    listed = tmp_path / "hide.txt"
+    # listed pairs may come in either order; comments and blank lines are skipped
+    listed.write_text(f"# hide two\n{graph.v[5]} {graph.u[5]}\n\n{graph.u[9]} {graph.v[9]}\n")
+    hidden = _hide_listed(graph, str(listed))
+    assert set(np.flatnonzero(hidden.observed_sign == 0)) == \
+        set(np.flatnonzero(graph.observed_sign == 0)) | {5, 9}
+
+    absent = next((a, b) for a in range(graph.n_nodes) for b in range(a + 1, graph.n_nodes)
+                  if not ((graph.u == a) & (graph.v == b)).any())
+    for text, line, what in [
+            (f"{graph.u[0]} {graph.v[0]}\n{absent[0]} {absent[1]}\n", 2, f"pair {absent}"),
+            (f"{graph.u[0]} {graph.n_nodes + 3}\n", 1, "not an edge"),
+            (f"{graph.u[0]} {graph.v[0]}\n\n{graph.u[1]}\n", 3, "expected two node ids"),
+            ("7 x\n", 1, "expected two node ids"),
+            (f"{graph.u[0]} {2 ** 64}\n", 1, "expected two node ids")]:
+        listed.write_text(text)
+        code = run_cli("embed", "--params", params, "--graph", ing / "graph.txt",
+                       "--hidden-edges", listed, "--k", "2", "--n-steps", "1",
+                       "--out", tmp_path / "emb")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{listed}:{line}:" in err and what in err, err
+
+
+def test_eval_threads_write_identical_reports(toy_csv, tmp_path):
+    params = tmp_path / "params.json"
+    params.write_text(params_to_json(init_params("spring-nn", seed=4)))
+    outs = {}
+    for threads in (1, 2):
+        outs[threads] = tmp_path / f"ev{threads}"
+        assert run_cli("eval", "--params", params, "--input", toy_csv,
+                       "--format", "rating_csv", "--k", "4", "--n-steps", "5",
+                       "--p-hidden", "0.3", "--seeds", "1,2,3,4",
+                       "--threads", threads, "--out", outs[threads]) == 0
+    for name in [f"report_{s}.json" for s in (1, 2, 3, 4)] + ["aggregate.json"]:
+        assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
 
 
 def test_bench_csv_schema(tmp_path):

@@ -1,18 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphspring import SignedGraph, compute_node_statics
 from graphspring.forcefield import (edge_force, force_field, force_field_vjp,
                                     pair_distance, prepare, tie_break_unit)
-from graphspring.forces import (SpringParams, neural_force, neural_gain,
+from graphspring.forces import (MlpParams, SpringParams, neural_force, neural_gain,
                                 spring_force, spring_gain)
 
 from conftest import hidden_toy
 from test_forces import random_neural
 
 
-def brute_force_field(graph, statics, params, X):
-    """Naive per-edge loop over the definition, independent of the vectorized path."""
+def brute_force_field(graph, statics, params, X, eps=1e-9, seed=0, step=0):
+    """Naive per-edge loop over the definition, independent of the vectorized path;
+    coincident endpoints push along `edge_force`'s tie-break unit."""
     n, k = X.shape
     agg = np.zeros((n, k))
     deg_norm = np.minimum(1.0, statics.deg / statics.p80)
@@ -22,17 +27,16 @@ def brute_force_field(graph, statics, params, X):
                          statics.neg_frac[a], statics.neg_frac[b],
                          statics.pos_frac[a], statics.pos_frac[b]])
 
-    for u, v, sign in zip(graph.u, graph.v, graph.observed_sign):
+    for e, (u, v, sign) in enumerate(zip(graph.u, graph.v, graph.observed_sign)):
         u, v, sign = int(u), int(v), int(sign)
         dist = pair_distance(X[u], X[v])
-        direction = (X[v] - X[u]) / dist
         if isinstance(params, SpringParams):
             f_uv = f_vu = spring_force(params, sign, dist)
         else:
             f_uv = neural_force(params, sign, features(u, v, dist))
             f_vu = neural_force(params, sign, features(v, u, dist))
-        agg[u] += f_uv * direction
-        agg[v] += f_vu * -direction
+        agg[u] += edge_force(f_uv, X[u], X[v], eps, e, step, seed)
+        agg[v] -= edge_force(f_vu, X[u], X[v], eps, e, step, seed)
 
     out = np.zeros_like(agg)
     for i in range(n):
@@ -191,8 +195,11 @@ def test_raw_degree_flag_only_touches_edge_features():
     q = random_neural(rand)
     assert not np.array_equal(force_field(capped, None, q, X),
                               force_field(raw, None, q, X))
-    assert raw.static_fwd[:, 0].max() > 1.0
-    assert capped.static_fwd[:, 0].max() <= 1.0
+
+    def edge_degrees(ctx):
+        return np.concatenate([grp.static_fwd[:, 0] for grp in ctx.groups])
+    assert edge_degrees(raw).max() > 1.0
+    assert edge_degrees(capped).max() <= 1.0
 
 
 # --- invariances -----------------------------------------------------------------
@@ -268,3 +275,166 @@ def test_vjp_matches_finite_differences(kind):
         fd = (objective(X, type(params).from_flat(fp))
               - objective(X, type(params).from_flat(fm))) / (2 * h)
         assert abs(fd - dtheta[i]) <= max(1e-7, 1e-5 * abs(fd))
+
+
+# --- property tests: the VJP against finite differences on random small graphs ----
+
+def small_instance(seed: int, kind: str, k: int):
+    """A random graph of 5-8 nodes with hidden signs, positions, a cotangent and
+    parameters of the given model kind."""
+    rand = np.random.default_rng(seed)
+    n = int(rand.integers(5, 9))
+    graph, _ = hidden_toy(seed=seed, n_nodes=n, n_edges=int(rand.integers(n, 2 * n)))
+    statics = compute_node_statics(graph)
+    X = rand.normal(0, 1.5, (n, k))
+    w = rand.normal(0, 1, (n, k))
+    params = SpringParams(*rand.uniform(0.5, 3.0, 6), rand.uniform(-0.5, 0.5)) \
+        if kind == "spring" else random_neural(rand)
+    return graph, statics, X, w, params
+
+
+def objective(ctx, params, X, w, seed=0, step=0):
+    return float((w * force_field(ctx, None, params, X, seed=seed, step=step)).sum())
+
+
+def central_params(ctx, params, X, w, h=1e-6, **kw):
+    flat = params.flatten()
+    out = np.empty(flat.size)
+    for i in range(flat.size):
+        fp, fm = flat.copy(), flat.copy()
+        fp[i] += h
+        fm[i] -= h
+        out[i] = (objective(ctx, type(params).from_flat(fp), X, w, **kw)
+                  - objective(ctx, type(params).from_flat(fm), X, w, **kw)) / (2 * h)
+    return out
+
+
+def central_positions(ctx, params, X, w, h=1e-6):
+    out = np.empty(X.shape)
+    for idx in np.ndindex(*X.shape):
+        Xp, Xm = X.copy(), X.copy()
+        Xp[idx] += h
+        Xm[idx] -= h
+        out[idx] = (objective(ctx, params, Xp, w) - objective(ctx, params, Xm, w)) / (2 * h)
+    return out
+
+
+def assert_fd_close(ad, fd):
+    # central differences with h = 1e-6 carry ~1e-10 truncation and round-off
+    # error at these magnitudes; the bound leaves four orders of margin
+    assert np.all(np.abs(ad - fd) <= np.maximum(1e-7, 1e-5 * np.abs(fd))), \
+        np.abs(ad - fd).max()
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from(["spring", "spring-nn"]),
+       st.integers(1, 4))
+@settings(max_examples=20, deadline=None)
+def test_vjp_property_central_differences(seed, kind, k):
+    graph, statics, X, w, params = small_instance(seed, kind, k)
+    ctx = prepare(graph, statics)
+    dX, dtheta = force_field_vjp(ctx, params, X, w)
+    assert_fd_close(dX, central_positions(ctx, params, X, w))
+    assert_fd_close(dtheta, central_params(ctx, params, X, w))
+
+
+def make_coincident(graph, X, rand):
+    """Move endpoints onto each other for a random share of the edges."""
+    X = X.copy()
+    for e in rand.choice(graph.n_edges, max(1, graph.n_edges // 3), replace=False):
+        X[graph.v[e]] = X[graph.u[e]]
+    return X
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from(["spring", "spring-nn"]),
+       st.integers(1, 4))
+@settings(max_examples=20, deadline=None)
+def test_vjp_property_coincident_endpoints(seed, kind, k):
+    # a tie-broken edge pushes along a fixed unit vector, so its geometric
+    # gradient is zero by definition and only the parameter gradient is checked
+    graph, statics, X, w, params = small_instance(seed, kind, k)
+    X = make_coincident(graph, X, np.random.default_rng(seed))
+    ctx = prepare(graph, statics)
+    _, dtheta = force_field_vjp(ctx, params, X, w, seed=seed, step=3)
+    assert_fd_close(dtheta, central_params(ctx, params, X, w, seed=seed, step=3))
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 4))
+@settings(max_examples=20, deadline=None)
+def test_tie_correction_matches_brute_force(seed, k):
+    graph, statics, X, _, params = small_instance(seed, "spring-nn", k)
+    X = make_coincident(graph, X, np.random.default_rng(seed))
+    got = force_field(graph, statics, params, X, seed=seed, step=5)
+    want = brute_force_field(graph, statics, params, X, seed=seed, step=5)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-13)
+
+
+def one_sided(fn, h=1e-7):
+    """(left, right) one-sided differences of fn(t) at t = 0."""
+    at = fn(0.0)
+    return (at - fn(-h)) / h, (fn(h) - at) / h
+
+
+# At a kink the VJP takes the derivative of the side where the kinked branch is
+# off: a positive spring at d = l_pos and a negative one at d = l_neg exert no
+# force, and a ReLU's subgradient at 0 is 0.  Per kink: (side when the edge
+# grows, side when the parameter grows), 0 = left and 1 = right.
+KINK_SIDES = {"l_pos": (0, 1), "l_neg": (1, 0), "relu": (0, 0)}
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from(sorted(KINK_SIDES)), st.integers(1, 4))
+@settings(max_examples=30, deadline=None)
+def test_vjp_at_kinks_matches_the_one_sided_difference(seed, kink, k):
+    """One edge sits exactly at a kink: a spring rest length where the positive
+    or negative branch switches on, or a force-MLP hidden unit at pre-activation
+    exactly 0.  Its endpoints lie on a binary grid along an axis, so its length
+    and that pre-activation are exact.  The VJP must equal the one-sided
+    difference of the documented side, in the edge length and in the kinked
+    parameter."""
+    rand = np.random.default_rng(seed)
+    graph, statics, X, w, params = small_instance(seed, "spring-nn", k)
+    axis = np.eye(k)[0]
+    if kink == "relu":
+        rest = 1.5
+        e = int(rand.integers(graph.n_edges))
+        sign = int(graph.observed_sign[e])
+        field = {0: "f_neutral", 1: "f_positive", -1: "f_negative"}[sign]
+        net = getattr(params, field)
+        w0, b0, w1 = net.w0.copy(), net.b0.copy(), net.w1.copy()
+        w0[0] = 0.0
+        w0[0, 0] = w1[0] = 1.0          # unit 0 reads the distance alone and feeds f
+        b0[0] = -rest
+        gain = MlpParams(np.zeros((3, 3)), np.zeros(3), np.zeros(3), 1.0)   # g = 1
+        params = replace(params, gain_net=gain, **{field: MlpParams(w0, b0, w1, net.b1)})
+        param_index = params.gain_net.n_params + \
+            [0, 1, -1].index(sign) * net.n_params + w0.size
+    else:
+        p = SpringParams(*rand.uniform(0.5, 2.0, 6), rand.uniform(-0.5, 0.5))
+        sign, rest = (1, 1.0) if kink == "l_pos" else (-1, 3.0)
+        params = replace(p, **{kink: rest})
+        e = int(rand.choice(np.flatnonzero(graph.observed_sign == sign)))
+        param_index = ["l_pos", "l_neu", "l_neg"].index(kink)
+    u, v = int(graph.u[e]), int(graph.v[e])
+    X[u] = rand.integers(-4, 5, k) / 2.0
+    X[v] = X[u] + rest * axis
+    w[u], w[v] = 2.0 * axis, (0.0 if kink == "relu" else -2.0) * axis
+    ctx = prepare(graph, statics)
+    dX, dtheta = force_field_vjp(ctx, params, X, w)
+
+    def moved(t):   # endpoint v along the edge, so the kinked length grows by t
+        Xt = X.copy()
+        Xt[v] += t * axis
+        return objective(ctx, params, Xt, w)
+
+    def shifted(t):
+        flat = params.flatten()
+        flat[param_index] += t
+        return objective(ctx, type(params).from_flat(flat), X, w)
+
+    for fn, ad, side in ((moved, float(dX[v, 0]), KINK_SIDES[kink][0]),
+                         (shifted, float(dtheta[param_index]), KINK_SIDES[kink][1])):
+        sides = one_sided(fn)
+        # the kink moves the slope by at least 1 by construction; one-sided
+        # differences with h = 1e-7 carry O(h) truncation error, below 1e-4 at
+        # the curvature of these instances
+        assert abs(sides[0] - sides[1]) > 0.5
+        assert abs(ad - sides[side]) <= 1e-4 + 1e-4 * abs(sides[side]), (ad, sides)

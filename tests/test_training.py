@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphspring import (SignedGraph, SimConfig, compute_node_statics,
                          init_params, load_checkpoint, save_checkpoint)
@@ -173,6 +175,26 @@ def test_grad_through_sim_matches_fd(kind, n_steps):
     _, grad, _ = loss_and_grad(graph, st, params, sim_cfg, loss_cfg)
     idx = range(7) if kind == "spring" else rand.choice(208, 24, replace=False)
     fd = fd_gradient(graph, st, params, sim_cfg, loss_cfg, idx)
+    for i, val in fd.items():
+        assert grad_close(grad[i], val), (i, grad[i], val)
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from(["spring", "spring-nn"]), st.booleans())
+@settings(max_examples=16, deadline=None)
+def test_grad_through_sim_property(seed, kind, semi_implicit):
+    """loss_and_grad against central differences on random small graphs, for both
+    models and both integrator orderings."""
+    rand = np.random.default_rng(seed)
+    n = int(rand.integers(5, 9))
+    graph, _ = hidden_toy(seed=seed, n_nodes=n, n_edges=int(rand.integers(n, 2 * n)))
+    st_ = statics_of(graph)
+    sim_cfg = SimConfig(k=int(rand.integers(1, 4)), n_steps=int(rand.integers(2, 7)),
+                        seed=seed, semi_implicit=semi_implicit)
+    params = SpringParams(*rand.uniform(0.5, 3.0, 6), rand.uniform(-0.5, 0.5)) \
+        if kind == "spring" else random_neural(rand)
+    _, grad, _ = loss_and_grad(graph, st_, params, sim_cfg, LossConfig())
+    idx = range(7) if kind == "spring" else rand.choice(208, 16, replace=False)
+    fd = fd_gradient(graph, st_, params, sim_cfg, LossConfig(), idx)
     for i, val in fd.items():
         assert grad_close(grad[i], val), (i, grad[i], val)
 
