@@ -18,9 +18,9 @@ from .graphs import (EdgeStage, GraphFormatError, NodeStatics, SignedGraph,
 from .metrics import (MetricsReport, PredictionSet, auc, calibrate_on_visible,
                       evaluate, f1_scores, fit_distance_calibration, predict,
                       rank_auc)
-from .simulate import (SimConfig, SimState, SimulationDivergedError, embeddings,
-                       init_state, read_embeddings_binary, read_embeddings_text,
-                       simulate, step, write_embeddings_binary, write_embeddings_text)
+from .simulate import (SimConfig, SimState, SimulationDivergedError, init_state,
+                       read_embeddings_binary, read_embeddings_text, simulate,
+                       write_embeddings_binary, write_embeddings_text)
 from .training import (AdamState, Checkpoint, EpochStats, LossConfig, TrainConfig,
                        adam_step, clip_gradient, load_checkpoint, loss,
                        loss_and_grad, predict_prob, save_checkpoint, train)

@@ -1,0 +1,26 @@
+"""Atomic artifact writes: a reader finds the previous file or the complete new
+one, never a truncated one left by a write that failed midway."""
+
+from __future__ import annotations
+
+import os
+from contextlib import contextmanager
+from pathlib import Path
+
+
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Yield a file open on a temporary sibling of `path`; on a clean exit it is
+    flushed to disk and `os.replace`d onto `path`, on an error it is removed
+    and `path` is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

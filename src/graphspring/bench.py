@@ -111,12 +111,7 @@ def time_force_field(n_nodes: int, n_edges: int, k: int, seed: int = 1,
     ctx = prepare(graph, compute_node_statics(graph))
     X = init_state(n_nodes, SimConfig(k=k, seed=0)).X
     force_field(ctx, None, model, X)  # warm up
-    times = []
-    for _ in range(reps):
-        started = time.perf_counter()
-        force_field(ctx, None, model, X)
-        times.append(time.perf_counter() - started)
-    return 1000 * float(np.median(times))
+    return median_ms(lambda: force_field(ctx, None, model, X), reps)[0]
 
 
 def linearity_summary(rows: list[BenchRow]) -> str:

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bench
+from .artifacts import atomic_write
 from .forces import init_params, params_from_json, params_to_json
 from .forcefield import prepare
 from .graphs import (SignedGraph, SplitSpec, compute_node_statics, dump_graph,
@@ -44,7 +45,7 @@ TRAIN_DEFAULTS = {
 EMBED_DEFAULTS = {
     "k": 64, "dt": 0.005, "damping": 0.05, "n_steps": 120, "seed": 0,
     "p_hidden": None, "split_seed": None, "exact_split": False,
-    "semi_implicit": False, "float32": False, "binary": False, "mu": 2.5,
+    "semi_implicit": False, "binary": False, "mu": 2.5,
 }
 
 EVAL_DEFAULTS = {
@@ -112,7 +113,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict,
         "artifacts": {k: str(v) for k, v in artifacts.items()},
     }
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
+    with atomic_write(out_dir / "manifest.json") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
 
@@ -221,7 +222,8 @@ def cmd_train(args) -> int:
 
     params, history = train(graph, None, train_cfg, resume=resume, on_epoch=on_epoch)
 
-    (out / "params.json").write_text(params_to_json(params), encoding="utf-8")
+    with atomic_write(out / "params.json") as fh:
+        fh.write(params_to_json(params))
     write_history_csv(out / "history.csv", history)
     if history:
         print(f"trained {config['model']} for {len(history)} epochs; "
@@ -260,8 +262,7 @@ def cmd_embed(args) -> int:
     ctx = prepare(graph, statics)
     sim = SimConfig(k=config["k"], dt=config["dt"], damping=config["damping"],
                     n_steps=config["n_steps"], seed=config["seed"],
-                    semi_implicit=config["semi_implicit"],
-                    float32=config["float32"])
+                    semi_implicit=config["semi_implicit"])
     state = init_state(graph.n_nodes, sim)
 
     started = time.perf_counter()
@@ -275,7 +276,7 @@ def cmd_embed(args) -> int:
 
         def on_step(s):
             try:
-                step_loss = loss(graph, s.X.astype(np.float64), loss_cfg)
+                step_loss = loss(graph, s.X, loss_cfg)
             except ValueError:
                 step_loss = float("nan")
             trace_rows.append((s.t_step, mean_abs_velocity(s), step_loss))
@@ -522,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="exact_split")
     embed.add_argument("--semi-implicit", action="store_true", default=None,
                        dest="semi_implicit")
-    embed.add_argument("--float32", action="store_true", default=None)
     embed.add_argument("--binary", action="store_true", default=None)
     embed.add_argument("--hidden-edges", type=str, default=None, dest="hidden_edges",
                        help="file of 'u v' pairs to hide instead of sampling")

@@ -5,6 +5,9 @@ velocities, then velocities are damped and accelerated by the force field
 evaluated at the old positions.  An optional semi-implicit mode advances
 positions with the freshly updated velocities instead, the usual stability
 fix for stiff springs; the default matches the plain explicit ordering.
+
+`simulate` is the only time-stepping loop: embedding calls it directly, and
+training's forward pass calls it with an `on_step` hook that tapes positions.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
+from .artifacts import atomic_write
 from .forces import ForceParams
 from .forcefield import FieldContext, force_field, prepare
 from .graphs import NodeStatics, SignedGraph
@@ -39,7 +43,6 @@ class SimConfig:
     seed: int = 0
     eps: float = 1e-9
     semi_implicit: bool = False
-    float32: bool = False
 
     def __post_init__(self):
         if self.k < 1:
@@ -71,8 +74,11 @@ def init_state(n_nodes: int, config: SimConfig) -> SimState:
         raise ValueError("n_nodes must be at least 1")
     idx = np.arange(n_nodes * config.k)
     X = rng.uniform_sym(config.seed, INIT_TAG, idx).reshape(n_nodes, config.k)
-    dtype = np.float32 if config.float32 else np.float64
-    return SimState(X.astype(dtype), np.zeros((n_nodes, config.k), dtype=dtype), 0)
+    # a copy, not the generator's buffer: with that buffer kept, about a third
+    # of fresh processes (Linux, glibc) took ~150k minor page faults per
+    # 120-step simulate at BitcoinAlpha size, k=64, and ran ~30% slower; with
+    # the copy, 1 in 24 did
+    return SimState(X.copy(), np.zeros((n_nodes, config.k)), 0)
 
 
 def _advance(X: np.ndarray, V: np.ndarray, F: np.ndarray,
@@ -86,27 +92,6 @@ def _advance(X: np.ndarray, V: np.ndarray, F: np.ndarray,
     return X1, V1
 
 
-def _step_ctx(state: SimState, ctx: FieldContext, model: ForceParams,
-              config: SimConfig) -> SimState:
-    F = force_field(ctx, None, model, state.X, eps=config.eps,
-                    seed=config.seed, step=state.t_step)
-    if state.X.dtype == np.float32:
-        F = F.astype(np.float32)
-    with np.errstate(over="ignore", invalid="ignore"):
-        X1, V1 = _advance(state.X, state.V, F, config)
-    if not (np.isfinite(X1).all() and np.isfinite(V1).all()):
-        raise SimulationDivergedError(state.t_step + 1)
-    return SimState(X1, V1, state.t_step + 1)
-
-
-def step(state: SimState, graph: SignedGraph, statics: NodeStatics,
-         model: ForceParams, config: SimConfig, ctx: FieldContext | None = None) -> SimState:
-    """Advance the state by one time step."""
-    if ctx is None:
-        ctx = prepare(graph, statics)
-    return _step_ctx(state, ctx, model, config)
-
-
 def simulate(state: SimState, graph: SignedGraph, statics: NodeStatics,
              model: ForceParams, config: SimConfig, ctx: FieldContext | None = None,
              on_step=None) -> SimState:
@@ -114,15 +99,17 @@ def simulate(state: SimState, graph: SignedGraph, statics: NodeStatics,
     if ctx is None:
         ctx = prepare(graph, statics)
     for _ in range(config.n_steps):
-        state = _step_ctx(state, ctx, model, config)
+        F = force_field(ctx, None, model, state.X, eps=config.eps,
+                        seed=config.seed, step=state.t_step)
+        with np.errstate(over="ignore", invalid="ignore"):
+            X1, V1 = _advance(state.X, state.V, F, config)
+        if not (np.isfinite(X1).all() and np.isfinite(V1).all()):
+            raise SimulationDivergedError(state.t_step + 1)
+        del F  # else the next force_field runs with one more n x k array alive
+        state = SimState(X1, V1, state.t_step + 1)
         if on_step is not None:
             on_step(state)
     return state
-
-
-def embeddings(state: SimState) -> np.ndarray:
-    """Final node positions, used as the embedding matrix."""
-    return state.X
 
 
 def mean_abs_velocity(state: SimState) -> float:
@@ -137,7 +124,7 @@ _MAGIC = b"SGEMB001"
 def write_embeddings_text(path, X: np.ndarray) -> None:
     """Header "N k" then one row of %.17g floats per node (exact round-trip)."""
     X = np.asarray(X, dtype=np.float64)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"{X.shape[0]} {X.shape[1]}\n")
         for row in X:
             fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
@@ -155,7 +142,7 @@ def read_embeddings_text(path) -> np.ndarray:
 def write_embeddings_binary(path, X: np.ndarray) -> None:
     """Magic, version, N, k (little-endian u32/u64), then row-major float64."""
     X = np.ascontiguousarray(X, dtype="<f8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IQQ", 1, X.shape[0], X.shape[1]))
         fh.write(X.tobytes())

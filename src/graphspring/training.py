@@ -1,10 +1,10 @@
 """Loss, reverse-mode gradients through the unrolled simulation, and Adam.
 
-The forward simulation records every intermediate position matrix (memory
-grows linearly with the step count); the backward pass walks the recorded
-states in reverse, applying the hand-derived vector-Jacobian products of the
-Euler update and of the force field.  Gradients are flat vectors aligned with
-`params.flatten()`.
+The forward pass is `simulate.simulate` with an `on_step` hook that records
+every intermediate position matrix (memory grows linearly with the step
+count); the backward pass walks the recorded states in reverse, applying the
+hand-derived vector-Jacobian products of the Euler update and of the force
+field.  Gradients are flat vectors aligned with `params.flatten()`.
 """
 
 from __future__ import annotations
@@ -19,12 +19,13 @@ import numpy as np
 from scipy.special import expit
 
 from . import rng
+from .artifacts import atomic_write
 from .forces import ForceParams, init_params, params_from_json, params_to_json
-from .forcefield import FieldContext, force_field, force_field_vjp, prepare
+from .forcefield import FieldContext, force_field_vjp, prepare
 from .graphs import NodeStatics, SignedGraph, compute_node_statics
-from .metrics import f1_scores, rank_auc
-from .simulate import (SimConfig, SimState, SimulationDivergedError, _advance,
-                       init_state)
+from .metrics import auc, f1_scores, predict
+from .simulate import (SimConfig, SimState, SimulationDivergedError, init_state,
+                       simulate)
 
 EPOCH_INIT_TAG = "epoch-init"
 VAL_TAG = "val-hide"
@@ -136,20 +137,12 @@ def loss_and_grad(graph: SignedGraph, statics: NodeStatics, params: ForceParams,
     if ctx is None:
         ctx = prepare(graph, statics, raw_degree_features)
     state = state0 if state0 is not None else init_state(graph.n_nodes, sim_cfg)
-    X = state.X.astype(np.float64)
-    V = state.V.astype(np.float64)
     t0 = state.t_step
+    tape = [state.X]
+    final = simulate(state, graph, statics, params, sim_cfg, ctx=ctx,
+                     on_step=lambda s: tape.append(s.X))
 
-    tape = []
-    for t in range(sim_cfg.n_steps):
-        tape.append(X)
-        F = force_field(ctx, None, params, X, eps=sim_cfg.eps,
-                        seed=sim_cfg.seed, step=t0 + t)
-        X, V = _advance(X, V, F, sim_cfg)
-        if not (np.isfinite(X).all() and np.isfinite(V).all()):
-            raise SimulationDivergedError(t0 + t + 1)
-
-    value, gX = loss_with_grad(graph, X, loss_cfg)
+    value, gX = loss_with_grad(graph, final.X, loss_cfg)
     gV = np.zeros_like(gX)
     grad = np.zeros_like(params.flatten())
     dt, damp = sim_cfg.dt, sim_cfg.damping
@@ -169,8 +162,6 @@ def loss_and_grad(graph: SignedGraph, statics: NodeStatics, params: ForceParams,
         grad += dtheta
         if not np.isfinite(grad).all():
             raise SimulationDivergedError(t0 + t, "gradient")
-
-    final = SimState(X, V, t0 + sim_cfg.n_steps)
     return value, grad, final
 
 
@@ -248,14 +239,11 @@ def _validation_metrics(graph: SignedGraph, val_edges: np.ndarray,
                         X: np.ndarray, mu: float) -> tuple[float, float]:
     if val_edges.size == 0:
         return float("nan"), float("nan")
-    u, v = graph.u[val_edges], graph.v[val_edges]
-    dist = np.sqrt(((X[v] - X[u]) ** 2).sum(axis=1))
-    prob = predict_prob(dist, mu)
-    pred = np.where(prob >= 0.5, 1, -1)
-    truth = graph.true_sign[val_edges]
-    _, macro, _, _ = f1_scores(truth, pred)
+    pred = predict(graph, val_edges, X, mu)
+    truth = pred.true_sign
+    _, macro, _, _ = f1_scores(truth, pred.pred_sign)
     if (truth == 1).any() and (truth == -1).any():
-        auc_l = rank_auc(np.where(pred == 1, 1.0, 0.0), truth)
+        auc_l = auc(pred, "L")
     else:
         auc_l = float("nan")
     return auc_l, macro
@@ -356,7 +344,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
             "m_b64": _encode_vec(ckpt.adam.m), "v_b64": _encode_vec(ckpt.adam.v),
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 

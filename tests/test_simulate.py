@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from graphspring import (SignedGraph, SimConfig, SimState,
-                         SimulationDivergedError, embeddings, init_state,
+                         SimulationDivergedError, init_state,
                          read_embeddings_binary, read_embeddings_text,
-                         simulate, step, write_embeddings_binary,
+                         simulate, write_embeddings_binary,
                          write_embeddings_text)
 from graphspring.forces import SpringParams
 from graphspring.simulate import mean_abs_velocity
@@ -47,7 +47,7 @@ def test_step_reads_old_velocity():
     cfg = SimConfig(k=2, dt=0.01, damping=0.1, n_steps=1, seed=0)
     X0 = np.array([[0.0, 0.0], [3.0, 0.0]])
     state = SimState(X0.copy(), np.zeros((2, 2)), 0)
-    nxt = step(state, graph, st, SpringParams(), cfg)
+    nxt = simulate(state, graph, st, SpringParams(), cfg)
     # positions see V(t) = 0, so X is unchanged after one step
     assert np.array_equal(nxt.X, X0)
     # velocities pick up dt * F(t); stretched neutral spring force = dist - l_neu = 1
@@ -80,7 +80,7 @@ def test_zero_steps_returns_state_unchanged():
     state = init_state(graph.n_nodes, cfg)
     final = simulate(state, graph, st, SpringParams(), cfg)
     assert final is state
-    assert np.array_equal(embeddings(final), state.X)
+    assert np.array_equal(final.X, state.X)
 
 
 def test_composition_associative_bitwise():
@@ -274,16 +274,6 @@ def test_binary_rejects_wrong_magic(tmp_path):
     path.write_bytes(b"NOTMAGIC" + b"\0" * 60)
     with pytest.raises(ValueError):
         read_embeddings_binary(path)
-
-
-def test_float32_option():
-    graph, _ = hidden_toy(seed=5)
-    st = statics_of(graph)
-    cfg = SimConfig(k=4, n_steps=5, seed=3, float32=True)
-    state = init_state(graph.n_nodes, cfg)
-    assert state.X.dtype == np.float32
-    final = simulate(state, graph, st, SpringParams(), cfg)
-    assert final.X.dtype == np.float32
 
 
 def test_config_validation():

@@ -230,16 +230,32 @@ def test_semi_implicit_gradients_match_fd():
         assert grad_close(grad[i], val), (i, grad[i], val)
 
 
-def test_forward_consistent_with_simulate():
-    from graphspring import init_state, simulate
+@pytest.mark.parametrize("t0", [None, 3])
+@pytest.mark.parametrize("semi_implicit", [False, True])
+@pytest.mark.parametrize("kind", ["spring", "spring-nn"])
+def test_forward_consistent_with_simulate(kind, semi_implicit, t0):
+    from graphspring import SimState, init_state, simulate
     graph, _ = hidden_toy(seed=4)
     st = statics_of(graph)
-    sim_cfg = SimConfig(k=3, n_steps=9, seed=6)
-    params = init_params("spring", seed=1)
-    _, _, final = loss_and_grad(graph, st, params, sim_cfg, LossConfig())
-    ref = simulate(init_state(graph.n_nodes, sim_cfg), graph, st, params, sim_cfg)
+    sim_cfg = SimConfig(k=3, n_steps=9, seed=6, semi_implicit=semi_implicit)
+    params = init_params(kind, seed=1)
+    state0 = init_state(graph.n_nodes, sim_cfg)
+    if t0 is not None:
+        # coincident endpoints on a non-positive edge (the spring model pushes
+        # those apart at d = 0) whose tie-break unit depends on the step
+        e = np.flatnonzero(graph.observed_sign != 1)[0]
+        X0 = state0.X.copy()
+        X0[graph.v[e]] = X0[graph.u[e]]
+        state0 = SimState(X0, state0.V, t0)
+    _, _, final = loss_and_grad(graph, st, params, sim_cfg, LossConfig(),
+                                state0=state0 if t0 is not None else None)
+    ref = simulate(state0, graph, st, params, sim_cfg)
     assert np.array_equal(final.X, ref.X)
     assert np.array_equal(final.V, ref.V)
+    assert final.t_step == ref.t_step == (t0 or 0) + sim_cfg.n_steps
+    if t0 is not None:
+        unshifted = simulate(SimState(state0.X, state0.V, 0), graph, st, params, sim_cfg)
+        assert not np.array_equal(final.X, unshifted.X)
 
 
 # --- clip and Adam -----------------------------------------------------------------
@@ -358,25 +374,30 @@ def test_fixed_init_policy_reuses_start_state():
     assert fixed_hist[1].loss != resample_hist[1].loss
 
 
-def test_tape_length_equals_steps():
-    # memory of the backward pass is the per-step position tape
-    recorded = []
+def test_tape_length_equals_steps(monkeypatch):
+    # memory of the backward pass is the per-step position tape: the forward
+    # pass (simulate) evaluates the field once per step, the reverse sweep
+    # takes one VJP per taped state, last step first
+    import importlib
     import graphspring.training as tr
-    original = tr.force_field
+    # the package re-exports the function `simulate` under the submodule's name
+    sim = importlib.import_module("graphspring.simulate")
+    forward, reverse = [], []
 
-    def counting(*args, **kwargs):
-        recorded.append(kwargs.get("step"))
-        return original(*args, **kwargs)
+    def recording(calls, original):
+        def wrapper(*args, **kwargs):
+            calls.append(kwargs.get("step"))
+            return original(*args, **kwargs)
+        return wrapper
 
+    monkeypatch.setattr(sim, "force_field", recording(forward, sim.force_field))
+    monkeypatch.setattr(tr, "force_field_vjp", recording(reverse, tr.force_field_vjp))
     graph, _ = hidden_toy(seed=5)
     st = statics_of(graph)
-    tr.force_field = counting
-    try:
-        loss_and_grad(graph, st, SpringParams(), SimConfig(k=2, n_steps=7, seed=1),
-                      LossConfig())
-    finally:
-        tr.force_field = original
-    assert recorded == list(range(7))
+    loss_and_grad(graph, st, SpringParams(), SimConfig(k=2, n_steps=7, seed=1),
+                  LossConfig())
+    assert forward == list(range(7))
+    assert reverse == list(range(6, -1, -1))
 
 
 def test_divergence_reports_epoch():
@@ -403,6 +424,29 @@ def test_checkpoint_round_trip(tmp_path):
     assert np.array_equal(back.adam.m, adam.m)
     assert np.array_equal(back.adam.v, adam.v)
     assert back.adam.t == adam.t
+
+
+def test_checkpoint_write_failing_midway_keeps_previous(tmp_path, monkeypatch):
+    import json
+    rand = np.random.default_rng(3)
+    params = random_neural(rand)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, Checkpoint(params=params, adam=AdamState.fresh(208, 0.03),
+                                     epoch=4))
+
+    def torn_dump(obj, fh, **kwargs):
+        fh.write('{"format": "graphspring-checkpoint", "epo')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", torn_dump)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, Checkpoint(params=SpringParams(),
+                                         adam=AdamState.fresh(7, 0.03), epoch=5))
+    monkeypatch.undo()
+    back = load_checkpoint(path)
+    assert back.epoch == 4
+    assert np.array_equal(back.params.flatten(), params.flatten())
+    assert [f.name for f in tmp_path.iterdir()] == ["ckpt.json"]
 
 
 def test_resume_reproduces_uninterrupted_run(tmp_path):
