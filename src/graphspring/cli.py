@@ -27,8 +27,9 @@ from .forcefield import prepare
 from .graphs import (SignedGraph, SplitSpec, compute_node_statics, dump_graph,
                      hide_signs, load_edge_list, parse_graph_dump, to_undirected)
 from .metrics import aggregate_reports, calibrate_on_visible, evaluate
-from .simulate import (SimConfig, init_state, mean_abs_velocity, simulate,
-                       write_embeddings_binary, write_embeddings_text)
+from .simulate import (SimConfig, SimulationDivergedError, init_state,
+                       mean_abs_velocity, simulate, write_embeddings_binary,
+                       write_embeddings_text)
 from .training import (LossConfig, TrainConfig, load_checkpoint, loss,
                        save_checkpoint, train, write_history_csv)
 
@@ -84,15 +85,19 @@ def _config_hash(config: dict) -> str:
 def _resolve(defaults: dict, args: argparse.Namespace, config_file: str | None,
              manifest: dict | None) -> dict:
     config = dict(defaults)
+    loaded, source = {}, ""
     if manifest is not None:
-        config.update(manifest["config"])
+        # the commands record the input format beside their own settings
+        loaded = {key: value for key, value in manifest["config"].items()
+                  if key != "format"}
+        source = " in the manifest"
     elif config_file:
         with open(config_file, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
-        unknown = set(loaded) - set(defaults)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        config.update(loaded)
+    unknown = set(loaded) - set(defaults)
+    if unknown:
+        raise ValueError(f"unknown config keys{source}: {sorted(unknown)}")
+    config.update(loaded)
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
@@ -214,13 +219,23 @@ def cmd_train(args) -> int:
 
     resume = load_checkpoint(args.resume) if args.resume else None
     every = int(config["checkpoint_every"])
-    on_epoch = None
-    if every > 0:
-        def on_epoch(ckpt, stats):
-            if ckpt.epoch % every == 0 or ckpt.epoch == train_cfg.epochs:
-                save_checkpoint(out / "checkpoint.json", ckpt)
+    last_good = resume
 
-    params, history = train(graph, None, train_cfg, resume=resume, on_epoch=on_epoch)
+    def on_epoch(ckpt, stats):
+        nonlocal last_good
+        last_good = ckpt
+        if every > 0 and (ckpt.epoch % every == 0 or ckpt.epoch == train_cfg.epochs):
+            save_checkpoint(out / "checkpoint.json", ckpt)
+
+    try:
+        params, history = train(graph, None, train_cfg, resume=resume,
+                                on_epoch=on_epoch)
+    except SimulationDivergedError as err:
+        if last_good is None:
+            raise
+        save_checkpoint(out / "checkpoint.json", last_good)
+        raise RuntimeError(f"{err}; saved the checkpoint of epoch {last_good.epoch} "
+                           f"to {out / 'checkpoint.json'}") from err
 
     with atomic_write(out / "params.json") as fh:
         fh.write(params_to_json(params))

@@ -19,6 +19,14 @@ product, with a fixed, reproducible accumulation order.  An edge whose
 endpoints are closer than eps has weight 0 in A and instead pushes its
 endpoints along a seeded tie-break unit vector.
 
+The edge vectors X[v] - X[u] are never held for all edges at once: they are
+formed block by block in two gather buffers of BLOCK_BYTES each (512 edges at
+k = 64), and only the per-edge scalars that the rest of the pass needs (the
+length d and, in the VJP, the products of the cotangent rows with the edge
+vector) are kept.  One call therefore needs O(n k + m) memory: a few n x k
+arrays (the result, and in the VJP the scaled cotangent and one more product),
+a few dozen floats per edge and the two buffers, not the m x k edge vectors.
+
 `force_field_vjp` is the exact reverse-mode counterpart: given the gradient
 w of a scalar objective with respect to the returned force matrix, it
 recomputes the edge geometry from the same positions and returns the
@@ -45,6 +53,9 @@ from .forces import (ForceParams, SpringParams, force_batch, force_batch_vjp,
 from .graphs import NodeStatics, SignedGraph
 
 TIE_TAG = "tiebreak"
+# size of each of the two buffers the edge vectors are streamed through: small
+# enough to stay in cache, large enough that the per-block calls are cheap
+BLOCK_BYTES = 256 * 1024
 
 
 def pair_distance(x_i: np.ndarray, x_j: np.ndarray) -> float:
@@ -104,16 +115,13 @@ def _features(dist: np.ndarray, grp: SignGroup, static: np.ndarray) -> np.ndarra
 
 @dataclass(frozen=True)
 class FieldContext:
-    """Sparse edge operators, the Laplacian structure and the edge features."""
+    """Edge endpoints, the Laplacian structure and the edge features."""
 
     n_nodes: int
     n_edges: int
     u: np.ndarray               # (m,) edge endpoints, u < v
     v: np.ndarray
     sign: np.ndarray            # (m,) observed sign per undirected edge
-    diff_op: sp.csr_matrix      # (m, n): diff_op @ X = X[v] - X[u]
-    gather_u: sp.csr_matrix     # (m, n): rows of a node matrix at u
-    gather_v: sp.csr_matrix
     lap_indptr: np.ndarray      # CSR structure of the (n, n) graph Laplacian:
     lap_indices: np.ndarray     # both directions of every edge plus the diagonal
     slots: np.ndarray           # (2m + n,) CSR slot of [(v, u) per edge;
@@ -127,15 +135,6 @@ def prepare(graph: SignedGraph, statics: NodeStatics,
     """Build the reusable evaluation context for a (graph, statics) pair."""
     n, m = graph.n_nodes, graph.n_edges
     u, v = graph.u, graph.v
-    edge_idx = np.arange(m)
-
-    ones = np.ones(m)
-    diff_op = sp.csr_matrix(
-        (np.concatenate([-ones, ones]),
-         (np.concatenate([edge_idx, edge_idx]), np.concatenate([u, v]))),
-        shape=(m, n))
-    gather_u = sp.csr_matrix((ones, (edge_idx, u)), shape=(m, n))
-    gather_v = sp.csr_matrix((ones, (edge_idx, v)), shape=(m, n))
     # each stored value names the slot its pair landed in; the pairs are
     # distinct (u < v, sorted), and in this order every row's columns ascend,
     # so the conversion neither sums nor sorts
@@ -170,7 +169,6 @@ def prepare(graph: SignedGraph, statics: NodeStatics,
             groups.append(SignGroup(e, sign[e], static(u[e], v[e]), static(v[e], u[e])))
     return FieldContext(
         n_nodes=n, n_edges=m, u=u, v=v, sign=sign,
-        diff_op=diff_op, gather_u=gather_u, gather_v=gather_v,
         lap_indptr=pattern.indptr, lap_indices=pattern.indices, slots=slots,
         groups=tuple(groups), node_features=node_features)
 
@@ -191,17 +189,39 @@ def _weighted(ctx: FieldContext, at_uv: np.ndarray, at_vu: np.ndarray,
                          shape=(ctx.n_nodes, ctx.n_nodes))
 
 
-def _distances(ctx: FieldContext, X: np.ndarray, eps: float
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per undirected edge: the vector X[v] - X[u], its length, the coincidence mask.
+def _geometry(ctx: FieldContext, X: np.ndarray, eps: float,
+              w: np.ndarray | None = None):
+    """Per undirected edge: the length d of X[v] - X[u], the coincidence mask
+    d < eps and, for a cotangent w, the products s_u = w[u] . (X[v] - X[u]) and
+    s_v = w[v] . (X[v] - X[u]) (None without w).
 
-    Overflow from an already-diverging state is tolerated here; the simulator
+    The edge vectors are formed a block of edges at a time in two reused
+    buffers of BLOCK_BYTES each; every row comes out exactly as it would over
+    the whole edge array.  Overflow from an already-diverging state is tolerated here; the simulator
     aborts on the resulting non-finite values right after the update.
     """
+    m, k = ctx.n_edges, X.shape[1]
+    rows = max(1, min(m, BLOCK_BYTES // (8 * k)))
+    at_u, at_v = np.empty((rows, k)), np.empty((rows, k))
+    dist = np.empty(m)
+    s_u, s_v = (None, None) if w is None else (np.empty(m), np.empty(m))
+    # mode="clip" lets take write into `out` unbuffered; the indices are in range
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = ctx.diff_op @ X
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    return diff, dist, dist < eps
+        for lo in range(0, m, rows):
+            hi = min(lo + rows, m)
+            u, v = ctx.u[lo:hi], ctx.v[lo:hi]
+            gathered, diff = at_u[:hi - lo], at_v[:hi - lo]
+            np.take(X, u, axis=0, out=gathered, mode="clip")
+            np.take(X, v, axis=0, out=diff, mode="clip")
+            np.subtract(diff, gathered, out=diff)
+            np.einsum("ij,ij->i", diff, diff, out=dist[lo:hi])
+            if w is not None:
+                np.take(w, u, axis=0, out=gathered, mode="clip")
+                np.einsum("ij,ij->i", gathered, diff, out=s_u[lo:hi])
+                np.take(w, v, axis=0, out=gathered, mode="clip")
+                np.einsum("ij,ij->i", gathered, diff, out=s_v[lo:hi])
+        np.sqrt(dist, out=dist)
+    return dist, dist < eps, s_u, s_v
 
 
 def _tie_units(tied: np.ndarray, k: int, seed: int, step: int
@@ -259,11 +279,12 @@ def force_field(graph_or_ctx: SignedGraph | FieldContext, statics: NodeStatics |
     """
     ctx = graph_or_ctx if isinstance(graph_or_ctx, FieldContext) else \
         prepare(graph_or_ctx, statics)
+    X = np.asarray(X, dtype=np.float64)
     if X.shape[0] != ctx.n_nodes:
         raise ValueError(f"X has {X.shape[0]} rows, graph has {ctx.n_nodes} nodes")
     if ctx.n_edges == 0:
         return np.zeros_like(X, dtype=np.float64)
-    _, dist, tied = _distances(ctx, X, eps)
+    dist, tied, _, _ = _geometry(ctx, X, eps)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         f_fwd, f_rev = _magnitudes(ctx, model, dist)
         c_fwd = np.where(tied, 0.0, f_fwd / dist)
@@ -283,15 +304,15 @@ def force_field_vjp(ctx: FieldContext, model: ForceParams, X: np.ndarray,
     """Gradients (d/dX, d/dparams) of sum(w * force_field(X)) for cotangent w."""
     if ctx.n_edges == 0:
         return np.zeros_like(X, dtype=np.float64), np.zeros(model.flatten().shape[0])
-    diff, dist, tied = _distances(ctx, X, eps)
+    X, w = np.asarray(X, dtype=np.float64), np.asarray(w, dtype=np.float64)
+    dist, tied, s_u, s_v = _geometry(ctx, X, eps, w)
     # a tie-broken edge acts as an edge of length 1 along its tie-break unit
     scale = dist
     if tied.any():
         edges, units = _tie_units(tied, X.shape[1], seed, step)
-        diff[edges] = units
+        s_u[edges] = np.einsum("ij,ij->i", w[ctx.u[edges]], units)
+        s_v[edges] = np.einsum("ij,ij->i", w[ctx.v[edges]], units)
         scale = np.where(tied, 1.0, dist)
-    s_u = np.einsum("ij,ij->i", ctx.gather_u @ w, diff)
-    s_v = np.einsum("ij,ij->i", ctx.gather_v @ w, diff)
     gain = gain_batch(model, ctx.node_features)
 
     # force on u is g_u f_uv diff / d, force on v is -g_v f_vu diff / d

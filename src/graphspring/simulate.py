@@ -27,11 +27,24 @@ INIT_TAG = "init"
 
 
 class SimulationDivergedError(RuntimeError):
-    """State became non-finite; carries the step at which it happened."""
+    """State became non-finite.  Carries the step, the node at fault (see
+    `worst_node`) and, when raised by training, the epoch."""
 
-    def __init__(self, step: int, what: str = "state"):
-        super().__init__(f"simulation diverged at step {step}: non-finite {what}")
-        self.step = step
+    def __init__(self, step: int, node: int, what: str = "state",
+                 epoch: int | None = None):
+        where = f"step {step}" if epoch is None else f"step {step} of epoch {epoch}"
+        super().__init__(f"simulation diverged at {where}: non-finite {what} "
+                         f"at node {node}")
+        self.step, self.node, self.what, self.epoch = step, node, what, epoch
+
+
+def worst_node(X: np.ndarray, V: np.ndarray) -> int:
+    """The first node whose row of X or V is non-finite, else the node with the
+    largest |V|."""
+    bad = ~(np.isfinite(X).all(axis=1) & np.isfinite(V).all(axis=1))
+    if bad.any():
+        return int(np.argmax(bad))
+    return int(np.argmax(np.einsum("ij,ij->i", V, V)))
 
 
 @dataclass(frozen=True)
@@ -74,39 +87,46 @@ def init_state(n_nodes: int, config: SimConfig) -> SimState:
         raise ValueError("n_nodes must be at least 1")
     idx = np.arange(n_nodes * config.k)
     X = rng.uniform_sym(config.seed, INIT_TAG, idx).reshape(n_nodes, config.k)
-    # a copy, not the generator's buffer: with that buffer kept, about a third
-    # of fresh processes (Linux, glibc) took ~150k minor page faults per
-    # 120-step simulate at BitcoinAlpha size, k=64, and ran ~30% slower; with
-    # the copy, 1 in 24 did
-    return SimState(X.copy(), np.zeros((n_nodes, config.k)), 0)
+    return SimState(X, np.zeros((n_nodes, config.k)), 0)
 
 
-def _advance(X: np.ndarray, V: np.ndarray, F: np.ndarray,
-             config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+def _advance(X: np.ndarray, V: np.ndarray, F: np.ndarray, config: SimConfig,
+             scratch: np.ndarray) -> np.ndarray:
+    """One damped-Euler update without allocating: V becomes
+    (1 - damping) V + dt F in place, and X1 = X + dt V (the updated V if
+    semi-implicit) is written into F's buffer and returned.  `scratch` is an
+    n x k work array."""
+    F *= config.dt
+    if not config.semi_implicit:
+        np.multiply(V, config.dt, out=scratch)
+    V *= 1.0 - config.damping
+    V += F
     if config.semi_implicit:
-        V1 = (1.0 - config.damping) * V + config.dt * F
-        X1 = X + config.dt * V1
-    else:
-        X1 = X + config.dt * V
-        V1 = (1.0 - config.damping) * V + config.dt * F
-    return X1, V1
+        np.multiply(V, config.dt, out=scratch)
+    return np.add(scratch, X, out=F)
 
 
 def simulate(state: SimState, graph: SignedGraph, statics: NodeStatics,
              model: ForceParams, config: SimConfig, ctx: FieldContext | None = None,
              on_step=None) -> SimState:
-    """Apply `config.n_steps` steps; `on_step(state)` is called after each."""
+    """Apply `config.n_steps` steps; `on_step(state)` is called after each.
+
+    Each step allocates only its new position matrix.  The velocities live in
+    one array, a copy of `state.V` updated in place: every state passed to
+    `on_step` shares it, so a hook that keeps velocities must copy them.
+    """
     if ctx is None:
         ctx = prepare(graph, statics)
+    V = state.V.copy()
+    scratch = np.empty_like(V)
     for _ in range(config.n_steps):
         F = force_field(ctx, None, model, state.X, eps=config.eps,
                         seed=config.seed, step=state.t_step)
         with np.errstate(over="ignore", invalid="ignore"):
-            X1, V1 = _advance(state.X, state.V, F, config)
-        if not (np.isfinite(X1).all() and np.isfinite(V1).all()):
-            raise SimulationDivergedError(state.t_step + 1)
-        del F  # else the next force_field runs with one more n x k array alive
-        state = SimState(X1, V1, state.t_step + 1)
+            X1 = _advance(state.X, V, F, config, scratch)
+        if not (np.isfinite(X1).all() and np.isfinite(V).all()):
+            raise SimulationDivergedError(state.t_step + 1, worst_node(X1, V))
+        state = SimState(X1, V, state.t_step + 1)
         if on_step is not None:
             on_step(state)
     return state

@@ -25,7 +25,7 @@ from .forcefield import FieldContext, force_field_vjp, prepare
 from .graphs import NodeStatics, SignedGraph, compute_node_statics
 from .metrics import auc, f1_scores, predict
 from .simulate import (SimConfig, SimState, SimulationDivergedError, init_state,
-                       simulate)
+                       simulate, worst_node)
 
 EPOCH_INIT_TAG = "epoch-init"
 VAL_TAG = "val-hide"
@@ -144,24 +144,23 @@ def loss_and_grad(graph: SignedGraph, statics: NodeStatics, params: ForceParams,
 
     value, gX = loss_with_grad(graph, final.X, loss_cfg)
     gV = np.zeros_like(gX)
+    scratch = np.empty_like(gX)
     grad = np.zeros_like(params.flatten())
     dt, damp = sim_cfg.dt, sim_cfg.damping
 
     for t in range(sim_cfg.n_steps - 1, -1, -1):
-        Xt = tape[t]
         if sim_cfg.semi_implicit:
-            aV = gV + dt * gX
-            dXF, dtheta = force_field_vjp(ctx, params, Xt, dt * aV, eps=sim_cfg.eps,
-                                          seed=sim_cfg.seed, step=t0 + t)
-            gX = gX + dXF
-            gV = (1.0 - damp) * aV
-        else:
-            dXF, dtheta = force_field_vjp(ctx, params, Xt, dt * gV, eps=sim_cfg.eps,
-                                          seed=sim_cfg.seed, step=t0 + t)
-            gX, gV = gX + dXF, dt * gX + (1.0 - damp) * gV
+            gV += np.multiply(gX, dt, out=scratch)   # the adjoint of V1
+        dXF, dtheta = force_field_vjp(ctx, params, tape[t],
+                                      np.multiply(gV, dt, out=scratch),
+                                      eps=sim_cfg.eps, seed=sim_cfg.seed, step=t0 + t)
+        gV *= 1.0 - damp
+        if not sim_cfg.semi_implicit:
+            gV += np.multiply(gX, dt, out=scratch)
+        gX += dXF
         grad += dtheta
         if not np.isfinite(grad).all():
-            raise SimulationDivergedError(t0 + t, "gradient")
+            raise SimulationDivergedError(t0 + t, worst_node(gX, gV), "gradient")
     return value, grad, final
 
 
@@ -290,7 +289,8 @@ def train(graph: SignedGraph, statics: NodeStatics | None, cfg: TrainConfig,
             value, grad, final = loss_and_grad(train_graph, train_statics, params,
                                                sim_cfg, cfg.loss, ctx=ctx)
         except SimulationDivergedError as err:
-            raise SimulationDivergedError(err.step, f"state in epoch {epoch + 1}") from err
+            raise SimulationDivergedError(err.step, err.node, err.what,
+                                          epoch + 1) from err
         grad = clip_gradient(grad, cfg.clip_lo, cfg.clip_hi)
         adam, params = adam_step(adam, params, grad)
         auc_l, f1_macro = _validation_metrics(graph, val_edges, final.X, cfg.loss.mu)

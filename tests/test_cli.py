@@ -280,6 +280,39 @@ def test_unknown_config_key_rejected(toy_csv, tmp_path):
     assert "bogus_option" in result.stderr
 
 
+def test_manifest_replay_rejects_unknown_config_keys(toy_csv, tmp_path, capsys):
+    params = tmp_path / "params.json"
+    params.write_text(params_to_json(SpringParams()))
+    first = tmp_path / "e1"
+    assert run_cli("embed", "--params", params, "--input", toy_csv,
+                   "--format", "rating_csv", "--k", "3", "--n-steps", "2",
+                   "--out", first) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    assert run_cli("embed", "--from-manifest", first / "manifest.json",
+                   "--out", tmp_path / "e2") == 0
+    manifest["config"]["float32"] = True    # an option that no longer exists
+    stale = tmp_path / "stale.json"
+    stale.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run_cli("embed", "--from-manifest", stale, "--out", tmp_path / "e3") == 1
+    assert "float32" in capsys.readouterr().err
+    assert not (tmp_path / "e3").exists()
+
+
+def test_train_divergence_keeps_the_last_good_checkpoint(toy_csv, tmp_path, capsys):
+    # the first Adam step moves every spring parameter by about lr, which makes
+    # the second epoch's springs too stiff for the explicit step
+    out = tmp_path / "div"
+    assert run_cli("train", "--input", toy_csv, "--format", "rating_csv",
+                   "--model", "spring", "--k", "3", "--epochs", "3",
+                   "--n-steps", "50", "--seed", "1", "--lr", "1e6",
+                   "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "of epoch 2" in err and "at step" in err and "at node" in err
+    from graphspring.training import load_checkpoint
+    assert load_checkpoint(out / "checkpoint.json").epoch == 1
+
+
 def test_hidden_edges_file(toy_csv, tmp_path):
     ing = tmp_path / "ing"
     run_cli("ingest", "--input", toy_csv, "--format", "rating_csv", "--out", ing)

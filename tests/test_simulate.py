@@ -7,7 +7,7 @@ from graphspring import (SignedGraph, SimConfig, SimState,
                          simulate, write_embeddings_binary,
                          write_embeddings_text)
 from graphspring.forces import SpringParams
-from graphspring.simulate import mean_abs_velocity
+from graphspring.simulate import mean_abs_velocity, worst_node
 
 from conftest import hidden_toy, statics_of
 
@@ -81,6 +81,21 @@ def test_zero_steps_returns_state_unchanged():
     final = simulate(state, graph, st, SpringParams(), cfg)
     assert final is state
     assert np.array_equal(final.X, state.X)
+
+
+@pytest.mark.parametrize("semi_implicit", [False, True])
+def test_simulate_leaves_the_input_state_untouched(semi_implicit):
+    # the step updates velocities in place and reuses the force buffer, so
+    # the caller's arrays must never be among them
+    graph, _ = hidden_toy(seed=1)
+    cfg = SimConfig(k=3, n_steps=4, seed=4, semi_implicit=semi_implicit)
+    rand = np.random.default_rng(0)
+    state = SimState(rand.normal(0, 1, (graph.n_nodes, 3)),
+                     rand.normal(0, 1, (graph.n_nodes, 3)), 2)
+    X0, V0 = state.X.copy(), state.V.copy()
+    final = simulate(state, graph, statics_of(graph), SpringParams(beta=0.3), cfg)
+    assert np.array_equal(state.X, X0) and np.array_equal(state.V, V0)
+    assert final.t_step == 6 and not np.array_equal(final.V, V0)
 
 
 def test_composition_associative_bitwise():
@@ -247,6 +262,27 @@ def test_divergence_aborts_with_step_index():
     with pytest.raises(SimulationDivergedError) as err:
         simulate(state, graph, st, params, cfg)
     assert err.value.step > 0
+
+
+def test_divergence_names_the_first_non_finite_node():
+    # a soft positive pair (0, 1) and a stiff neutral pair (2, 3): only the
+    # stiff pair blows up, and node 2 is its first non-finite row
+    graph = SignedGraph(4, np.array([0, 2]), np.array([1, 3]),
+                        np.array([1, 1], np.int8), np.array([1, 0], np.int8))
+    params = SpringParams(a_neu=1e6, l_neu=1.0, beta=0.0)
+    cfg = SimConfig(k=1, dt=0.5, damping=0.0, n_steps=10000, seed=0)
+    state = SimState(np.array([[0.0], [1.5], [5.0], [7.0]]), np.zeros((4, 1)), 0)
+    with pytest.raises(SimulationDivergedError, match="at node 2") as err:
+        simulate(state, graph, statics_of(graph), params, cfg)
+    assert err.value.node == 2
+
+
+def test_worst_node_is_the_fastest_when_all_finite():
+    X = np.zeros((3, 2))
+    V = np.array([[1.0, 0.0], [0.0, -3.0], [2.0, 2.0]])
+    assert worst_node(X, V) == 1
+    V[2, 0] = np.nan
+    assert worst_node(X, V) == 2
 
 
 # --- files ------------------------------------------------------------------------

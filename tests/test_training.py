@@ -405,8 +405,10 @@ def test_divergence_reports_epoch():
     cfg = TrainConfig(epochs=2, sim=SimConfig(k=2, n_steps=400, dt=80.0),
                       model_kind="spring", seed=1, val_fraction=0.0)
     from graphspring import SimulationDivergedError
-    with pytest.raises(SimulationDivergedError, match="epoch"):
+    with pytest.raises(SimulationDivergedError, match="epoch") as err:
         train(graph, None, cfg)
+    assert err.value.epoch == 1
+    assert 0 <= err.value.node < graph.n_nodes
 
 
 # --- checkpoints --------------------------------------------------------------------
