@@ -9,12 +9,11 @@ differentiating through the unrolled simulation.
 __version__ = "0.1.0"
 
 from .forces import (ForceParams, MlpParams, NeuralSpringParams, SpringParams,
-                     init_params, mlp_eval, neural_force, neural_gain,
-                     params_from_json, params_to_json, spring_force, spring_gain)
-from .forcefield import FieldContext, edge_force, force_field, pair_distance, prepare
+                     init_params, params_from_json, params_to_json)
+from .forcefield import FieldContext, force_field, prepare
 from .graphs import (EdgeStage, GraphFormatError, NodeStatics, SignedGraph,
                      SplitSpec, compute_node_statics, dump_graph, hide_signs,
-                     load_edge_list, parse_graph_dump, stage_back, to_undirected)
+                     load_edge_list, parse_graph_dump, to_undirected)
 from .metrics import (MetricsReport, PredictionSet, auc, calibrate_on_visible,
                       evaluate, f1_scores, fit_distance_calibration, predict,
                       rank_auc)

@@ -12,11 +12,14 @@ from pathlib import Path
 def atomic_write(path, mode: str = "w"):
     """Yield a file open on a temporary sibling of `path`; on a clean exit it is
     flushed to disk and `os.replace`d onto `path`, on an error it is removed
-    and `path` is left as it was."""
+    and `path` is left as it was.  Text is UTF-8 and line ends are written as
+    given, as the csv module expects."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    text = "b" not in mode
     try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+        with open(tmp, mode, encoding="utf-8" if text else None,
+                  newline="" if text else None) as fh:
             yield fh
             fh.flush()
             os.fsync(fh.fileno())

@@ -88,8 +88,8 @@ def run_grid(model: ForceParams, sizes: list[tuple[int, int]], ks: list[int],
         for k in ks:
             cfg = SimConfig(k=k, n_steps=sim_steps, seed=seed)
             state = init_state(n_nodes, cfg)
-            force_field(ctx, None, model, state.X)  # warm up caches
-            med, iqr = median_ms(lambda: force_field(ctx, None, model, state.X),
+            force_field(ctx, model, state.X)  # warm up caches
+            med, iqr = median_ms(lambda: force_field(ctx, model, state.X),
                                  repeats)
             rows.append(BenchRow(n_nodes, n_edges, k, "force_field", med, iqr))
             med, iqr = median_ms(
@@ -110,8 +110,8 @@ def time_force_field(n_nodes: int, n_edges: int, k: int, seed: int = 1,
     graph = synthetic_graph(n_nodes, n_edges, seed)
     ctx = prepare(graph, compute_node_statics(graph))
     X = init_state(n_nodes, SimConfig(k=k, seed=0)).X
-    force_field(ctx, None, model, X)  # warm up
-    return median_ms(lambda: force_field(ctx, None, model, X), reps)[0]
+    force_field(ctx, model, X)  # warm up
+    return median_ms(lambda: force_field(ctx, model, X), reps)[0]
 
 
 def linearity_summary(rows: list[BenchRow]) -> str:

@@ -1,9 +1,10 @@
 """Command-line front end: ingest, split, train, embed, eval, bench.
 
-Every command resolves its configuration as CLI flags > --config JSON file >
-built-in defaults, writes a manifest of the resolved run before doing any
-long work, and exits 0 on success, 1 on runtime failure, 2 on usage errors.
-Re-running a command with --from-manifest reproduces the original outputs.
+Every command writes a manifest of the resolved run before doing any long
+work, and exits 0 on success, 1 on runtime failure, 2 on usage errors.  train,
+embed, eval and bench resolve their configuration as CLI flags > --config JSON
+file > built-in defaults, and re-running one of them with --from-manifest
+reproduces the original outputs.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ TRAIN_DEFAULTS = {
     "split_seed": None, "exact_split": False, "val_fraction": 0.1,
     "init_policy": "resample_each_epoch", "loss_domain": "visible_only",
     "target_encoding": "signed", "clip_lo": -1.0, "clip_hi": 1.0,
-    "semi_implicit": False, "raw_degree_features": False,
-    "checkpoint_every": 0,
+    "semi_implicit": False, "checkpoint_every": 0,
 }
 
 EMBED_DEFAULTS = {
@@ -146,13 +146,18 @@ def _maybe_hide(graph: SignedGraph, p_hidden, split_seed, exact: bool):
     return hide_signs(graph, SplitSpec(float(p_hidden), int(split_seed), exact))
 
 
+def _write_text(path: Path, text: str) -> None:
+    with atomic_write(path) as fh:
+        fh.write(text)
+
+
 def cmd_ingest(args) -> int:
     out = Path(args.out or "run")
     with _open_text(args.input) as fh:
         stage = load_edge_list(fh, args.format)
     graph = to_undirected(stage)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "graph.txt").write_text(dump_graph(graph), encoding="utf-8")
+    _write_text(out / "graph.txt", dump_graph(graph))
     stats = {
         "staged_edges": stage.n_edges,
         "n_nodes": graph.n_nodes,
@@ -160,7 +165,7 @@ def cmd_ingest(args) -> int:
         "positive_proportion_staged": float((stage.sign == 1).mean()),
         "positive_proportion": float((graph.true_sign == 1).mean()),
     }
-    (out / "stats.json").write_text(json.dumps(stats, indent=2) + "\n", encoding="utf-8")
+    _write_text(out / "stats.json", json.dumps(stats, indent=2) + "\n")
     _write_manifest(out, "ingest", {"format": args.format}, {"input": args.input},
                     {"graph": out / "graph.txt", "stats": out / "stats.json"})
     print(json.dumps(stats))
@@ -175,7 +180,7 @@ def cmd_split(args) -> int:
     hidden_graph, hidden = hide_signs(
         graph, SplitSpec(args.p_hidden, split_seed, args.exact_split))
     out.mkdir(parents=True, exist_ok=True)
-    (out / "graph_split.txt").write_text(dump_graph(hidden_graph), encoding="utf-8")
+    _write_text(out / "graph_split.txt", dump_graph(hidden_graph))
     config = {"p_hidden": args.p_hidden, "split_seed": split_seed,
               "exact_split": args.exact_split}
     _write_manifest(out, "split", config,
@@ -188,7 +193,7 @@ def cmd_split(args) -> int:
 def cmd_train(args) -> int:
     manifest = _load_manifest(args.from_manifest) if args.from_manifest else None
     config = _resolve(TRAIN_DEFAULTS, args, args.config, manifest)
-    out = Path(args.out if args.out else (manifest or {}).get("out", "run"))
+    out = Path(args.out or "run")
     input_path = args.input or (manifest or {}).get("input_paths", {}).get("input")
     graph_path = args.graph or (manifest or {}).get("input_paths", {}).get("graph")
     fmt = args.format or (manifest or {}).get("config", {}).get("format", "plain")
@@ -206,16 +211,14 @@ def cmd_train(args) -> int:
                     {"input": input_path, "graph": graph_path}, artifacts)
 
     sim = SimConfig(k=config["k"], dt=config["dt"], damping=config["damping"],
-                    n_steps=config["n_steps"], eps=1e-9,
-                    semi_implicit=config["semi_implicit"])
+                    n_steps=config["n_steps"], semi_implicit=config["semi_implicit"])
     loss_cfg = LossConfig(mu=config["mu"], domain=config["loss_domain"],
                           target_encoding=config["target_encoding"])
     train_cfg = TrainConfig(
         epochs=config["epochs"], sim=sim, loss=loss_cfg, model_kind=config["model"],
         lr=config["lr"], clip_lo=config["clip_lo"], clip_hi=config["clip_hi"],
         seed=config["seed"], init_policy=config["init_policy"],
-        val_fraction=config["val_fraction"],
-        raw_degree_features=config["raw_degree_features"])
+        val_fraction=config["val_fraction"])
 
     resume = load_checkpoint(args.resume) if args.resume else None
     every = int(config["checkpoint_every"])
@@ -249,7 +252,7 @@ def cmd_train(args) -> int:
 def cmd_embed(args) -> int:
     manifest = _load_manifest(args.from_manifest) if args.from_manifest else None
     config = _resolve(EMBED_DEFAULTS, args, args.config, manifest)
-    out = Path(args.out if args.out else (manifest or {}).get("out", "run"))
+    out = Path(args.out or "run")
     params_path = args.params or (manifest or {}).get("input_paths", {}).get("params")
     input_path = args.input or (manifest or {}).get("input_paths", {}).get("input")
     graph_path = args.graph or (manifest or {}).get("input_paths", {}).get("graph")
@@ -280,12 +283,10 @@ def cmd_embed(args) -> int:
                     semi_implicit=config["semi_implicit"])
     state = init_state(graph.n_nodes, sim)
 
-    started = time.perf_counter()
-    final = simulate(state, graph, statics, params, sim, ctx=ctx)
-    solver_ms = (time.perf_counter() - started) * 1000.0
-
+    on_step = None
     if args.trace:
-        # replay the identical trajectory outside the timing window
+        # the trace is recorded during the one simulation, so solver_ms
+        # includes its cost
         loss_cfg = LossConfig(mu=config["mu"])
         trace_rows = []
 
@@ -296,7 +297,9 @@ def cmd_embed(args) -> int:
                 step_loss = float("nan")
             trace_rows.append((s.t_step, mean_abs_velocity(s), step_loss))
 
-        simulate(state, graph, statics, params, sim, ctx=ctx, on_step=on_step)
+    started = time.perf_counter()
+    final = simulate(state, graph, statics, params, sim, ctx=ctx, on_step=on_step)
+    solver_ms = (time.perf_counter() - started) * 1000.0
 
     if config["binary"]:
         write_embeddings_binary(out / emb_name, final.X)
@@ -304,14 +307,14 @@ def cmd_embed(args) -> int:
         write_embeddings_text(out / emb_name, final.X)
     meta = {"solver_ms": solver_ms, "n_steps": sim.n_steps, "k": sim.k,
             "n_nodes": graph.n_nodes, "n_edges": graph.n_edges}
-    (out / "embed_meta.json").write_text(json.dumps(meta, indent=2) + "\n",
-                                         encoding="utf-8")
+    _write_text(out / "embed_meta.json", json.dumps(meta, indent=2) + "\n")
     if args.trace:
-        with open(args.trace, "w", newline="", encoding="utf-8") as fh:
+        with atomic_write(args.trace) as fh:
             writer = csv.writer(fh)
             writer.writerow(["step", "mean_abs_velocity", "loss"])
             writer.writerows(trace_rows)
-    print(f"embedded {graph.n_nodes} nodes in {solver_ms:.1f} ms (solver only)")
+    timed = "solver and trace" if args.trace else "solver only"
+    print(f"embedded {graph.n_nodes} nodes in {solver_ms:.1f} ms ({timed})")
     return 0
 
 
@@ -374,7 +377,7 @@ def _eval_one(graph: SignedGraph, params, config: dict, seed: int,
 def cmd_eval(args) -> int:
     manifest = _load_manifest(args.from_manifest) if args.from_manifest else None
     config = _resolve(EVAL_DEFAULTS, args, args.config, manifest)
-    out = Path(args.out if args.out else (manifest or {}).get("out", "run"))
+    out = Path(args.out or "run")
     graph_path = args.graph or (manifest or {}).get("input_paths", {}).get("graph")
     input_path = args.input or (manifest or {}).get("input_paths", {}).get("input")
     emb_path = args.embeddings or (manifest or {}).get("input_paths", {}).get("embeddings")
@@ -398,7 +401,7 @@ def cmd_eval(args) -> int:
         report = evaluate(graph, hidden, X, config["mu"], seed=None,
                           config_hash=chash, calibration=calibration)
         reports.append(report)
-        (out / "report.json").write_text(report.to_json(), encoding="utf-8")
+        _write_text(out / "report.json", report.to_json())
     else:
         if not params_path:
             raise ValueError("eval needs either --embeddings or --params")
@@ -418,12 +421,11 @@ def cmd_eval(args) -> int:
                 reports = list(pool.map(
                     lambda s: _eval_one(graph, params, config, s, chash), seeds))
         for s, report in zip(seeds, reports):
-            (out / f"report_{s}.json").write_text(report.to_json(), encoding="utf-8")
+            _write_text(out / f"report_{s}.json", report.to_json())
         agg = aggregate_reports(reports)
-        (out / "aggregate.json").write_text(json.dumps(agg, indent=2) + "\n",
-                                            encoding="utf-8")
+        _write_text(out / "aggregate.json", json.dumps(agg, indent=2) + "\n")
     table = reports[0].to_table() if len(reports) == 1 else _aggregate_table(reports)
-    (out / "table.txt").write_text(table, encoding="utf-8")
+    _write_text(out / "table.txt", table)
     print(table, end="")
     return 0
 
@@ -452,14 +454,14 @@ def cmd_bench(args) -> int:
     rows = bench.run_grid(model, sizes, ks, seed=config["seed"],
                           repeats=int(config["reps"]),
                           sim_steps=int(config["sim_steps"]))
-    with open(out / "timings.csv", "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(out / "timings.csv") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n_nodes", "n_edges", "k", "op", "median_ms", "iqr_ms"])
         for r in rows:
             writer.writerow([r.n_nodes, r.n_edges, r.k, r.op,
                              f"{r.median_ms:.3f}", f"{r.iqr_ms:.3f}"])
     summary = bench.linearity_summary(rows)
-    (out / "summary.txt").write_text(summary, encoding="utf-8")
+    _write_text(out / "summary.txt", summary)
     print(summary, end="")
     return 0
 
@@ -471,22 +473,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="master seed")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker threads for independent runs")
-    common.add_argument("--config", type=str, default=None, help="JSON config file")
-    common.add_argument("--out", type=str, default=None, help="output directory")
-    common.add_argument("--from-manifest", type=str, default=None,
-                        help="re-run the configuration recorded in a manifest")
+    # each subcommand takes only the shared flags it reads; eval keeps --seed,
+    # which it ignores, as argparse would otherwise read it as --seeds
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", type=str, default=None, help="output directory")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None, help="master seed")
+    configured = argparse.ArgumentParser(add_help=False)
+    configured.add_argument("--config", type=str, default=None, help="JSON config file")
+    configured.add_argument("--from-manifest", type=str, default=None,
+                            help="re-run the configuration recorded in a manifest")
+    common = [seeded, output, configured]
 
-    ingest = sub.add_parser("ingest", parents=[common],
+    ingest = sub.add_parser("ingest", parents=[output],
                             help="parse an edge list into the canonical graph dump")
     ingest.add_argument("--input", required=True)
     ingest.add_argument("--format", choices=["plain", "rating_csv"], default="plain")
     ingest.set_defaults(fn=cmd_ingest)
 
-    split = sub.add_parser("split", parents=[common], help="hide a share of edge signs")
+    split = sub.add_parser("split", parents=[seeded, output],
+                           help="hide a share of edge signs")
     split.add_argument("--input")
     split.add_argument("--graph")
     split.add_argument("--format", choices=["plain", "rating_csv"], default="plain")
@@ -495,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     split.add_argument("--exact-split", action="store_true", dest="exact_split")
     split.set_defaults(fn=cmd_split)
 
-    trainp = sub.add_parser("train", parents=[common], help="fit force parameters")
+    trainp = sub.add_parser("train", parents=common, help="fit force parameters")
     trainp.add_argument("--input")
     trainp.add_argument("--graph", help="pre-split canonical dump")
     trainp.add_argument("--format", choices=["plain", "rating_csv"], default=None)
@@ -517,13 +523,11 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None, dest="target_encoding")
     trainp.add_argument("--semi-implicit", action="store_true", default=None,
                         dest="semi_implicit")
-    trainp.add_argument("--raw-degree-features", action="store_true", default=None,
-                        dest="raw_degree_features")
     trainp.add_argument("--resume", type=str, default=None,
                         help="checkpoint file to continue from")
     trainp.set_defaults(fn=cmd_train)
 
-    embed = sub.add_parser("embed", parents=[common],
+    embed = sub.add_parser("embed", parents=common,
                            help="simulate a trained model to produce embeddings")
     embed.add_argument("--params")
     embed.add_argument("--input")
@@ -542,10 +546,13 @@ def build_parser() -> argparse.ArgumentParser:
     embed.add_argument("--hidden-edges", type=str, default=None, dest="hidden_edges",
                        help="file of 'u v' pairs to hide instead of sampling")
     embed.add_argument("--trace", type=str, default=None,
-                       help="CSV of per-step mean |V| and loss")
+                       help="CSV of per-step mean |V| and loss (its cost is "
+                            "part of solver_ms)")
     embed.set_defaults(fn=cmd_embed)
 
-    evalp = sub.add_parser("eval", parents=[common], help="score hidden-edge predictions")
+    evalp = sub.add_parser("eval", parents=common, help="score hidden-edge predictions")
+    evalp.add_argument("--threads", type=int, default=None,
+                       help="worker threads for independent runs")
     evalp.add_argument("--embeddings")
     evalp.add_argument("--params")
     evalp.add_argument("--input")
@@ -566,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "instead of the fixed threshold")
     evalp.set_defaults(fn=cmd_eval)
 
-    benchp = sub.add_parser("bench", parents=[common],
+    benchp = sub.add_parser("bench", parents=common,
                             help="time the force field on synthetic graphs")
     benchp.add_argument("--sizes", type=str, default=None,
                         help="comma list of N:M pairs")

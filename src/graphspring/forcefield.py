@@ -16,7 +16,7 @@ the neural model.  This is the form spring and stress layouts are written in
 structure of A - diag(rowsum(A)) once; each evaluation fills in its 2m edge
 weights and n diagonal entries and applies it to X in one sparse-matrix
 product, with a fixed, reproducible accumulation order.  An edge whose
-endpoints are closer than eps has weight 0 in A and instead pushes its
+endpoints are closer than EPS has weight 0 in A and instead pushes its
 endpoints along a seeded tie-break unit vector.
 
 The edge vectors X[v] - X[u] are never held for all edges at once: they are
@@ -53,18 +53,11 @@ from .forces import (ForceParams, SpringParams, force_batch, force_batch_vjp,
 from .graphs import NodeStatics, SignedGraph
 
 TIE_TAG = "tiebreak"
+# endpoints closer than this are coincident and use the tie-break direction
+EPS = 1e-9
 # size of each of the two buffers the edge vectors are streamed through: small
 # enough to stay in cache, large enough that the per-block calls are cheap
 BLOCK_BYTES = 256 * 1024
-
-
-def pair_distance(x_i: np.ndarray, x_j: np.ndarray) -> float:
-    """Euclidean distance between two embedding vectors."""
-    x_i = np.asarray(x_i, dtype=np.float64)
-    x_j = np.asarray(x_j, dtype=np.float64)
-    if x_i.shape != x_j.shape:
-        raise ValueError("vectors must have equal length")
-    return float(np.sqrt(((x_i - x_j) ** 2).sum()))
 
 
 def tie_break_unit(k: int, edge_index: int, step: int, seed: int = 0) -> np.ndarray:
@@ -76,22 +69,6 @@ def tie_break_unit(k: int, edge_index: int, step: int, seed: int = 0) -> np.ndar
         raw[0] = 1.0
         norm = 1.0
     return raw / norm
-
-
-def edge_force(f_val: float, x_i: np.ndarray, x_j: np.ndarray, eps: float = 1e-9,
-               edge_index: int = 0, step: int = 0, seed: int = 0) -> np.ndarray:
-    """Force vector f_val * unit(x_j - x_i), with a random unit at distance < eps."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    x_i = np.asarray(x_i, dtype=np.float64)
-    x_j = np.asarray(x_j, dtype=np.float64)
-    diff = x_j - x_i
-    dist = float(np.sqrt((diff ** 2).sum()))
-    if dist < eps:
-        unit = tie_break_unit(x_i.shape[0], edge_index, step, seed)
-    else:
-        unit = diff / dist
-    return f_val * unit
 
 
 @dataclass(frozen=True)
@@ -130,8 +107,7 @@ class FieldContext:
     node_features: np.ndarray   # (n, 3) [deg_norm, neg_frac, pos_frac]
 
 
-def prepare(graph: SignedGraph, statics: NodeStatics,
-            raw_degree_features: bool = False) -> FieldContext:
+def prepare(graph: SignedGraph, statics: NodeStatics) -> FieldContext:
     """Build the reusable evaluation context for a (graph, statics) pair."""
     n, m = graph.n_nodes, graph.n_edges
     u, v = graph.u, graph.v
@@ -149,14 +125,11 @@ def prepare(graph: SignedGraph, statics: NodeStatics,
     if m > 0 and statics.p80 <= 0:
         raise ValueError("p80 must be positive for a graph with edges")
     deg_norm = np.minimum(1.0, statics.deg / statics.p80) if m else np.zeros(n)
-    # the node gain always sees the capped degree; the flag only switches the
-    # per-edge feature vector back to literal degrees
     node_features = np.column_stack([deg_norm, statics.neg_frac, statics.pos_frac])
-    deg_feat = statics.deg.astype(np.float64) if raw_degree_features else deg_norm
 
     def static(a, b):
         out = np.empty((a.size, 6), order="F")
-        for j, node_col in enumerate((deg_feat, statics.neg_frac, statics.pos_frac)):
+        for j, node_col in enumerate((deg_norm, statics.neg_frac, statics.pos_frac)):
             out[:, 2 * j] = node_col[a]
             out[:, 2 * j + 1] = node_col[b]
         return out
@@ -189,10 +162,9 @@ def _weighted(ctx: FieldContext, at_uv: np.ndarray, at_vu: np.ndarray,
                          shape=(ctx.n_nodes, ctx.n_nodes))
 
 
-def _geometry(ctx: FieldContext, X: np.ndarray, eps: float,
-              w: np.ndarray | None = None):
+def _geometry(ctx: FieldContext, X: np.ndarray, w: np.ndarray | None = None):
     """Per undirected edge: the length d of X[v] - X[u], the coincidence mask
-    d < eps and, for a cotangent w, the products s_u = w[u] . (X[v] - X[u]) and
+    d < EPS and, for a cotangent w, the products s_u = w[u] . (X[v] - X[u]) and
     s_v = w[v] . (X[v] - X[u]) (None without w).
 
     The edge vectors are formed a block of edges at a time in two reused
@@ -221,7 +193,7 @@ def _geometry(ctx: FieldContext, X: np.ndarray, eps: float,
                 np.take(w, v, axis=0, out=gathered, mode="clip")
                 np.einsum("ij,ij->i", gathered, diff, out=s_v[lo:hi])
         np.sqrt(dist, out=dist)
-    return dist, dist < eps, s_u, s_v
+    return dist, dist < EPS, s_u, s_v
 
 
 def _tie_units(tied: np.ndarray, k: int, seed: int, step: int
@@ -268,23 +240,19 @@ def _magnitudes_vjp(ctx: FieldContext, model: ForceParams, dist: np.ndarray,
     return f_fwd, f_rev, grad, ddist
 
 
-def force_field(graph_or_ctx: SignedGraph | FieldContext, statics: NodeStatics | None,
-                model: ForceParams, X: np.ndarray, eps: float = 1e-9,
+def force_field(ctx: FieldContext, model: ForceParams, X: np.ndarray,
                 seed: int = 0, step: int = 0) -> np.ndarray:
     """Net force on every node from the spring model at positions X.
 
-    Accepts either (graph, statics) or a prepared FieldContext with
-    statics=None.  Runs in O(edges * dims + nodes * dims) with a fixed,
-    reproducible accumulation order.
+    Runs in O(edges * dims + nodes * dims) with a fixed, reproducible
+    accumulation order.
     """
-    ctx = graph_or_ctx if isinstance(graph_or_ctx, FieldContext) else \
-        prepare(graph_or_ctx, statics)
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] != ctx.n_nodes:
         raise ValueError(f"X has {X.shape[0]} rows, graph has {ctx.n_nodes} nodes")
     if ctx.n_edges == 0:
         return np.zeros_like(X, dtype=np.float64)
-    dist, tied, _, _ = _geometry(ctx, X, eps)
+    dist, tied, _, _ = _geometry(ctx, X)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         f_fwd, f_rev = _magnitudes(ctx, model, dist)
         c_fwd = np.where(tied, 0.0, f_fwd / dist)
@@ -299,13 +267,13 @@ def force_field(graph_or_ctx: SignedGraph | FieldContext, statics: NodeStatics |
 
 
 def force_field_vjp(ctx: FieldContext, model: ForceParams, X: np.ndarray,
-                    w: np.ndarray, eps: float = 1e-9, seed: int = 0,
-                    step: int = 0) -> tuple[np.ndarray, np.ndarray]:
+                    w: np.ndarray, seed: int = 0, step: int = 0
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients (d/dX, d/dparams) of sum(w * force_field(X)) for cotangent w."""
     if ctx.n_edges == 0:
         return np.zeros_like(X, dtype=np.float64), np.zeros(model.flatten().shape[0])
     X, w = np.asarray(X, dtype=np.float64), np.asarray(w, dtype=np.float64)
-    dist, tied, s_u, s_v = _geometry(ctx, X, eps, w)
+    dist, tied, s_u, s_v = _geometry(ctx, X, w)
     # a tie-broken edge acts as an edge of length 1 along its tie-break unit
     scale = dist
     if tied.any():

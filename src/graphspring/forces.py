@@ -1,11 +1,11 @@
 """Scalar force models: Hooke-style springs and their neural-network variant.
 
-Both models expose the same two scalar functions: a per-edge force magnitude
-`f` (positive values attract the endpoints along the edge direction, negative
-values repel) dispatched on the observed edge sign, and a per-node gain `g`
-scaling the aggregated force.  Parameters flatten to a single float64 vector
-whose layout is fixed here and used by the optimizer, the gradient code and
-the parameter files:
+Both models define the same two functions, evaluated in batches: a per-edge
+force magnitude `f` (positive values attract the endpoints along the edge
+direction, negative values repel) dispatched on the observed edge sign, and a
+per-node gain `g` scaling the aggregated force.  Parameters flatten to a
+single float64 vector whose layout is fixed here and used by the optimizer,
+the gradient code and the parameter files:
 
     SpringParams.flatten()       -> [l_pos, l_neu, l_neg, a_pos, a_neu, a_neg, beta]
     NeuralSpringParams.flatten() -> [gain_net, f_neutral, f_positive, f_negative]
@@ -13,8 +13,7 @@ the parameter files:
 
 Edge feature vectors for the neural model are laid out as
 [dist, deg_i, deg_j, neg_i, neg_j, pos_i, pos_j]; node gain features as
-[deg, neg_frac, pos_frac], with degrees normalized to min(1, deg / p80)
-unless raw-degree mode is requested.
+[deg, neg_frac, pos_frac], with degrees normalized to min(1, deg / p80).
 """
 
 from __future__ import annotations
@@ -142,46 +141,6 @@ class NeuralSpringParams:
 
 
 ForceParams = Union[SpringParams, NeuralSpringParams]
-
-
-def spring_force(p: SpringParams, observed_sign: int, dist: float) -> float:
-    """Hooke-style force magnitude for one edge.
-
-    Neutral edges pull or push toward the neutral rest length; positive edges
-    only attract when stretched past l_pos; negative edges only repel when
-    compressed under l_neg.
-    """
-    if observed_sign == 0:
-        return p.a_neu * (dist - p.l_neu)
-    if observed_sign == 1:
-        return p.a_pos * max(dist - p.l_pos, 0.0)
-    return -p.a_neg * max(p.l_neg - dist, 0.0)
-
-
-def spring_gain(p: SpringParams, deg: float, p80: float) -> float:
-    """Degree gain min(1, deg/p80) * beta + 1; requires a positive p80."""
-    if p80 <= 0:
-        raise ValueError("p80 must be positive (graph statics look invalid)")
-    return min(1.0, deg / p80) * p.beta + 1.0
-
-
-def mlp_eval(p: MlpParams, x: np.ndarray) -> float:
-    """W1 . relu(W0 x + b0) + b1 for a single input vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (p.w0.shape[1],):
-        raise ValueError(f"expected input of length {p.w0.shape[1]}, got {x.shape}")
-    hidden = np.maximum(p.w0 @ x + p.b0, 0.0)
-    return float(p.w1 @ hidden + p.b1)
-
-
-def neural_force(p: NeuralSpringParams, observed_sign: int, z: np.ndarray) -> float:
-    """Dispatch the edge feature vector to the per-sign force net."""
-    net = {0: p.f_neutral, 1: p.f_positive, -1: p.f_negative}[observed_sign]
-    return mlp_eval(net, z)
-
-
-def neural_gain(p: NeuralSpringParams, node_features: np.ndarray) -> float:
-    return mlp_eval(p.gain_net, node_features)
 
 
 # --- batched evaluation and vector-Jacobian products -------------------------
@@ -363,11 +322,11 @@ PARAMS_FORMAT = "graphspring-params"
 PARAMS_VERSION = 1
 
 
-def _encode_flat(vec: np.ndarray) -> str:
+def encode_flat(vec: np.ndarray) -> str:
     return base64.b64encode(vec.astype("<f8").tobytes()).decode("ascii")
 
 
-def _decode_flat(text: str, count: int) -> np.ndarray:
+def decode_flat(text: str, count: int) -> np.ndarray:
     vec = np.frombuffer(base64.b64decode(text), dtype="<f8")
     if vec.shape != (count,):
         raise ValueError(f"parameter payload has {vec.shape[0]} values, expected {count}")
@@ -381,7 +340,7 @@ def params_to_json(params: ForceParams) -> str:
         "version": PARAMS_VERSION,
         "kind": params.kind,
         "n_params": int(flat.shape[0]),
-        "data_b64": _encode_flat(flat),
+        "data_b64": encode_flat(flat),
         "preview": [round(float(x), 6) for x in flat[:16]],
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -393,7 +352,7 @@ def params_from_json(text: str) -> ForceParams:
         raise ValueError("not a parameter file")
     if doc.get("version") != PARAMS_VERSION:
         raise ValueError(f"unsupported parameter file version {doc.get('version')}")
-    flat = _decode_flat(doc["data_b64"], doc["n_params"])
+    flat = decode_flat(doc["data_b64"], doc["n_params"])
     if doc["kind"] == "spring":
         return SpringParams.from_flat(flat)
     if doc["kind"] == "spring-nn":

@@ -87,15 +87,6 @@ class SignedGraph:
         both = np.concatenate([self.u, self.v])
         return np.bincount(both, minlength=self.n_nodes).astype(np.int64)
 
-    @cached_property
-    def incidence(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR incidence: (indptr, edge_idx) listing incident edges per node."""
-        endpoints = np.concatenate([self.u, self.v])
-        edge_idx = np.concatenate([np.arange(self.n_edges)] * 2).astype(np.int64)
-        order = np.argsort(endpoints, kind="stable")
-        indptr = np.searchsorted(endpoints[order], np.arange(self.n_nodes + 1))
-        return indptr.astype(np.int64), edge_idx[order]
-
     def hidden_edges(self) -> np.ndarray:
         return np.flatnonzero(self.observed_sign == 0)
 
@@ -229,12 +220,6 @@ def to_undirected(stage: EdgeStage) -> SignedGraph:
     u = (uniq_code // stage.n_nodes).astype(np.int64)
     v = (uniq_code % stage.n_nodes).astype(np.int64)
     return SignedGraph(stage.n_nodes, u, v, merged_sign, merged_sign.copy(), stage.raw_ids)
-
-
-def stage_back(graph: SignedGraph) -> EdgeStage:
-    """View an undirected graph as a directed stage (one instance per edge)."""
-    return EdgeStage(graph.n_nodes, graph.u.copy(), graph.v.copy(),
-                     graph.true_sign.copy(), graph.raw_ids)
 
 
 def hide_signs(graph: SignedGraph, spec: SplitSpec) -> tuple[SignedGraph, np.ndarray]:

@@ -54,7 +54,6 @@ class SimConfig:
     damping: float = 0.05
     n_steps: int = 120
     seed: int = 0
-    eps: float = 1e-9
     semi_implicit: bool = False
 
     def __post_init__(self):
@@ -66,8 +65,6 @@ class SimConfig:
             raise ValueError("damping must be in [0, 1)")
         if self.n_steps < 0:
             raise ValueError("n_steps must be nonnegative")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
 
 
 @dataclass(frozen=True)
@@ -120,8 +117,7 @@ def simulate(state: SimState, graph: SignedGraph, statics: NodeStatics,
     V = state.V.copy()
     scratch = np.empty_like(V)
     for _ in range(config.n_steps):
-        F = force_field(ctx, None, model, state.X, eps=config.eps,
-                        seed=config.seed, step=state.t_step)
+        F = force_field(ctx, model, state.X, seed=config.seed, step=state.t_step)
         with np.errstate(over="ignore", invalid="ignore"):
             X1 = _advance(state.X, V, F, config, scratch)
         if not (np.isfinite(X1).all() and np.isfinite(V).all()):

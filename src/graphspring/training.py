@@ -9,7 +9,6 @@ field.  Gradients are flat vectors aligned with `params.flatten()`.
 
 from __future__ import annotations
 
-import base64
 import csv
 import json
 import time
@@ -20,7 +19,8 @@ from scipy.special import expit
 
 from . import rng
 from .artifacts import atomic_write
-from .forces import ForceParams, init_params, params_from_json, params_to_json
+from .forces import (ForceParams, decode_flat, encode_flat, init_params,
+                     params_from_json, params_to_json)
 from .forcefield import FieldContext, force_field_vjp, prepare
 from .graphs import NodeStatics, SignedGraph, compute_node_statics
 from .metrics import auc, f1_scores, predict
@@ -109,7 +109,6 @@ class TrainConfig:
     seed: int = 0
     init_policy: str = "resample_each_epoch"  # or "fixed"
     val_fraction: float = 0.1
-    raw_degree_features: bool = False
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -125,8 +124,7 @@ class TrainConfig:
 def loss_and_grad(graph: SignedGraph, statics: NodeStatics, params: ForceParams,
                   sim_cfg: SimConfig, loss_cfg: LossConfig,
                   state0: SimState | None = None,
-                  ctx: FieldContext | None = None,
-                  raw_degree_features: bool = False
+                  ctx: FieldContext | None = None
                   ) -> tuple[float, np.ndarray, SimState]:
     """Loss of the simulated embedding and its gradient wrt the parameters.
 
@@ -135,7 +133,7 @@ def loss_and_grad(graph: SignedGraph, statics: NodeStatics, params: ForceParams,
     initial state and the graph are held fixed.
     """
     if ctx is None:
-        ctx = prepare(graph, statics, raw_degree_features)
+        ctx = prepare(graph, statics)
     state = state0 if state0 is not None else init_state(graph.n_nodes, sim_cfg)
     t0 = state.t_step
     tape = [state.X]
@@ -153,7 +151,7 @@ def loss_and_grad(graph: SignedGraph, statics: NodeStatics, params: ForceParams,
             gV += np.multiply(gX, dt, out=scratch)   # the adjoint of V1
         dXF, dtheta = force_field_vjp(ctx, params, tape[t],
                                       np.multiply(gV, dt, out=scratch),
-                                      eps=sim_cfg.eps, seed=sim_cfg.seed, step=t0 + t)
+                                      seed=sim_cfg.seed, step=t0 + t)
         gV *= 1.0 - damp
         if not sim_cfg.semi_implicit:
             gV += np.multiply(gX, dt, out=scratch)
@@ -186,10 +184,6 @@ class AdamState:
         return cls(lr=lr, m=np.zeros(n_params), v=np.zeros(n_params), t=0)
 
 
-def params_like(params: ForceParams, flat: np.ndarray) -> ForceParams:
-    return type(params).from_flat(flat)
-
-
 def adam_step(state: AdamState, params: ForceParams,
               g: np.ndarray) -> tuple[AdamState, ForceParams]:
     """One bias-corrected Adam update of the flat parameter vector."""
@@ -203,7 +197,7 @@ def adam_step(state: AdamState, params: ForceParams,
     v_hat = v / (1.0 - state.beta2 ** t)
     flat = flat - state.lr * m_hat / (np.sqrt(v_hat) + state.eps_hat)
     new_state = replace(state, m=m, v=v, t=t)
-    return new_state, params_like(params, flat)
+    return new_state, type(params).from_flat(flat)
 
 
 @dataclass(frozen=True)
@@ -266,7 +260,7 @@ def train(graph: SignedGraph, statics: NodeStatics | None, cfg: TrainConfig,
     train_graph = graph.with_observed(observed)
     train_statics = compute_node_statics(train_graph) if (
         val_edges.size or statics is None) else statics
-    ctx = prepare(train_graph, train_statics, cfg.raw_degree_features)
+    ctx = prepare(train_graph, train_statics)
     _loss_terms(train_graph, cfg.loss)  # validate the domain up front
 
     if resume is not None:
@@ -303,7 +297,7 @@ def train(graph: SignedGraph, statics: NodeStatics | None, cfg: TrainConfig,
 
 
 def write_history_csv(path, history: list[EpochStats]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "loss", "auc_l", "f1_macro", "wall_ms"])
         for row in history:
@@ -324,14 +318,6 @@ class Checkpoint:
     epoch: int
 
 
-def _encode_vec(vec: np.ndarray) -> str:
-    return base64.b64encode(np.asarray(vec, dtype="<f8").tobytes()).decode("ascii")
-
-
-def _decode_vec(text: str) -> np.ndarray:
-    return np.frombuffer(base64.b64decode(text), dtype="<f8").astype(np.float64)
-
-
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     doc = {
         "format": CHECKPOINT_FORMAT,
@@ -341,7 +327,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "adam": {
             "lr": ckpt.adam.lr, "beta1": ckpt.adam.beta1, "beta2": ckpt.adam.beta2,
             "eps_hat": ckpt.adam.eps_hat, "t": ckpt.adam.t,
-            "m_b64": _encode_vec(ckpt.adam.m), "v_b64": _encode_vec(ckpt.adam.v),
+            "m_b64": encode_flat(ckpt.adam.m), "v_b64": encode_flat(ckpt.adam.v),
         },
     }
     with atomic_write(path) as fh:
@@ -355,8 +341,9 @@ def load_checkpoint(path) -> Checkpoint:
     if doc.get("format") != CHECKPOINT_FORMAT or doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError("not a supported checkpoint file")
     params = params_from_json(json.dumps(doc["params"]))
+    n = params.n_params
     a = doc["adam"]
     adam = AdamState(lr=a["lr"], beta1=a["beta1"], beta2=a["beta2"],
-                     eps_hat=a["eps_hat"], m=_decode_vec(a["m_b64"]),
-                     v=_decode_vec(a["v_b64"]), t=a["t"])
+                     eps_hat=a["eps_hat"], m=decode_flat(a["m_b64"], n),
+                     v=decode_flat(a["v_b64"], n), t=a["t"])
     return Checkpoint(params=params, adam=adam, epoch=doc["epoch"])

@@ -16,7 +16,7 @@ from graphspring import (SignedGraph, SimConfig, SimState, SplitSpec,
                          init_params, init_state, load_edge_list, rank_auc,
                          simulate, to_undirected)
 from graphspring.cli import main as cli_main
-from graphspring.forcefield import force_field
+from graphspring.forcefield import force_field, prepare
 from graphspring.forces import SpringParams
 from graphspring.metrics import aggregate_reports
 from graphspring.training import LossConfig, TrainConfig, loss_and_grad, train
@@ -291,19 +291,19 @@ def test_c06_force_field_invariances():
         rand = np.random.default_rng(seed)
         k = int(rand.integers(2, 7))
         graph, _ = hidden_toy(seed=2000 + seed)
-        statics = compute_node_statics(graph)
+        ctx = prepare(graph, compute_node_statics(graph))
         X = rand.normal(0, 1.5, (graph.n_nodes, k))
         models = [SpringParams(*rand.uniform(0.3, 3.0, 6), rand.uniform(-1, 1)),
                   random_neural(rand)]
         for model in models:
-            F = force_field(graph, statics, model, X)
+            F = force_field(ctx, model, X)
             shift = rand.uniform(-5, 5, k)
-            err = np.abs(force_field(graph, statics, model, X + shift) - F).max()
+            err = np.abs(force_field(ctx, model, X + shift) - F).max()
             worst_shift = max(worst_shift, err)
             q, _ = np.linalg.qr(rand.normal(0, 1, (k, k)))
-            err = np.abs(force_field(graph, statics, model, X @ q.T) - F @ q.T).max()
+            err = np.abs(force_field(ctx, model, X @ q.T) - F @ q.T).max()
             worst_rot = max(worst_rot, err)
-        F = force_field(graph, statics, SpringParams(beta=0.0), X)
+        F = force_field(ctx, SpringParams(beta=0.0), X)
         worst_momentum = max(worst_momentum, np.abs(F.sum(axis=0)).max())
     assert worst_shift <= 1e-9, worst_shift
     assert worst_rot <= 1e-9, worst_rot

@@ -313,6 +313,75 @@ def test_train_divergence_keeps_the_last_good_checkpoint(toy_csv, tmp_path, caps
     assert load_checkpoint(out / "checkpoint.json").epoch == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["ingest", "--input", "e.txt", "--seed", "1"],
+    ["ingest", "--input", "e.txt", "--config", "c.json"],
+    ["ingest", "--input", "e.txt", "--from-manifest", "m.json"],
+    ["ingest", "--input", "e.txt", "--threads", "2"],
+    ["split", "--input", "e.txt", "--p-hidden", "0.2", "--from-manifest", "m.json"],
+    ["split", "--input", "e.txt", "--p-hidden", "0.2", "--config", "c.json"],
+    ["split", "--input", "e.txt", "--p-hidden", "0.2", "--threads", "4"],
+    ["train", "--input", "e.txt", "--threads", "2"],
+    ["train", "--input", "e.txt", "--raw-degree-features"],
+    ["embed", "--params", "p.json", "--input", "e.txt", "--threads", "2"],
+    ["bench", "--threads", "2"],
+], ids=lambda argv: f"{argv[0]}-{argv[-1] if argv[-1].startswith('--') else argv[-2]}")
+def test_flags_a_command_does_not_read_are_usage_errors(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert not (tmp_path / "run").exists()
+
+
+def test_raw_degree_features_key_is_rejected(toy_csv, tmp_path, capsys):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"raw_degree_features": True}))
+    assert run_cli("train", "--input", toy_csv, "--format", "rating_csv",
+                   "--config", config, "--out", tmp_path / "c") == 1
+    assert "raw_degree_features" in capsys.readouterr().err
+
+    first = tmp_path / "m1"
+    assert run_cli("train", "--input", toy_csv, "--format", "rating_csv",
+                   "--model", "spring", "--k", "3", "--epochs", "1",
+                   "--n-steps", "2", "--out", first) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    manifest["config"]["raw_degree_features"] = False
+    stale = tmp_path / "stale.json"
+    stale.write_text(json.dumps(manifest))
+    assert run_cli("train", "--from-manifest", stale, "--out", tmp_path / "m2") == 1
+    assert "raw_degree_features" in capsys.readouterr().err
+    assert not (tmp_path / "m2").exists()
+
+
+def test_embed_trace_runs_one_simulation_and_keeps_the_embeddings(
+        toy_csv, tmp_path, monkeypatch):
+    import graphspring.cli as cli
+    params = tmp_path / "params.json"
+    params.write_text(params_to_json(init_params("spring-nn", seed=2)))
+    calls = []
+    real = cli.simulate
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("on_step"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate", counted)
+    outs = {}
+    for trace in (False, True):
+        outs[trace] = out = tmp_path / f"em{int(trace)}"
+        extra = ["--trace", out / "trace.csv"] if trace else []
+        assert run_cli("embed", "--params", params, "--input", toy_csv,
+                       "--format", "rating_csv", "--k", "4", "--n-steps", "6",
+                       "--p-hidden", "0.2", "--seed", "2", "--out", out, *extra) == 0
+    assert len(calls) == 2
+    assert calls[0] is None and calls[1] is not None
+    assert (outs[False] / "embeddings.txt").read_bytes() == \
+        (outs[True] / "embeddings.txt").read_bytes()
+    trace = (outs[True] / "trace.csv").read_text().splitlines()
+    assert [int(row.split(",")[0]) for row in trace[1:]] == list(range(1, 7))
+
+
 def test_hidden_edges_file(toy_csv, tmp_path):
     ing = tmp_path / "ing"
     run_cli("ingest", "--input", toy_csv, "--format", "rating_csv", "--out", ing)

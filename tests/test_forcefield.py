@@ -8,17 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphspring import SignedGraph, compute_node_statics, forcefield
-from graphspring.forcefield import (edge_force, force_field, force_field_vjp,
-                                    pair_distance, prepare, tie_break_unit)
+from graphspring.forcefield import (EPS, force_field, force_field_vjp, prepare,
+                                    tie_break_unit)
 from graphspring.forces import (MlpParams, SpringParams, gain_batch, gain_batch_vjp,
-                                init_params, neural_force, neural_gain,
-                                spring_force, spring_gain)
+                                init_params)
 
 from conftest import hidden_toy
+from oracles import (edge_force, neural_force, neural_gain, pair_distance,
+                     spring_force, spring_gain)
 from test_forces import random_neural
 
 
-def brute_force_field(graph, statics, params, X, eps=1e-9, seed=0, step=0):
+def brute_force_field(graph, statics, params, X, seed=0, step=0):
     """Naive per-edge loop over the definition, independent of the vectorized path;
     coincident endpoints push along `edge_force`'s tie-break unit."""
     n, k = X.shape
@@ -38,8 +39,8 @@ def brute_force_field(graph, statics, params, X, eps=1e-9, seed=0, step=0):
         else:
             f_uv = neural_force(params, sign, features(u, v, dist))
             f_vu = neural_force(params, sign, features(v, u, dist))
-        agg[u] += edge_force(f_uv, X[u], X[v], eps, e, step, seed)
-        agg[v] -= edge_force(f_vu, X[u], X[v], eps, e, step, seed)
+        agg[u] += edge_force(f_uv, X[u], X[v], EPS, e, step, seed)
+        agg[v] -= edge_force(f_vu, X[u], X[v], EPS, e, step, seed)
 
     out = np.zeros_like(agg)
     for i in range(n):
@@ -70,16 +71,16 @@ class SparseOracle:
         self.gather_u = sp.csr_matrix((ones, (edge_idx, ctx.u)), shape=(m, n))
         self.gather_v = sp.csr_matrix((ones, (edge_idx, ctx.v)), shape=(m, n))
 
-    def _distances(self, X, eps):
+    def _distances(self, X):
         diff = self.diff_op @ X
         dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        return diff, dist, dist < eps
+        return diff, dist, dist < EPS
 
-    def force_field(self, model, X, eps=1e-9, seed=0, step=0):
+    def force_field(self, model, X, seed=0, step=0):
         ctx = self.ctx
         if ctx.n_edges == 0:
             return np.zeros_like(X)
-        _, dist, tied = self._distances(X, eps)
+        _, dist, tied = self._distances(X)
         with np.errstate(divide="ignore", invalid="ignore"):
             f_fwd, f_rev = forcefield._magnitudes(ctx, model, dist)
             c_fwd = np.where(tied, 0.0, f_fwd / dist)
@@ -93,11 +94,11 @@ class SparseOracle:
         agg *= gain_batch(model, ctx.node_features)[:, None]
         return agg
 
-    def force_field_vjp(self, model, X, w, eps=1e-9, seed=0, step=0):
+    def force_field_vjp(self, model, X, w, seed=0, step=0):
         ctx = self.ctx
         if ctx.n_edges == 0:
             return np.zeros_like(X), np.zeros(model.flatten().shape[0])
-        diff, dist, tied = self._distances(X, eps)
+        diff, dist, tied = self._distances(X)
         scale = dist
         if tied.any():
             edges, units = forcefield._tie_units(tied, X.shape[1], seed, step)
@@ -141,7 +142,7 @@ def block_rows(k: int) -> int:
     return forcefield.BLOCK_BYTES // (8 * k)
 
 
-# --- pair_distance and edge_force ----------------------------------------------
+# --- the pair_distance and edge_force oracles -----------------------------------
 
 def test_pair_distance_345():
     assert pair_distance(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == 5.0
@@ -200,7 +201,7 @@ def test_zero_edges_gives_zero_forces():
                     np.zeros(0, np.int8), np.zeros(0, np.int8))
     st = compute_node_statics(g)
     X = np.random.default_rng(0).normal(0, 1, (4, 3))
-    assert np.array_equal(force_field(g, st, SpringParams(), X), np.zeros((4, 3)))
+    assert np.array_equal(force_field(prepare(g, st), SpringParams(), X), np.zeros((4, 3)))
 
 
 def test_two_body_newton_pair():
@@ -208,7 +209,7 @@ def test_two_body_newton_pair():
                     np.array([1], np.int8), np.array([0], np.int8))
     st = compute_node_statics(g)
     X = np.array([[0.0, 0.0], [3.0, 0.0]])
-    F = force_field(g, st, SpringParams(beta=0.0), X)
+    F = force_field(prepare(g, st), SpringParams(beta=0.0), X)
     assert np.allclose(F[0], -F[1], atol=1e-15)
     # stretched neutral spring attracts: dist 3 > l_neu 2 -> force 1 toward the peer
     assert F[0][0] == pytest.approx(1.0)
@@ -221,7 +222,7 @@ def test_path_graph_matches_brute_force_spring():
     rand = np.random.default_rng(5)
     X = rand.normal(0, 2, (4, 3))
     params = SpringParams(1.3, 2.1, 2.9, 0.8, 1.2, 0.6, 0.4)
-    got = force_field(g, st, params, X)
+    got = force_field(prepare(g, st), params, X)
     want = brute_force_field(g, st, params, X)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
 
@@ -237,7 +238,7 @@ def test_random_instances_match_brute_force(kind):
             params = SpringParams(*rand.uniform(0.2, 3.0, 6), rand.uniform(-1, 1))
         else:
             params = random_neural(rand)
-        got = force_field(graph, st, params, X)
+        got = force_field(prepare(graph, st), params, X)
         want = brute_force_field(graph, st, params, X)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-13)
 
@@ -246,7 +247,7 @@ def test_dimension_mismatch_rejected():
     graph, _ = hidden_toy()
     st = compute_node_statics(graph)
     with pytest.raises(ValueError):
-        force_field(graph, st, SpringParams(), np.zeros((graph.n_nodes + 1, 3)))
+        force_field(prepare(graph, st), SpringParams(), np.zeros((graph.n_nodes + 1, 3)))
 
 
 def test_coincident_nodes_no_nan_and_deterministic():
@@ -254,14 +255,15 @@ def test_coincident_nodes_no_nan_and_deterministic():
                     np.array([-1], np.int8), np.array([-1], np.int8))
     st = compute_node_statics(g)
     X = np.zeros((2, 3))
-    F1 = force_field(g, st, SpringParams(), X, seed=3, step=7)
-    F2 = force_field(g, st, SpringParams(), X, seed=3, step=7)
+    ctx = prepare(g, st)
+    F1 = force_field(ctx, SpringParams(), X, seed=3, step=7)
+    F2 = force_field(ctx, SpringParams(), X, seed=3, step=7)
     assert np.isfinite(F1).all()
     assert np.array_equal(F1, F2)
     # repelling tie-broken pair moves apart: antisymmetric directions
     assert np.allclose(F1[0], -F1[1])
     assert np.linalg.norm(F1[0]) > 0
-    F3 = force_field(g, st, SpringParams(), X, seed=3, step=8)
+    F3 = force_field(ctx, SpringParams(), X, seed=3, step=8)
     assert not np.array_equal(F1, F3)
 
 
@@ -269,28 +271,6 @@ def test_tie_break_unit_is_unit():
     for e in range(5):
         r = tie_break_unit(6, e, step=3, seed=1)
         assert np.linalg.norm(r) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_raw_degree_flag_only_touches_edge_features():
-    graph, _ = hidden_toy(seed=1)
-    st = compute_node_statics(graph)
-    X = np.random.default_rng(0).normal(0, 1, (graph.n_nodes, 3))
-    capped = prepare(graph, st, raw_degree_features=False)
-    raw = prepare(graph, st, raw_degree_features=True)
-    # the spring model reads no edge features, so its output cannot change
-    p = SpringParams(beta=0.7)
-    assert np.array_equal(force_field(capped, None, p, X),
-                          force_field(raw, None, p, X))
-    # the neural model reads them, so it sees the literal degrees
-    rand = np.random.default_rng(1)
-    q = random_neural(rand)
-    assert not np.array_equal(force_field(capped, None, q, X),
-                              force_field(raw, None, q, X))
-
-    def edge_degrees(ctx):
-        return np.concatenate([grp.static_fwd[:, 0] for grp in ctx.groups])
-    assert edge_degrees(raw).max() > 1.0
-    assert edge_degrees(capped).max() <= 1.0
 
 
 # --- blocked streaming against the whole-array oracle -------------------------------
@@ -317,7 +297,7 @@ def test_blocked_kernels_match_the_sparse_oracle_bitwise(kind, k, edges_of):
     params = init_params(kind, seed=3)
     oracle = SparseOracle(ctx)
 
-    F = force_field(ctx, None, params, X, seed=4, step=9)
+    F = force_field(ctx, params, X, seed=4, step=9)
     assert F.tobytes() == oracle.force_field(params, X, seed=4, step=9).tobytes()
     dX, dtheta = force_field_vjp(ctx, params, X, w, seed=4, step=9)
     want_dX, want_dtheta = oracle.force_field_vjp(params, X, w, seed=4, step=9)
@@ -348,7 +328,7 @@ def test_one_call_holds_no_edge_by_dims_array(kind):
             tracemalloc.stop()
 
     assert peak(lambda: force_field_vjp(ctx, params, X, w)) < edge_by_dims
-    assert peak(lambda: force_field(ctx, None, params, X)) < edge_by_dims / 2
+    assert peak(lambda: force_field(ctx, params, X)) < edge_by_dims / 2
 
 
 # --- invariances -----------------------------------------------------------------
@@ -360,8 +340,9 @@ def test_translation_invariance():
     X = rand.normal(0, 1, (graph.n_nodes, 5))
     params = random_neural(rand)
     shift = rand.uniform(-5, 5, 5)
-    F0 = force_field(graph, st, params, X)
-    F1 = force_field(graph, st, params, X + shift)
+    ctx = prepare(graph, st)
+    F0 = force_field(ctx, params, X)
+    F1 = force_field(ctx, params, X + shift)
     assert np.abs(F0 - F1).max() < 1e-9
 
 
@@ -372,8 +353,9 @@ def test_rotation_equivariance():
     X = rand.normal(0, 1, (graph.n_nodes, 4))
     q, _ = np.linalg.qr(rand.normal(0, 1, (4, 4)))
     params = SpringParams(1.0, 2.0, 3.0, 1.1, 0.9, 1.3, 0.5)
-    F_rot = force_field(graph, st, params, X @ q.T)
-    F_ref = force_field(graph, st, params, X) @ q.T
+    ctx = prepare(graph, st)
+    F_rot = force_field(ctx, params, X @ q.T)
+    F_ref = force_field(ctx, params, X) @ q.T
     assert np.abs(F_rot - F_ref).max() < 1e-9
 
 
@@ -382,7 +364,7 @@ def test_spring_momentum_conserved_with_zero_beta():
     st = compute_node_statics(graph)
     rand = np.random.default_rng(4)
     X = rand.normal(0, 1, (graph.n_nodes, 6))
-    F = force_field(graph, st, SpringParams(beta=0.0), X)
+    F = force_field(prepare(graph, st), SpringParams(beta=0.0), X)
     assert np.abs(F.sum(axis=0)).max() < 1e-9
 
 
@@ -400,7 +382,7 @@ def test_vjp_matches_finite_differences(kind):
     w = rand.normal(0, 1, X.shape)
 
     def objective(X_, params_):
-        return float((w * force_field(ctx, None, params_, X_)).sum())
+        return float((w * force_field(ctx, params_, X_)).sum())
 
     dX, dtheta = force_field_vjp(ctx, params, X, w)
     h = 1e-6
@@ -443,7 +425,7 @@ def small_instance(seed: int, kind: str, k: int):
 
 
 def objective(ctx, params, X, w, seed=0, step=0):
-    return float((w * force_field(ctx, None, params, X, seed=seed, step=step)).sum())
+    return float((w * force_field(ctx, params, X, seed=seed, step=step)).sum())
 
 
 def central_params(ctx, params, X, w, h=1e-6, **kw):
@@ -512,7 +494,7 @@ def test_vjp_property_coincident_endpoints(seed, kind, k):
 def test_tie_correction_matches_brute_force(seed, k):
     graph, statics, X, _, params = small_instance(seed, "spring-nn", k)
     X = make_coincident(graph, X, np.random.default_rng(seed))
-    got = force_field(graph, statics, params, X, seed=seed, step=5)
+    got = force_field(prepare(graph, statics), params, X, seed=seed, step=5)
     want = brute_force_field(graph, statics, params, X, seed=seed, step=5)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-13)
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from graphspring import (SignedGraph, SimConfig, compute_node_statics,
                          init_params, load_checkpoint, save_checkpoint)
 from graphspring.forces import SpringParams
-from graphspring.training import (AdamState, Checkpoint, LossConfig,
+from graphspring.training import (AdamState, Checkpoint, EpochStats, LossConfig,
                                   TrainConfig, adam_step, clip_gradient, loss,
                                   loss_and_grad, loss_with_grad, predict_prob,
                                   train, write_history_csv)
@@ -449,6 +449,29 @@ def test_checkpoint_write_failing_midway_keeps_previous(tmp_path, monkeypatch):
     assert back.epoch == 4
     assert np.array_equal(back.params.flatten(), params.flatten())
     assert [f.name for f in tmp_path.iterdir()] == ["ckpt.json"]
+
+
+def test_history_write_failing_midway_keeps_previous(tmp_path, monkeypatch):
+    import csv
+    history = [EpochStats(1, 0.5, 0.75, 0.625, 12.0), EpochStats(2, 0.25, 0.8, 0.7, 11.0)]
+    path = tmp_path / "history.csv"
+    write_history_csv(path, history)
+    before = path.read_bytes()
+
+    class TornWriter:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def writerow(self, row):
+            self.fh.write("epoch,lo")
+            raise OSError("disk full")
+
+    monkeypatch.setattr(csv, "writer", TornWriter)
+    with pytest.raises(OSError, match="disk full"):
+        write_history_csv(path, history[:1])
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["history.csv"]
 
 
 def test_resume_reproduces_uninterrupted_run(tmp_path):
