@@ -473,8 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # each subcommand takes only the shared flags it reads; eval keeps --seed,
-    # which it ignores, as argparse would otherwise read it as --seeds
+    # each subcommand takes only the shared flags it reads, spelled out in full
+    # (with prefixes allowed, eval would read --seed as --seeds)
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", type=str, default=None, help="output directory")
     seeded = argparse.ArgumentParser(add_help=False)
@@ -485,13 +485,13 @@ def build_parser() -> argparse.ArgumentParser:
                             help="re-run the configuration recorded in a manifest")
     common = [seeded, output, configured]
 
-    ingest = sub.add_parser("ingest", parents=[output],
+    ingest = sub.add_parser("ingest", allow_abbrev=False, parents=[output],
                             help="parse an edge list into the canonical graph dump")
     ingest.add_argument("--input", required=True)
     ingest.add_argument("--format", choices=["plain", "rating_csv"], default="plain")
     ingest.set_defaults(fn=cmd_ingest)
 
-    split = sub.add_parser("split", parents=[seeded, output],
+    split = sub.add_parser("split", allow_abbrev=False, parents=[seeded, output],
                            help="hide a share of edge signs")
     split.add_argument("--input")
     split.add_argument("--graph")
@@ -501,7 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
     split.add_argument("--exact-split", action="store_true", dest="exact_split")
     split.set_defaults(fn=cmd_split)
 
-    trainp = sub.add_parser("train", parents=common, help="fit force parameters")
+    trainp = sub.add_parser("train", allow_abbrev=False, parents=common,
+                            help="fit force parameters")
     trainp.add_argument("--input")
     trainp.add_argument("--graph", help="pre-split canonical dump")
     trainp.add_argument("--format", choices=["plain", "rating_csv"], default=None)
@@ -527,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="checkpoint file to continue from")
     trainp.set_defaults(fn=cmd_train)
 
-    embed = sub.add_parser("embed", parents=common,
+    embed = sub.add_parser("embed", allow_abbrev=False, parents=common,
                            help="simulate a trained model to produce embeddings")
     embed.add_argument("--params")
     embed.add_argument("--input")
@@ -550,7 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "part of solver_ms)")
     embed.set_defaults(fn=cmd_embed)
 
-    evalp = sub.add_parser("eval", parents=common, help="score hidden-edge predictions")
+    evalp = sub.add_parser("eval", allow_abbrev=False, parents=[output, configured],
+                           help="score hidden-edge predictions")
     evalp.add_argument("--threads", type=int, default=None,
                        help="worker threads for independent runs")
     evalp.add_argument("--embeddings")
@@ -573,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "instead of the fixed threshold")
     evalp.set_defaults(fn=cmd_eval)
 
-    benchp = sub.add_parser("bench", parents=common,
+    benchp = sub.add_parser("bench", allow_abbrev=False, parents=common,
                             help="time the force field on synthetic graphs")
     benchp.add_argument("--sizes", type=str, default=None,
                         help="comma list of N:M pairs")

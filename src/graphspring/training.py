@@ -69,20 +69,27 @@ def _loss_terms(graph: SignedGraph, cfg: LossConfig):
     return np.flatnonzero(mask), weight, target
 
 
-def loss(graph: SignedGraph, X: np.ndarray, cfg: LossConfig) -> float:
-    """Weighted squared error between edge targets and logistic distance scores."""
-    value, _ = loss_with_grad(graph, X, cfg)
-    return value
-
-
-def loss_with_grad(graph: SignedGraph, X: np.ndarray,
-                   cfg: LossConfig) -> tuple[float, np.ndarray]:
+def _edge_residuals(graph: SignedGraph, X: np.ndarray, cfg: LossConfig):
+    """Per loss edge: endpoints, X[v] - X[u], its length, the predicted
+    probability, target - probability, and the class weight."""
     edges, weight, target = _loss_terms(graph, cfg)
     u, v = graph.u[edges], graph.v[edges]
     diff = X[v] - X[u]
     dist = np.sqrt((diff * diff).sum(axis=1))
     prob = predict_prob(dist, cfg.mu)
-    resid = target - prob
+    return u, v, diff, dist, prob, target - prob, weight
+
+
+def loss(graph: SignedGraph, X: np.ndarray, cfg: LossConfig) -> float:
+    """Weighted squared error between edge targets and logistic distance scores."""
+    *_, resid, weight = _edge_residuals(graph, X, cfg)
+    return float((resid * resid * weight).sum())
+
+
+def loss_with_grad(graph: SignedGraph, X: np.ndarray,
+                   cfg: LossConfig) -> tuple[float, np.ndarray]:
+    """`loss` and its gradient with respect to X."""
+    u, v, diff, dist, prob, resid, weight = _edge_residuals(graph, X, cfg)
     value = float((resid * resid * weight).sum())
 
     # d value / d dist = 2 (target - p) w * p (1 - p); then distribute along diff

@@ -10,7 +10,8 @@ import numpy as np
 
 from graphspring.forcefield import EPS, tie_break_unit
 from graphspring.forces import MlpParams, NeuralSpringParams, SpringParams
-from graphspring.graphs import EdgeStage, SignedGraph
+from graphspring import graphs
+from graphspring.graphs import EdgeStage, GraphFormatError, SignedGraph
 
 
 def spring_force(p: SpringParams, observed_sign: int, dist: float) -> float:
@@ -82,3 +83,51 @@ def stage_back(graph: SignedGraph) -> EdgeStage:
     """View an undirected graph as a directed stage (one instance per edge)."""
     return EdgeStage(graph.n_nodes, graph.u.copy(), graph.v.copy(),
                      graph.true_sign.copy(), graph.raw_ids)
+
+
+def load_edge_list_by_line(source, fmt: str = "plain") -> EdgeStage:
+    """The edge-list loader one line at a time: the library's per-line grammar
+    (`_parse_plain` / `_parse_rating_csv`) and a dict of first appearances."""
+    parse = graphs._PARSERS[fmt]
+    id_map: dict[int, int] = {}
+    src, dst, sign = [], [], []
+    for lineno, raw_line in enumerate(source, start=1):
+        if isinstance(raw_line, bytes):
+            raw_line = raw_line.decode("utf-8")
+        line = raw_line.strip()
+        if not line or line.startswith("#"):
+            continue
+        s_raw, t_raw, sgn = parse(line, lineno)
+        for node in (s_raw, t_raw):
+            if node not in id_map:
+                id_map[node] = len(id_map)
+        src.append(id_map[s_raw])
+        dst.append(id_map[t_raw])
+        sign.append(sgn)
+    if not src:
+        raise GraphFormatError("empty input: no edges parsed")
+    return EdgeStage(
+        n_nodes=len(id_map),
+        src=np.asarray(src, dtype=np.int64),
+        dst=np.asarray(dst, dtype=np.int64),
+        sign=np.asarray(sign, dtype=np.int8),
+        raw_ids=np.fromiter(id_map.keys(), dtype=np.int64, count=len(id_map)),
+    )
+
+
+def to_undirected_by_unique(stage: EdgeStage) -> SignedGraph:
+    """Undirected merge through a stable sort and np.unique of the pair codes."""
+    keep = stage.src != stage.dst
+    lo = np.minimum(stage.src[keep], stage.dst[keep])
+    hi = np.maximum(stage.src[keep], stage.dst[keep])
+    if lo.shape[0] == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return SignedGraph(stage.n_nodes, empty, empty,
+                           np.zeros(0, np.int8), np.zeros(0, np.int8), stage.raw_ids)
+    code = lo * np.int64(stage.n_nodes) + hi
+    order = np.argsort(code, kind="stable")
+    uniq_code, start = np.unique(code[order], return_index=True)
+    merged_sign = np.minimum.reduceat(stage.sign[keep][order].astype(np.int8), start)
+    u = (uniq_code // stage.n_nodes).astype(np.int64)
+    v = (uniq_code % stage.n_nodes).astype(np.int64)
+    return SignedGraph(stage.n_nodes, u, v, merged_sign, merged_sign.copy(), stage.raw_ids)

@@ -52,6 +52,16 @@ def test_unreadable_input_exits_1(tmp_path):
     assert "error" in result.stderr
 
 
+def test_ingest_id_beyond_int64_exits_1_naming_the_line(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("1,2,3,1407470400\n1180591620717411303424,2,4,1407470401\n")
+    result = run_cli_subprocess("ingest", "--input", path, "--format", "rating_csv",
+                                "--out", tmp_path / "o")
+    assert result.returncode == 1
+    assert "line 2" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_unknown_command_exits_2():
     assert run_cli_subprocess("frobnicate").returncode == 2
 
@@ -325,6 +335,9 @@ def test_train_divergence_keeps_the_last_good_checkpoint(toy_csv, tmp_path, caps
     ["train", "--input", "e.txt", "--raw-degree-features"],
     ["embed", "--params", "p.json", "--input", "e.txt", "--threads", "2"],
     ["bench", "--threads", "2"],
+    ["eval", "--params", "p.json", "--input", "e.txt", "--seed", "5"],
+    ["eval", "--params", "p.json", "--input", "e.txt", "--seed=5"],
+    ["train", "--input", "e.txt", "--epoch", "3"],
 ], ids=lambda argv: f"{argv[0]}-{argv[-1] if argv[-1].startswith('--') else argv[-2]}")
 def test_flags_a_command_does_not_read_are_usage_errors(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -125,6 +125,18 @@ def test_loss_invariant_under_relabeling():
                                                 rel=1e-12)
 
 
+@pytest.mark.parametrize("domain", ["visible_only", "all_edges_oracle"])
+@pytest.mark.parametrize("encoding", ["signed", "zero_one"])
+def test_loss_is_the_value_of_loss_with_grad_bitwise(domain, encoding):
+    graph, _ = hidden_toy(seed=3)
+    X = np.random.default_rng(4).normal(0, 1, (graph.n_nodes, 5))
+    X[1] = X[0]  # a zero-length edge, if 0 and 1 are joined
+    cfg = LossConfig(domain=domain, target_encoding=encoding)
+    value = loss(graph, X, cfg)
+    assert type(value) is float
+    assert value == loss_with_grad(graph, X, cfg)[0]
+
+
 def test_loss_gradient_matches_fd():
     graph, _ = hidden_toy(seed=2)
     rand = np.random.default_rng(1)
