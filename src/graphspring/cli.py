@@ -82,6 +82,11 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(json.dumps(kept, sort_keys=True).encode()).hexdigest()[:16]
 
 
+# the types json.load gives that a loaded setting may take, by its default's type
+_LOADED_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,),
+                 type(None): (type(None), int, float)}
+
+
 def _resolve(defaults: dict, args: argparse.Namespace, config_file: str | None,
              manifest: dict | None) -> dict:
     config = dict(defaults)
@@ -97,6 +102,10 @@ def _resolve(defaults: dict, args: argparse.Namespace, config_file: str | None,
     unknown = set(loaded) - set(defaults)
     if unknown:
         raise ValueError(f"unknown config keys{source}: {sorted(unknown)}")
+    for key, value in loaded.items():
+        if type(value) not in _LOADED_TYPES[type(defaults[key])]:
+            raise ValueError(f"config key {key!r}{source} has the wrong type: got "
+                             f"{json.dumps(value)}, default {json.dumps(defaults[key])}")
     config.update(loaded)
     for key in defaults:
         value = getattr(args, key, None)
@@ -221,7 +230,7 @@ def cmd_train(args) -> int:
         val_fraction=config["val_fraction"])
 
     resume = load_checkpoint(args.resume) if args.resume else None
-    every = int(config["checkpoint_every"])
+    every = config["checkpoint_every"]
     last_good = resume
 
     def on_epoch(ckpt, stats):
@@ -394,6 +403,9 @@ def cmd_eval(args) -> int:
         hidden = graph.hidden_edges()
         X = (read_embeddings_binary(emb_path) if str(emb_path).endswith(".bin")
              else read_embeddings_text(emb_path))
+        if X.shape[0] != graph.n_nodes:
+            raise ValueError(f"embedding file has {X.shape[0]} rows, "
+                             f"graph has {graph.n_nodes} nodes")
         _write_manifest(out, "eval", config,
                         {"graph": graph_path, "input": input_path,
                          "embeddings": emb_path}, {"report": out / "report.json"})
@@ -407,13 +419,13 @@ def cmd_eval(args) -> int:
             raise ValueError("eval needs either --embeddings or --params")
         params = params_from_json(Path(params_path).read_text(encoding="utf-8"))
         graph = _load_graph({"graph": graph_path, "input": input_path, "format": fmt})
-        seeds = [int(tok) for tok in str(config["seeds"]).split(",") if tok != ""]
+        seeds = [int(tok) for tok in config["seeds"].split(",") if tok != ""]
         _write_manifest(out, "eval", config,
                         {"graph": graph_path, "input": input_path,
                          "params": params_path},
                         {"reports": out / "report_<seed>.json",
                          "aggregate": out / "aggregate.json"})
-        workers = max(1, int(config["threads"]))
+        workers = max(1, config["threads"])
         if workers == 1:
             reports = [_eval_one(graph, params, config, s, chash) for s in seeds]
         else:
@@ -446,14 +458,13 @@ def cmd_bench(args) -> int:
     config = _resolve(BENCH_DEFAULTS, args, args.config, manifest)
     out = Path(args.out if args.out else "bench")
     sizes = [tuple(int(x) for x in part.split(":"))
-             for part in str(config["sizes"]).split(",")]
-    ks = [int(x) for x in str(config["ks"]).split(",")]
+             for part in config["sizes"].split(",")]
+    ks = [int(x) for x in config["ks"].split(",")]
     _write_manifest(out, "bench", config, {}, {"timings": out / "timings.csv"})
 
     model = init_params(config["model"], seed=config["seed"])
     rows = bench.run_grid(model, sizes, ks, seed=config["seed"],
-                          repeats=int(config["reps"]),
-                          sim_steps=int(config["sim_steps"]))
+                          repeats=config["reps"], sim_steps=config["sim_steps"])
     with atomic_write(out / "timings.csv") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n_nodes", "n_edges", "k", "op", "median_ms", "iqr_ms"])

@@ -38,6 +38,10 @@ t = (dL/dd) / d (0 on tie-broken edges), the position gradient is
 
 two more products on the same structure.  One MLP pass per direction gives
 the magnitudes, their parameter gradient and df/dd together.
+
+`prepare` splits the edges by observed sign once, and each evaluation hands
+every `SignGroup` to `forces` as one batch; the model kind and the edge
+feature layout belong to `forces`.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import rng
-from .forces import (ForceParams, SpringParams, force_batch, force_batch_vjp,
+from .forces import (ForceParams, edge_statics, force_batch, force_batch_vjp,
                      gain_batch, gain_batch_vjp)
 from .graphs import NodeStatics, SignedGraph
 
@@ -76,18 +80,9 @@ class SignGroup:
     """The edges of one observed sign, with their position-independent features."""
 
     edges: np.ndarray           # (m_s,) edge indices
-    sign: np.ndarray            # (m_s,) the observed sign, as force_batch takes it
-    static_fwd: np.ndarray      # (m_s, 6) [deg_u, deg_v, neg_u, neg_v, pos_u, pos_v]
-    static_rev: np.ndarray      # (m_s, 6) node order swapped; both column-major
-
-
-def _features(dist: np.ndarray, grp: SignGroup, static: np.ndarray) -> np.ndarray:
-    """Edge feature rows [dist, static...] of a group, column-major, so the MLPs
-    read each feature as one contiguous run."""
-    z = np.empty((grp.edges.size, 1 + static.shape[1]), order="F")
-    z[:, 0] = dist[grp.edges]
-    z[:, 1:] = static
-    return z
+    sign: int                   # the observed sign: 0, 1 or -1
+    static_fwd: np.ndarray      # (m_s, 6) forces.edge_statics seen from u
+    static_rev: np.ndarray      # (m_s, 6) and seen from v
 
 
 @dataclass(frozen=True)
@@ -98,7 +93,6 @@ class FieldContext:
     n_edges: int
     u: np.ndarray               # (m,) edge endpoints, u < v
     v: np.ndarray
-    sign: np.ndarray            # (m,) observed sign per undirected edge
     lap_indptr: np.ndarray      # CSR structure of the (n, n) graph Laplacian:
     lap_indices: np.ndarray     # both directions of every edge plus the diagonal
     slots: np.ndarray           # (2m + n,) CSR slot of [(v, u) per edge;
@@ -127,21 +121,14 @@ def prepare(graph: SignedGraph, statics: NodeStatics) -> FieldContext:
     deg_norm = np.minimum(1.0, statics.deg / statics.p80) if m else np.zeros(n)
     node_features = np.column_stack([deg_norm, statics.neg_frac, statics.pos_frac])
 
-    def static(a, b):
-        out = np.empty((a.size, 6), order="F")
-        for j, node_col in enumerate((deg_norm, statics.neg_frac, statics.pos_frac)):
-            out[:, 2 * j] = node_col[a]
-            out[:, 2 * j + 1] = node_col[b]
-        return out
-
-    sign = graph.observed_sign.copy()
     groups = []
-    for sign_val in (0, 1, -1):
-        e = np.flatnonzero(sign == sign_val)
+    for sign in (0, 1, -1):
+        e = np.flatnonzero(graph.observed_sign == sign)
         if e.size:
-            groups.append(SignGroup(e, sign[e], static(u[e], v[e]), static(v[e], u[e])))
+            groups.append(SignGroup(e, sign, edge_statics(node_features, u[e], v[e]),
+                                    edge_statics(node_features, v[e], u[e])))
     return FieldContext(
-        n_nodes=n, n_edges=m, u=u, v=v, sign=sign,
+        n_nodes=n, n_edges=m, u=u, v=v,
         lap_indptr=pattern.indptr, lap_indices=pattern.indices, slots=slots,
         groups=tuple(groups), node_features=node_features)
 
@@ -206,15 +193,11 @@ def _tie_units(tied: np.ndarray, k: int, seed: int, step: int
 def _magnitudes(ctx: FieldContext, model: ForceParams, dist: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Force magnitude per edge from each endpoint's viewpoint (f_uv, f_vu)."""
-    if isinstance(model, SpringParams):
-        f = force_batch(model, ctx.sign, dist[:, None])
-        return f, f
     f_fwd, f_rev = np.empty(ctx.n_edges), np.empty(ctx.n_edges)
     for grp in ctx.groups:
-        f_fwd[grp.edges] = force_batch(model, grp.sign,
-                                       _features(dist, grp, grp.static_fwd))
-        f_rev[grp.edges] = force_batch(model, grp.sign,
-                                       _features(dist, grp, grp.static_rev))
+        e = grp.edges
+        f_fwd[e], f_rev[e] = force_batch(model, grp.sign, dist[e],
+                                         grp.static_fwd, grp.static_rev)
     return f_fwd, f_rev
 
 
@@ -222,21 +205,13 @@ def _magnitudes_vjp(ctx: FieldContext, model: ForceParams, dist: np.ndarray,
                     up_fwd: np.ndarray, up_rev: np.ndarray):
     """(f_uv, f_vu, grad wrt params, dL/ddist through the magnitudes) for the
     upstream gradients dL/df_uv and dL/df_vu."""
-    if isinstance(model, SpringParams):
-        f, grad, dfdd = force_batch_vjp(model, ctx.sign, dist[:, None], up_fwd + up_rev)
-        return f, f, grad, (up_fwd + up_rev) * dfdd
-    f_fwd, f_rev = np.empty(ctx.n_edges), np.empty(ctx.n_edges)
-    ddist = np.empty(ctx.n_edges)
+    f_fwd, f_rev, ddist = (np.empty(ctx.n_edges) for _ in range(3))
     grad = np.zeros(model.n_params)
     for grp in ctx.groups:
         e = grp.edges
-        f_fwd[e], g_fwd, dfdd_fwd = force_batch_vjp(
-            model, grp.sign, _features(dist, grp, grp.static_fwd), up_fwd[e])
-        f_rev[e], g_rev, dfdd_rev = force_batch_vjp(
-            model, grp.sign, _features(dist, grp, grp.static_rev), up_rev[e])
-        grad += g_fwd
-        grad += g_rev
-        ddist[e] = up_fwd[e] * dfdd_fwd + up_rev[e] * dfdd_rev
+        f_fwd[e], f_rev[e], ddist[e] = force_batch_vjp(
+            model, grp.sign, dist[e], grp.static_fwd, grp.static_rev,
+            up_fwd[e], up_rev[e], grad)
     return f_fwd, f_rev, grad, ddist
 
 

@@ -2,18 +2,21 @@
 
 Both models define the same two functions, evaluated in batches: a per-edge
 force magnitude `f` (positive values attract the endpoints along the edge
-direction, negative values repel) dispatched on the observed edge sign, and a
-per-node gain `g` scaling the aggregated force.  Parameters flatten to a
-single float64 vector whose layout is fixed here and used by the optimizer,
-the gradient code and the parameter files:
+direction, negative values repel), one formula or MLP per observed edge sign,
+and a per-node gain `g` scaling the aggregated force.  This module alone
+checks the model kind; `forcefield.prepare` splits the edges by sign, so each
+force batch holds one sign.  Parameters flatten to a single float64 vector
+whose layout is fixed here and used by the optimizer, the gradient code and
+the parameter files:
 
     SpringParams.flatten()       -> [l_pos, l_neu, l_neg, a_pos, a_neu, a_neg, beta]
     NeuralSpringParams.flatten() -> [gain_net, f_neutral, f_positive, f_negative]
         where each MLP block is [W0 row-major, b0, W1, b1]
 
-Edge feature vectors for the neural model are laid out as
-[dist, deg_i, deg_j, neg_i, neg_j, pos_i, pos_j]; node gain features as
-[deg, neg_frac, pos_frac], with degrees normalized to min(1, deg / p80).
+A batch writes only its own sign's slots.  Edge features seen from end i of
+edge (i, j) are [dist, deg_i, deg_j, neg_i, neg_j, pos_i, pos_j], the last six
+from `edge_statics`; node gain features are [deg, neg_frac, pos_frac], with
+degrees normalized to min(1, deg / p80).
 """
 
 from __future__ import annotations
@@ -145,50 +148,58 @@ ForceParams = Union[SpringParams, NeuralSpringParams]
 
 # --- batched evaluation and vector-Jacobian products -------------------------
 #
-# The simulation evaluates f over all directed edges and g over all nodes each
-# step; the backward pass needs, for an upstream scalar per edge/node, the
-# gradient with respect to the flat parameter vector plus df/ddist (the only
-# feature that depends on positions).  The force VJPs return the magnitudes
-# too, so the backward pass evaluates each MLP once.
+# The backward pass needs, for an upstream scalar per magnitude, the gradient
+# with respect to the flat parameter vector plus dL/ddist (the only feature
+# that depends on positions).  The force VJPs return the magnitudes too, so the
+# backward pass evaluates each MLP once per direction.
 
 
-def spring_force_batch(p: SpringParams, signs: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    neutral = p.a_neu * (dist - p.l_neu)
-    positive = p.a_pos * np.maximum(dist - p.l_pos, 0.0)
-    negative = -p.a_neg * np.maximum(p.l_neg - dist, 0.0)
-    return np.where(signs == 0, neutral, np.where(signs > 0, positive, negative))
+def edge_statics(node_features: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Static edge features [deg_a, deg_b, neg_a, neg_b, pos_a, pos_b] of the edges
+    (a, b) seen from a, column-major, from node feature rows [deg, neg, pos]."""
+    out = np.empty((a.size, 2 * NODE_FEATURE_DIM), order="F")
+    for j, column in enumerate(node_features.T.copy()):   # contiguous columns gather fast
+        out[:, 2 * j] = column[a]
+        out[:, 2 * j + 1] = column[b]
+    return out
 
 
-def spring_force_batch_vjp(p: SpringParams, signs: np.ndarray, dist: np.ndarray,
-                           upstream: np.ndarray
-                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (magnitudes, grad wrt flat params, raw df/ddist with no upstream applied)."""
-    grad = np.zeros(7)
-    dfdd = np.zeros_like(dist)
+def _features(dist: np.ndarray, static: np.ndarray) -> np.ndarray:
+    """Edge feature rows [dist, static...], column-major, so the MLPs read each
+    feature as one contiguous run."""
+    z = np.empty((dist.size, EDGE_FEATURE_DIM), order="F")
+    z[:, 0] = dist
+    z[:, 1:] = static
+    return z
 
-    m = signs == 0
-    if m.any():
-        grad[4] = np.dot(upstream[m], dist[m] - p.l_neu)          # a_neu
-        grad[1] = -p.a_neu * upstream[m].sum()                    # l_neu
-        dfdd[m] = p.a_neu
 
-    m = signs > 0
-    if m.any():
-        stretched = np.maximum(dist[m] - p.l_pos, 0.0)
-        active = dist[m] > p.l_pos
-        grad[3] = np.dot(upstream[m], stretched)                  # a_pos
-        grad[0] = -p.a_pos * np.dot(upstream[m], active)          # l_pos
-        dfdd[m] = p.a_pos * active
+def spring_force_batch(p: SpringParams, sign: int, dist: np.ndarray) -> np.ndarray:
+    if sign == 0:
+        return p.a_neu * (dist - p.l_neu)
+    if sign > 0:
+        return p.a_pos * np.maximum(dist - p.l_pos, 0.0)
+    return -p.a_neg * np.maximum(p.l_neg - dist, 0.0)
 
-    m = signs < 0
-    if m.any():
-        compressed = np.maximum(p.l_neg - dist[m], 0.0)
-        active = dist[m] < p.l_neg
-        grad[5] = -np.dot(upstream[m], compressed)                # a_neg
-        grad[2] = -p.a_neg * np.dot(upstream[m], active)          # l_neg
-        dfdd[m] = p.a_neg * active
 
-    return spring_force_batch(p, signs, dist), grad, dfdd
+def spring_force_batch_vjp(p: SpringParams, sign: int, dist: np.ndarray,
+                           upstream: np.ndarray, grad: np.ndarray):
+    """`force_batch_vjp` for springs, given dL/df_uv + dL/df_vu as `upstream`."""
+    if sign == 0:
+        grad[4] = np.dot(upstream, dist - p.l_neu)               # a_neu
+        grad[1] = -p.a_neu * upstream.sum()                      # l_neu
+        dfdd = p.a_neu
+    elif sign > 0:
+        active = dist > p.l_pos
+        grad[3] = np.dot(upstream, np.maximum(dist - p.l_pos, 0.0))   # a_pos
+        grad[0] = -p.a_pos * np.dot(upstream, active)                 # l_pos
+        dfdd = p.a_pos * active
+    else:
+        active = dist < p.l_neg
+        grad[5] = -np.dot(upstream, np.maximum(p.l_neg - dist, 0.0))  # a_neg
+        grad[2] = -p.a_neg * np.dot(upstream, active)                 # l_neg
+        dfdd = p.a_neg * active
+    f = spring_force_batch(p, sign, dist)
+    return f, f, upstream * dfdd
 
 
 def mlp_batch(p: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -214,41 +225,6 @@ def mlp_batch_vjp(p: MlpParams, x: np.ndarray, upstream: np.ndarray
     return p.w1 @ hidden + p.b1, grad, p.w0[:, 0] @ slope
 
 
-def _sign_blocks(p: NeuralSpringParams, signs: np.ndarray):
-    """(parameter slot, force net, row selector) for each sign present in `signs`.
-    A batch of one sign is selected by a full slice, so its rows are not copied."""
-    for slot, (sign_val, net) in enumerate(((0, p.f_neutral), (1, p.f_positive),
-                                            (-1, p.f_negative))):
-        m = signs == sign_val
-        if m.all():
-            yield slot, net, slice(None)
-        elif m.any():
-            yield slot, net, m
-
-
-def neural_force_batch(p: NeuralSpringParams, signs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    out = np.zeros(z.shape[0])
-    for _, net, rows in _sign_blocks(p, signs):
-        out[rows] = mlp_batch(net, z[rows])
-    return out
-
-
-def neural_force_batch_vjp(p: NeuralSpringParams, signs: np.ndarray, z: np.ndarray,
-                           upstream: np.ndarray
-                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (magnitudes, grad wrt flat params, raw df/ddist) where dist is column 0
-    of z; one MLP pass per sign."""
-    n_g = p.gain_net.n_params
-    n_f = p.f_neutral.n_params
-    out = np.zeros(z.shape[0])
-    grad = np.zeros(p.n_params)
-    dfdd = np.zeros(z.shape[0])
-    for slot, net, rows in _sign_blocks(p, signs):
-        out[rows], grad[n_g + slot * n_f: n_g + (slot + 1) * n_f], dfdd[rows] = \
-            mlp_batch_vjp(net, z[rows], upstream[rows])
-    return out, grad, dfdd
-
-
 def gain_batch(params: ForceParams, node_features: np.ndarray) -> np.ndarray:
     """Per-node gain; `node_features` rows are [deg_norm, neg_frac, pos_frac]."""
     if isinstance(params, SpringParams):
@@ -267,20 +243,42 @@ def gain_batch_vjp(params: ForceParams, node_features: np.ndarray,
     return grad
 
 
-def force_batch(params: ForceParams, signs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Per-edge force magnitudes; z rows are edge features with dist in column 0."""
-    if isinstance(params, SpringParams):
-        return spring_force_batch(params, signs, z[:, 0])
-    return neural_force_batch(params, signs, z)
+def _force_net(p: NeuralSpringParams, sign: int) -> tuple[MlpParams, slice]:
+    """The force MLP of an edge sign and its slots in the flat parameter vector."""
+    slot, size = (0, 1, -1).index(sign), p.f_neutral.n_params
+    start = p.gain_net.n_params + slot * size
+    return (p.f_neutral, p.f_positive, p.f_negative)[slot], slice(start, start + size)
 
 
-def force_batch_vjp(params: ForceParams, signs: np.ndarray, z: np.ndarray,
-                    upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One pass over the edges: (magnitudes as `force_batch` gives them, grad wrt the
-    flat params given dL/dmagnitude per edge, raw dmagnitude/ddist per edge)."""
+def force_batch(params: ForceParams, sign: int, dist: np.ndarray,
+                static_uv: np.ndarray, static_vu: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Magnitudes (f_uv, f_vu) toward u and toward v of a batch of edges of one
+    sign, from their lengths and their `edge_statics` seen from u and from v."""
     if isinstance(params, SpringParams):
-        return spring_force_batch_vjp(params, signs, z[:, 0], upstream)
-    return neural_force_batch_vjp(params, signs, z, upstream)
+        f = spring_force_batch(params, sign, dist)
+        return f, f
+    net, _ = _force_net(params, sign)
+    return (mlp_batch(net, _features(dist, static_uv)),
+            mlp_batch(net, _features(dist, static_vu)))
+
+
+def force_batch_vjp(params: ForceParams, sign: int, dist: np.ndarray,
+                    static_uv: np.ndarray, static_vu: np.ndarray,
+                    up_uv: np.ndarray, up_vu: np.ndarray, grad: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One pass over a batch of one sign: (f_uv, f_vu as `force_batch` gives them,
+    dL/ddist) for the upstream dL/df_uv and dL/df_vu.  The gradient wrt the
+    sign's own parameters goes into their slots of the flat vector `grad`,
+    which must hold zeros there; no other sign touches them."""
+    if isinstance(params, SpringParams):
+        return spring_force_batch_vjp(params, sign, dist, up_uv + up_vu, grad)
+    net, slots = _force_net(params, sign)
+    f_uv, g_uv, dfdd_uv = mlp_batch_vjp(net, _features(dist, static_uv), up_uv)
+    f_vu, g_vu, dfdd_vu = mlp_batch_vjp(net, _features(dist, static_vu), up_vu)
+    grad[slots] += g_uv
+    grad[slots] += g_vu
+    return f_uv, f_vu, up_uv * dfdd_uv + up_vu * dfdd_vu
 
 
 # --- initialization -----------------------------------------------------------

@@ -444,7 +444,8 @@ def dump_graph(graph: SignedGraph) -> str:
 
 
 def parse_graph_dump(text: str) -> SignedGraph:
-    """Inverse of dump_graph; n_nodes falls back to max id + 1 if no header."""
+    """Inverse of dump_graph; n_nodes falls back to max id + 1 if no header.
+    A malformed line raises GraphFormatError naming its number."""
     n_nodes = None
     u, v, t, o = [], [], [], []
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -453,16 +454,24 @@ def parse_graph_dump(text: str) -> SignedGraph:
             continue
         if line.startswith("#"):
             parts = line[1:].split()
-            if len(parts) == 2 and parts[0] == "n_nodes":
+            if parts[:1] == ["n_nodes"]:
+                if len(parts) != 2 or not parts[1].isdecimal() or int(parts[1]) >= 2 ** 63:
+                    raise GraphFormatError(f"line {lineno}: bad header, expected '# n_nodes N'")
                 n_nodes = int(parts[1])
             continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise GraphFormatError(f"line {lineno}: expected 'u v true observed'")
-        u.append(int(parts[0]))
-        v.append(int(parts[1]))
-        t.append(int(parts[2]))
-        o.append(int(parts[3]))
+        try:
+            a, b, true, observed = map(int, line.split())
+        except ValueError:
+            raise GraphFormatError(f"line {lineno}: expected four integers "
+                                   "'u v true observed'") from None
+        if not (0 <= a < b < (2 ** 63 if n_nodes is None else n_nodes)
+                and true in (-1, 1) and observed in (0, true)):
+            raise GraphFormatError(f"line {lineno}: expected 0 <= u < v < n_nodes, true sign "
+                                   "-1 or 1 and observed sign 0 or the true sign")
+        u.append(a)
+        v.append(b)
+        t.append(true)
+        o.append(observed)
     u_arr = np.asarray(u, dtype=np.int64)
     v_arr = np.asarray(v, dtype=np.int64)
     if n_nodes is None:

@@ -12,6 +12,7 @@ training's forward pass calls it with an `on_step` hook that tapes positions.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -169,9 +170,14 @@ def read_embeddings_binary(path) -> np.ndarray:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise ValueError("not an embedding file (bad magic)")
-        version, n, k = struct.unpack("<IQQ", fh.read(20))
+        header = fh.read(20)
+        if len(header) != 20:
+            raise ValueError("embedding file ends inside its header")
+        version, n, k = struct.unpack("<IQQ", header)
         if version != 1:
             raise ValueError(f"unsupported embedding file version {version}")
+        if os.fstat(fh.fileno()).st_size - fh.tell() < 8 * n * k:
+            raise ValueError(f"embedding file is shorter than its {n} x {k} header says")
         data = np.frombuffer(fh.read(8 * n * k), dtype="<f8")
     return data.reshape(n, k).astype(np.float64)
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from graphspring import dump_graph, parse_graph_dump
-from graphspring.cli import _hide_listed, main
+from graphspring.cli import _hide_listed, _resolve, main
 from graphspring.forces import SpringParams, init_params, params_to_json
 
 from conftest import hidden_toy
@@ -288,6 +289,83 @@ def test_unknown_config_key_rejected(toy_csv, tmp_path):
                                 "--out", tmp_path / "x")
     assert result.returncode == 1
     assert "bogus_option" in result.stderr
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("train", "k", "4"), ("train", "epochs", 1.5), ("train", "lr", "0.1"),
+    ("train", "semi_implicit", 1), ("train", "model", 3), ("train", "split_seed", "1"),
+    ("train", "checkpoint_every", "2"), ("embed", "p_hidden", True),
+    ("eval", "threads", "2"), ("eval", "seeds", 3), ("bench", "reps", "7"),
+])
+def test_config_value_of_wrong_type_exits_1_naming_the_key(command, key, value,
+                                                            tmp_path, capsys):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({key: value}))
+    assert run_cli(command, "--config", config, "--out", tmp_path / "o") == 1
+    assert f"config key '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("default,value", [
+    (0.1, 1), (0.1, 0.5), (1, 2), (False, True), ("a", "b"),
+    (None, None), (None, 3), (None, 0.5),
+])
+def test_config_value_of_matching_type_is_accepted(default, value, tmp_path):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"x": value}))
+    assert _resolve({"x": default}, argparse.Namespace(), config, None) == {"x": value}
+
+
+def test_manifest_value_of_wrong_type_exits_1_before_writing(toy_csv, tmp_path, capsys):
+    first = tmp_path / "m1"
+    assert run_cli("train", "--input", toy_csv, "--format", "rating_csv",
+                   "--model", "spring", "--k", "3", "--epochs", "1",
+                   "--n-steps", "2", "--out", first) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    manifest["config"]["k"] = "3"
+    stale = tmp_path / "stale.json"
+    stale.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run_cli("train", "--from-manifest", stale, "--out", tmp_path / "m2") == 1
+    assert "config key 'k' in the manifest" in capsys.readouterr().err
+    assert not (tmp_path / "m2").exists()
+
+
+@pytest.mark.parametrize("line", ["1 2 x 1", "1 2 300 1", "1 2 1 -1", "2 1 1 1",
+                                  "1 2 1", "# n_nodes -4"])
+def test_bad_graph_dump_line_exits_1_naming_the_line(line, tmp_path):
+    dump = tmp_path / "graph.txt"
+    dump.write_text(f"# n_nodes 5\n0 1 1 1\n{line}\n3 4 -1 0\n")
+    result = run_cli_subprocess("train", "--graph", dump, "--out", tmp_path / "o")
+    assert result.returncode == 1
+    assert "line 3" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_eval_embeddings_with_too_few_rows_exits_1_naming_both_counts(tmp_path, capsys):
+    from graphspring import write_embeddings_text
+    graph, _ = hidden_toy()
+    (tmp_path / "graph.txt").write_text(dump_graph(graph))
+    write_embeddings_text(tmp_path / "emb.txt", np.zeros((graph.n_nodes - 1, 3)))
+    assert run_cli("eval", "--embeddings", tmp_path / "emb.txt",
+                   "--graph", tmp_path / "graph.txt", "--out", tmp_path / "o") == 1
+    err = capsys.readouterr().err
+    assert f"{graph.n_nodes - 1} rows" in err and f"{graph.n_nodes} nodes" in err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+def test_eval_binary_embeddings_cut_in_header_exits_1(tmp_path):
+    from graphspring import write_embeddings_binary
+    graph, _ = hidden_toy()
+    (tmp_path / "graph.txt").write_text(dump_graph(graph))
+    path = tmp_path / "emb.bin"
+    write_embeddings_binary(path, np.zeros((graph.n_nodes, 3)))
+    path.write_bytes(path.read_bytes()[:15])
+    result = run_cli_subprocess("eval", "--embeddings", path,
+                                "--graph", tmp_path / "graph.txt", "--out", tmp_path / "o")
+    assert result.returncode == 1
+    assert "header" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_manifest_replay_rejects_unknown_config_keys(toy_csv, tmp_path, capsys):

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphspring.forces import (MlpParams, NeuralSpringParams, SpringParams,
+                                edge_statics, force_batch, force_batch_vjp,
                                 init_params, mlp_batch, params_from_json,
-                                params_to_json, spring_force_batch)
+                                params_to_json)
 
 from oracles import mlp_eval, neural_force, neural_gain, spring_force, spring_gain
 
@@ -77,14 +78,82 @@ def test_continuity_at_hinges():
         assert abs(below - above) < 1e-10
 
 
-def test_batch_matches_scalar():
-    rand = np.random.default_rng(0)
-    p = SpringParams(1.1, 2.2, 3.3, 0.5, 0.7, 0.9, 0.2)
-    signs = rand.choice([-1, 0, 1], 100)
-    dist = rand.uniform(0, 5, 100)
-    batch = spring_force_batch(p, signs, dist)
-    for i in range(100):
-        assert batch[i] == pytest.approx(spring_force(p, int(signs[i]), dist[i]))
+def batch_case(kind, n=100, seed=0):
+    """A model, a batch of edge lengths and static features from both
+    endpoints, and the scalar feature vectors [dist, deg, neg, pos per end]
+    that `neural_force` takes, built independently of `edge_statics`."""
+    rand = np.random.default_rng(seed)
+    p = (SpringParams(1.1, 2.2, 3.3, 0.5, 0.7, 0.9, 0.2) if kind == "spring"
+         else random_neural(rand))
+    node_features = rand.uniform(0, 1, (10, 3))
+    a, b = rand.integers(0, 10, (2, n))
+    dist = rand.uniform(0, 5, n)
+
+    def z(i, x, y):
+        return np.array([dist[i], *[node_features[end, j] for j in range(3)
+                                    for end in (x, y)]])
+
+    scalar = [(z(i, a[i], b[i]), z(i, b[i], a[i])) for i in range(n)]
+    return (p, dist, edge_statics(node_features, a, b), edge_statics(node_features, b, a),
+            scalar)
+
+
+def scalar_force(p, sign, z):
+    if isinstance(p, SpringParams):
+        return spring_force(p, sign, z[0])
+    return neural_force(p, sign, z)
+
+
+SIGN_SLOTS = {  # flat parameter indices that belong to each sign
+    ("spring", 0): [1, 4], ("spring", 1): [0, 3], ("spring", -1): [2, 5],
+    **{("spring-nn", s): list(range(16 + 64 * i, 16 + 64 * (i + 1)))
+       for i, s in enumerate((0, 1, -1))},
+}
+
+
+@pytest.mark.parametrize("sign", [0, 1, -1])
+@pytest.mark.parametrize("kind", ["spring", "spring-nn"])
+def test_batch_matches_scalar(kind, sign):
+    p, dist, static_uv, static_vu, scalar = batch_case(kind)
+    f_uv, f_vu = force_batch(p, sign, dist, static_uv, static_vu)
+    for i, (z_uv, z_vu) in enumerate(scalar):
+        assert f_uv[i] == pytest.approx(scalar_force(p, sign, z_uv))
+        assert f_vu[i] == pytest.approx(scalar_force(p, sign, z_vu))
+
+
+@pytest.mark.parametrize("sign", [0, 1, -1])
+@pytest.mark.parametrize("kind", ["spring", "spring-nn"])
+def test_batch_vjp_matches_central_differences(kind, sign):
+    p, dist, static_uv, static_vu, _ = batch_case(kind, n=40, seed=1)
+    rand = np.random.default_rng(2)
+    up_uv, up_vu = rand.normal(0, 1, (2, dist.size))
+    grad = np.zeros(p.n_params)
+    f_uv, f_vu, ddist = force_batch_vjp(p, sign, dist, static_uv, static_vu,
+                                        up_uv, up_vu, grad)
+    fwd_uv, fwd_vu = force_batch(p, sign, dist, static_uv, static_vu)
+    assert np.array_equal(f_uv, fwd_uv) and np.array_equal(f_vu, fwd_vu)
+
+    def objective(params, d):  # one term per edge
+        uv, vu = force_batch(params, sign, d, static_uv, static_vu)
+        return up_uv * uv + up_vu * vu
+
+    h, flat = 1e-6, p.flatten()
+    fd_params = np.empty(flat.size)
+    for i in range(flat.size):
+        fp, fm = flat.copy(), flat.copy()
+        fp[i] += h
+        fm[i] -= h
+        fd_params[i] = (objective(type(p).from_flat(fp), dist).sum()
+                        - objective(type(p).from_flat(fm), dist).sum()) / (2 * h)
+    fd_dist = (objective(p, dist + h) - objective(p, dist - h)) / (2 * h)
+    # the bound of the force-field VJP checks: four orders above the ~1e-10
+    # error of central differences with h = 1e-6
+    for ad, fd in ((grad, fd_params), (ddist, fd_dist)):
+        assert np.all(np.abs(ad - fd) <= np.maximum(1e-7, 1e-5 * np.abs(fd))), \
+            np.abs(ad - fd).max()
+    others = np.setdiff1d(np.arange(p.n_params), SIGN_SLOTS[kind, sign])
+    assert np.all(grad[others] == 0.0)
+    assert np.any(grad[SIGN_SLOTS[kind, sign]] != 0.0)
 
 
 # --- gain -------------------------------------------------------------------

@@ -312,6 +312,14 @@ def test_binary_rejects_wrong_magic(tmp_path):
         read_embeddings_binary(path)
 
 
+def test_binary_rejects_short_payload(tmp_path):
+    path = tmp_path / "emb.bin"
+    write_embeddings_binary(path, np.ones((5, 4)))
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(ValueError, match="shorter than its 5 x 4 header"):
+        read_embeddings_binary(path)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(dt=0.0)
