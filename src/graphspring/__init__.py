@@ -16,10 +16,10 @@ from .graphs import (EdgeStage, GraphFormatError, NodeStatics, SignedGraph,
                      load_edge_list, parse_graph_dump, to_undirected)
 from .metrics import (MetricsReport, PredictionSet, auc, calibrate_on_visible,
                       evaluate, f1_scores, fit_distance_calibration, predict,
-                      rank_auc)
+                      predict_prob, rank_auc)
 from .simulate import (SimConfig, SimState, SimulationDivergedError, init_state,
                        read_embeddings_binary, read_embeddings_text, simulate,
                        write_embeddings_binary, write_embeddings_text)
 from .training import (AdamState, Checkpoint, EpochStats, LossConfig, TrainConfig,
                        adam_step, clip_gradient, load_checkpoint, loss,
-                       loss_and_grad, predict_prob, save_checkpoint, train)
+                       loss_and_grad, save_checkpoint, train)

@@ -5,6 +5,13 @@ work, and exits 0 on success, 1 on runtime failure, 2 on usage errors.  train,
 embed, eval and bench resolve their configuration as CLI flags > --config JSON
 file > built-in defaults, and re-running one of them with --from-manifest
 reproduces the original outputs.
+
+Each shared setting is declared in one place: the simulating commands (train,
+embed and eval) take their common flags from one parent parser and their
+common defaults from `SIM_DEFAULTS`, whose values come from the library's
+config classes.  `_start` is the one resolver of a run's input files: a flag
+wins over the manifest's `input_paths`, and the new manifest records and
+hashes every file the run reads.
 """
 
 from __future__ import annotations
@@ -27,38 +34,48 @@ from .forces import init_params, params_from_json, params_to_json
 from .forcefield import prepare
 from .graphs import (SignedGraph, SplitSpec, compute_node_statics, dump_graph,
                      hide_signs, load_edge_list, parse_graph_dump, to_undirected)
-from .metrics import aggregate_reports, calibrate_on_visible, evaluate
+from .metrics import (aggregate_reports, aggregate_table, calibrate_on_visible,
+                      evaluate)
 from .simulate import (SimConfig, SimulationDivergedError, init_state,
-                       mean_abs_velocity, simulate, write_embeddings_binary,
+                       mean_abs_velocity, read_embeddings_binary,
+                       read_embeddings_text, simulate, write_embeddings_binary,
                        write_embeddings_text)
 from .training import (LossConfig, TrainConfig, load_checkpoint, loss,
                        save_checkpoint, train, write_history_csv)
 
+# the library's defaults, each written once in its config class
+_TRAIN = TrainConfig()
+_SIM, _LOSS = _TRAIN.sim, _TRAIN.loss
+
+# the settings that train, embed and eval share
+SIM_DEFAULTS = {
+    "k": _SIM.k, "dt": _SIM.dt, "damping": _SIM.damping, "n_steps": _SIM.n_steps,
+    "mu": _LOSS.mu, "p_hidden": 0.2, "exact_split": False,
+    "semi_implicit": _SIM.semi_implicit,
+}
+
 TRAIN_DEFAULTS = {
-    "model": "spring-nn", "k": 64, "dt": 0.005, "damping": 0.05, "mu": 2.5,
-    "lr": 0.03, "epochs": 200, "n_steps": 120, "p_hidden": 0.2, "seed": 0,
-    "split_seed": None, "exact_split": False, "val_fraction": 0.1,
-    "init_policy": "resample_each_epoch", "loss_domain": "visible_only",
-    "target_encoding": "signed", "clip_lo": -1.0, "clip_hi": 1.0,
-    "semi_implicit": False, "checkpoint_every": 0,
+    **SIM_DEFAULTS, "model": _TRAIN.model_kind, "lr": _TRAIN.lr,
+    "epochs": _TRAIN.epochs, "seed": _TRAIN.seed, "split_seed": None,
+    "val_fraction": _TRAIN.val_fraction, "init_policy": _TRAIN.init_policy,
+    "loss_domain": _LOSS.domain, "target_encoding": _LOSS.target_encoding,
+    "clip_lo": _TRAIN.clip_lo, "clip_hi": _TRAIN.clip_hi, "checkpoint_every": 0,
 }
 
-EMBED_DEFAULTS = {
-    "k": 64, "dt": 0.005, "damping": 0.05, "n_steps": 120, "seed": 0,
-    "p_hidden": None, "split_seed": None, "exact_split": False,
-    "semi_implicit": False, "binary": False, "mu": 2.5,
-}
+EMBED_DEFAULTS = {**SIM_DEFAULTS, "p_hidden": None, "seed": _SIM.seed,
+                  "split_seed": None, "binary": False}
 
-EVAL_DEFAULTS = {
-    "k": 64, "dt": 0.005, "damping": 0.05, "n_steps": 120, "mu": 2.5,
-    "p_hidden": 0.2, "seeds": "0", "exact_split": False, "semi_implicit": False,
-    "threads": 1, "calibrate": False,
-}
+EVAL_DEFAULTS = {**SIM_DEFAULTS, "seeds": "0", "threads": 1, "calibrate": False}
 
 BENCH_DEFAULTS = {
     "sizes": "1000:8000,1000:16000,2000:16000", "ks": "16,32", "reps": 7,
     "seed": 0, "model": "spring", "sim_steps": 10,
 }
+
+# the files a run may read, by the flag that names them
+INPUTS = ("input", "graph", "params", "embeddings", "hidden_edges", "resume")
+FORMATS = ["plain", "rating_csv"]
+MODELS = ["spring", "spring-nn"]
 
 
 def _open_text(path: str):
@@ -87,6 +104,28 @@ _LOADED_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,),
                  type(None): (type(None), int, float)}
 
 
+def _load_json_object(path: str, what: str) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            loaded = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{what} {path} is not valid JSON: {err}") from None
+    if not isinstance(loaded, dict):
+        raise ValueError(f"{what} {path} must hold a JSON object, "
+                         f"not {type(loaded).__name__}")
+    return loaded
+
+
+def _load_manifest(path: str) -> dict:
+    manifest = _load_json_object(path, "manifest")
+    paths = manifest.get("input_paths")
+    if not (isinstance(manifest.get("config"), dict) and isinstance(paths, dict)
+            and all(isinstance(p, str) for p in paths.values())):
+        raise ValueError(f"manifest {path} needs a 'config' object and an "
+                         f"'input_paths' object of strings")
+    return manifest
+
+
 def _resolve(defaults: dict, args: argparse.Namespace, config_file: str | None,
              manifest: dict | None) -> dict:
     config = dict(defaults)
@@ -97,8 +136,7 @@ def _resolve(defaults: dict, args: argparse.Namespace, config_file: str | None,
                   if key != "format"}
         source = " in the manifest"
     elif config_file:
-        with open(config_file, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
+        loaded = _load_json_object(config_file, "config file")
     unknown = set(loaded) - set(defaults)
     if unknown:
         raise ValueError(f"unknown config keys{source}: {sorted(unknown)}")
@@ -112,6 +150,29 @@ def _resolve(defaults: dict, args: argparse.Namespace, config_file: str | None,
         if value is not None:
             config[key] = value
     return config
+
+
+def _start(args: argparse.Namespace, defaults: dict) -> tuple[dict, dict, Path]:
+    """Settings, input files and output directory of a train, embed or eval run.
+
+    An input file's flag wins over the manifest's `input_paths`; the returned
+    inputs go to the new manifest, which hashes each of them, so a replay of
+    it reads the same files.
+    """
+    manifest = _load_manifest(args.from_manifest) if args.from_manifest else None
+    config = _resolve(defaults, args, args.config, manifest)
+    recorded = (manifest or {}).get("input_paths", {})
+    inputs = {key: getattr(args, key) or recorded.get(key)
+              for key in INPUTS if hasattr(args, key)}
+    config["format"] = args.format or (manifest or {}).get("config", {}).get(
+        "format", "plain")
+    return config, inputs, Path(args.out or "run")
+
+
+def _sim_config(config: dict, seed: int) -> SimConfig:
+    return SimConfig(k=config["k"], dt=config["dt"], damping=config["damping"],
+                     n_steps=config["n_steps"], seed=seed,
+                     semi_implicit=config["semi_implicit"])
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict,
@@ -132,20 +193,15 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict,
         fh.write("\n")
 
 
-def _load_manifest(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _load_graph(args_or_cfg: dict) -> SignedGraph:
+def _load_graph(paths: dict, fmt: str) -> SignedGraph:
     """Graph from either a canonical dump or a raw edge list."""
-    if args_or_cfg.get("graph"):
-        with _open_text(args_or_cfg["graph"]) as fh:
+    if paths.get("graph"):
+        with _open_text(paths["graph"]) as fh:
             return parse_graph_dump(fh.read())
-    if not args_or_cfg.get("input"):
+    if not paths.get("input"):
         raise ValueError("either --graph or --input is required")
-    with _open_text(args_or_cfg["input"]) as fh:
-        stage = load_edge_list(fh, args_or_cfg.get("format", "plain"))
+    with _open_text(paths["input"]) as fh:
+        stage = load_edge_list(fh, fmt)
     return to_undirected(stage)
 
 
@@ -183,7 +239,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_split(args) -> int:
     out = Path(args.out or "run")
-    graph = _load_graph(vars(args))
+    graph = _load_graph(vars(args), args.format)
     seed = args.seed if args.seed is not None else 0
     split_seed = args.split_seed if args.split_seed is not None else seed
     hidden_graph, hidden = hide_signs(
@@ -200,36 +256,26 @@ def cmd_split(args) -> int:
 
 
 def cmd_train(args) -> int:
-    manifest = _load_manifest(args.from_manifest) if args.from_manifest else None
-    config = _resolve(TRAIN_DEFAULTS, args, args.config, manifest)
-    out = Path(args.out or "run")
-    input_path = args.input or (manifest or {}).get("input_paths", {}).get("input")
-    graph_path = args.graph or (manifest or {}).get("input_paths", {}).get("graph")
-    fmt = args.format or (manifest or {}).get("config", {}).get("format", "plain")
-    config["format"] = fmt
-
-    graph = _load_graph({"input": input_path, "graph": graph_path, "format": fmt})
-    split_seed = config["split_seed"] if config["split_seed"] is not None else config["seed"]
-    config["split_seed"] = split_seed
-    if graph_path is None:
-        graph, _ = _maybe_hide(graph, config["p_hidden"], split_seed,
+    config, inputs, out = _start(args, TRAIN_DEFAULTS)
+    graph = _load_graph(inputs, config["format"])
+    if config["split_seed"] is None:
+        config["split_seed"] = config["seed"]
+    if not inputs["graph"]:
+        graph, _ = _maybe_hide(graph, config["p_hidden"], config["split_seed"],
                                config["exact_split"])
 
     artifacts = {"params": out / "params.json", "history": out / "history.csv"}
-    _write_manifest(out, "train", config,
-                    {"input": input_path, "graph": graph_path}, artifacts)
+    _write_manifest(out, "train", config, inputs, artifacts)
 
-    sim = SimConfig(k=config["k"], dt=config["dt"], damping=config["damping"],
-                    n_steps=config["n_steps"], semi_implicit=config["semi_implicit"])
     loss_cfg = LossConfig(mu=config["mu"], domain=config["loss_domain"],
                           target_encoding=config["target_encoding"])
     train_cfg = TrainConfig(
-        epochs=config["epochs"], sim=sim, loss=loss_cfg, model_kind=config["model"],
-        lr=config["lr"], clip_lo=config["clip_lo"], clip_hi=config["clip_hi"],
-        seed=config["seed"], init_policy=config["init_policy"],
-        val_fraction=config["val_fraction"])
+        epochs=config["epochs"], sim=_sim_config(config, config["seed"]),
+        loss=loss_cfg, model_kind=config["model"], lr=config["lr"],
+        clip_lo=config["clip_lo"], clip_hi=config["clip_hi"], seed=config["seed"],
+        init_policy=config["init_policy"], val_fraction=config["val_fraction"])
 
-    resume = load_checkpoint(args.resume) if args.resume else None
+    resume = load_checkpoint(inputs["resume"]) if inputs["resume"] else None
     every = config["checkpoint_every"]
     last_good = resume
 
@@ -259,37 +305,26 @@ def cmd_train(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    manifest = _load_manifest(args.from_manifest) if args.from_manifest else None
-    config = _resolve(EMBED_DEFAULTS, args, args.config, manifest)
-    out = Path(args.out or "run")
-    params_path = args.params or (manifest or {}).get("input_paths", {}).get("params")
-    input_path = args.input or (manifest or {}).get("input_paths", {}).get("input")
-    graph_path = args.graph or (manifest or {}).get("input_paths", {}).get("graph")
-    fmt = args.format or (manifest or {}).get("config", {}).get("format", "plain")
-    config["format"] = fmt
-    if not params_path:
+    config, inputs, out = _start(args, EMBED_DEFAULTS)
+    if not inputs["params"]:
         raise ValueError("--params is required")
 
-    params = params_from_json(Path(params_path).read_text(encoding="utf-8"))
-    graph = _load_graph({"input": input_path, "graph": graph_path, "format": fmt})
+    params = params_from_json(Path(inputs["params"]).read_text(encoding="utf-8"))
+    graph = _load_graph(inputs, config["format"])
     split_seed = config["split_seed"] if config["split_seed"] is not None else config["seed"]
-    if graph_path is None and config["p_hidden"] is not None:
+    if not inputs["graph"]:
         graph, _ = _maybe_hide(graph, config["p_hidden"], split_seed,
                                config["exact_split"])
-    if args.hidden_edges:
-        graph = _hide_listed(graph, args.hidden_edges)
+    if inputs["hidden_edges"]:
+        graph = _hide_listed(graph, inputs["hidden_edges"])
 
     emb_name = "embeddings.bin" if config["binary"] else "embeddings.txt"
     artifacts = {"embeddings": out / emb_name, "meta": out / "embed_meta.json"}
-    _write_manifest(out, "embed", config,
-                    {"params": params_path, "input": input_path,
-                     "graph": graph_path}, artifacts)
+    _write_manifest(out, "embed", config, inputs, artifacts)
 
     statics = compute_node_statics(graph)
     ctx = prepare(graph, statics)
-    sim = SimConfig(k=config["k"], dt=config["dt"], damping=config["damping"],
-                    n_steps=config["n_steps"], seed=config["seed"],
-                    semi_implicit=config["semi_implicit"])
+    sim = _sim_config(config, config["seed"])
     state = init_state(graph.n_nodes, sim)
 
     on_step = None
@@ -372,9 +407,7 @@ def _eval_one(graph: SignedGraph, params, config: dict, seed: int,
     if hidden.size == 0:
         raise ValueError("no hidden edges to evaluate")
     statics = compute_node_statics(hidden_graph)
-    sim = SimConfig(k=config["k"], dt=config["dt"], damping=config["damping"],
-                    n_steps=config["n_steps"], seed=sim_seed,
-                    semi_implicit=config["semi_implicit"])
+    sim = _sim_config(config, sim_seed)
     state = init_state(hidden_graph.n_nodes, sim)
     final = simulate(state, hidden_graph, statics, params, sim)
     calibration = calibrate_on_visible(hidden_graph, final.X) \
@@ -384,73 +417,41 @@ def _eval_one(graph: SignedGraph, params, config: dict, seed: int,
 
 
 def cmd_eval(args) -> int:
-    manifest = _load_manifest(args.from_manifest) if args.from_manifest else None
-    config = _resolve(EVAL_DEFAULTS, args, args.config, manifest)
-    out = Path(args.out or "run")
-    graph_path = args.graph or (manifest or {}).get("input_paths", {}).get("graph")
-    input_path = args.input or (manifest or {}).get("input_paths", {}).get("input")
-    emb_path = args.embeddings or (manifest or {}).get("input_paths", {}).get("embeddings")
-    params_path = args.params or (manifest or {}).get("input_paths", {}).get("params")
-    fmt = args.format or (manifest or {}).get("config", {}).get("format", "plain")
-    config["format"] = fmt
+    config, inputs, out = _start(args, EVAL_DEFAULTS)
+    if not (inputs["embeddings"] or inputs["params"]):
+        raise ValueError("eval needs either --embeddings or --params")
     chash = _config_hash(config)
-
-    out.mkdir(parents=True, exist_ok=True)
-    reports = []
-    if emb_path:
-        from .simulate import read_embeddings_binary, read_embeddings_text
-        graph = _load_graph({"graph": graph_path, "input": input_path, "format": fmt})
-        hidden = graph.hidden_edges()
+    graph = _load_graph(inputs, config["format"])
+    if inputs["embeddings"]:
+        emb_path = inputs["embeddings"]
         X = (read_embeddings_binary(emb_path) if str(emb_path).endswith(".bin")
              else read_embeddings_text(emb_path))
         if X.shape[0] != graph.n_nodes:
             raise ValueError(f"embedding file has {X.shape[0]} rows, "
                              f"graph has {graph.n_nodes} nodes")
-        _write_manifest(out, "eval", config,
-                        {"graph": graph_path, "input": input_path,
-                         "embeddings": emb_path}, {"report": out / "report.json"})
+        _write_manifest(out, "eval", config, inputs, {"report": out / "report.json"})
         calibration = calibrate_on_visible(graph, X) if config["calibrate"] else None
-        report = evaluate(graph, hidden, X, config["mu"], seed=None,
+        report = evaluate(graph, graph.hidden_edges(), X, config["mu"], seed=None,
                           config_hash=chash, calibration=calibration)
-        reports.append(report)
         _write_text(out / "report.json", report.to_json())
+        table = report.to_table()
     else:
-        if not params_path:
-            raise ValueError("eval needs either --embeddings or --params")
-        params = params_from_json(Path(params_path).read_text(encoding="utf-8"))
-        graph = _load_graph({"graph": graph_path, "input": input_path, "format": fmt})
+        params = params_from_json(Path(inputs["params"]).read_text(encoding="utf-8"))
         seeds = [int(tok) for tok in config["seeds"].split(",") if tok != ""]
-        _write_manifest(out, "eval", config,
-                        {"graph": graph_path, "input": input_path,
-                         "params": params_path},
+        _write_manifest(out, "eval", config, inputs,
                         {"reports": out / "report_<seed>.json",
                          "aggregate": out / "aggregate.json"})
-        workers = max(1, config["threads"])
-        if workers == 1:
-            reports = [_eval_one(graph, params, config, s, chash) for s in seeds]
-        else:
-            with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-                reports = list(pool.map(
-                    lambda s: _eval_one(graph, params, config, s, chash), seeds))
+        with concurrent.futures.ThreadPoolExecutor(max(1, config["threads"])) as pool:
+            reports = list(pool.map(
+                lambda s: _eval_one(graph, params, config, s, chash), seeds))
         for s, report in zip(seeds, reports):
             _write_text(out / f"report_{s}.json", report.to_json())
         agg = aggregate_reports(reports)
         _write_text(out / "aggregate.json", json.dumps(agg, indent=2) + "\n")
-    table = reports[0].to_table() if len(reports) == 1 else _aggregate_table(reports)
+        table = reports[0].to_table() if len(reports) == 1 else aggregate_table(agg)
     _write_text(out / "table.txt", table)
     print(table, end="")
     return 0
-
-
-def _aggregate_table(reports) -> str:
-    agg = aggregate_reports(reports)
-    names = [("F1-MI", "f1_micro"), ("F1-MA", "f1_macro"), ("F1-WT", "f1_weighted"),
-             ("F1-BI", "f1_binary"), ("AUC-P", "auc_p"), ("AUC-L", "auc_l")]
-    head = "  ".join(f"{n:>14}" for n, _ in names)
-    body = "  ".join(
-        f"{100 * agg[k + '_mean']:8.2f}±{100 * agg[k + '_std']:.2f}".rjust(14)
-        for _, k in names)
-    return head + "\n" + body + "\n"
 
 
 def cmd_bench(args) -> int:
@@ -477,6 +478,13 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _parent(*flags: tuple[str, dict]) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(add_help=False)
+    for flag, options in flags:
+        parser.add_argument(flag, **options)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphspring",
@@ -486,101 +494,78 @@ def build_parser() -> argparse.ArgumentParser:
 
     # each subcommand takes only the shared flags it reads, spelled out in full
     # (with prefixes allowed, eval would read --seed as --seeds)
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--out", type=str, default=None, help="output directory")
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=None, help="master seed")
-    configured = argparse.ArgumentParser(add_help=False)
-    configured.add_argument("--config", type=str, default=None, help="JSON config file")
-    configured.add_argument("--from-manifest", type=str, default=None,
-                            help="re-run the configuration recorded in a manifest")
+    output = _parent(("--out", dict(type=str, default=None, help="output directory")))
+    seeded = _parent(("--seed", dict(type=int, default=None, help="master seed")))
+    split_seeded = _parent(("--split-seed", dict(
+        type=int, default=None, help="seed of the hidden-sign split (default: --seed)")))
+    configured = _parent(
+        ("--config", dict(type=str, default=None, help="JSON config file")),
+        ("--from-manifest", dict(type=str, default=None,
+                                 help="re-run the configuration recorded in a manifest")))
+    # train, embed and eval: their inputs and the settings in SIM_DEFAULTS
+    simulating = _parent(
+        ("--input", dict(help="edge list")),
+        ("--graph", dict(help="canonical graph dump")),
+        ("--format", dict(choices=FORMATS, default=None)),
+        *[(f"--{name}", dict(type=typ, default=None))
+          for name, typ in [("k", int), ("dt", float), ("damping", float),
+                            ("n-steps", int), ("mu", float), ("p-hidden", float)]],
+        *[(f"--{name}", dict(action="store_true", default=None))
+          for name in ("exact-split", "semi-implicit")])
     common = [seeded, output, configured]
 
     ingest = sub.add_parser("ingest", allow_abbrev=False, parents=[output],
                             help="parse an edge list into the canonical graph dump")
     ingest.add_argument("--input", required=True)
-    ingest.add_argument("--format", choices=["plain", "rating_csv"], default="plain")
+    ingest.add_argument("--format", choices=FORMATS, default="plain")
     ingest.set_defaults(fn=cmd_ingest)
 
-    split = sub.add_parser("split", allow_abbrev=False, parents=[seeded, output],
+    split = sub.add_parser("split", allow_abbrev=False,
+                           parents=[seeded, split_seeded, output],
                            help="hide a share of edge signs")
     split.add_argument("--input")
     split.add_argument("--graph")
-    split.add_argument("--format", choices=["plain", "rating_csv"], default="plain")
-    split.add_argument("--p-hidden", type=float, required=True, dest="p_hidden")
-    split.add_argument("--split-seed", type=int, default=None, dest="split_seed")
-    split.add_argument("--exact-split", action="store_true", dest="exact_split")
+    split.add_argument("--format", choices=FORMATS, default="plain")
+    split.add_argument("--p-hidden", type=float, required=True)
+    split.add_argument("--exact-split", action="store_true")
     split.set_defaults(fn=cmd_split)
 
-    trainp = sub.add_parser("train", allow_abbrev=False, parents=common,
+    trainp = sub.add_parser("train", allow_abbrev=False,
+                            parents=[*common, split_seeded, simulating],
                             help="fit force parameters")
-    trainp.add_argument("--input")
-    trainp.add_argument("--graph", help="pre-split canonical dump")
-    trainp.add_argument("--format", choices=["plain", "rating_csv"], default=None)
-    trainp.add_argument("--model", choices=["spring", "spring-nn"], default=None)
-    for name, typ in [("k", int), ("dt", float), ("damping", float), ("mu", float),
-                      ("lr", float), ("epochs", int), ("n-steps", int),
-                      ("p-hidden", float), ("split-seed", int),
-                      ("val-fraction", float), ("clip-lo", float), ("clip-hi", float),
-                      ("checkpoint-every", int)]:
-        trainp.add_argument(f"--{name}", type=typ, default=None,
-                            dest=name.replace("-", "_"))
-    trainp.add_argument("--exact-split", action="store_true", default=None,
-                        dest="exact_split")
-    trainp.add_argument("--init-policy", choices=["resample_each_epoch", "fixed"],
-                        default=None, dest="init_policy")
-    trainp.add_argument("--loss-domain", choices=["visible_only", "all_edges_oracle"],
-                        default=None, dest="loss_domain")
-    trainp.add_argument("--target-encoding", choices=["signed", "zero_one"],
-                        default=None, dest="target_encoding")
-    trainp.add_argument("--semi-implicit", action="store_true", default=None,
-                        dest="semi_implicit")
+    trainp.add_argument("--model", choices=MODELS, default=None)
+    for name, typ in [("lr", float), ("epochs", int), ("val-fraction", float),
+                      ("clip-lo", float), ("clip-hi", float), ("checkpoint-every", int)]:
+        trainp.add_argument(f"--{name}", type=typ, default=None)
+    for name, choices in [("init-policy", ["resample_each_epoch", "fixed"]),
+                          ("loss-domain", ["visible_only", "all_edges_oracle"]),
+                          ("target-encoding", ["signed", "zero_one"])]:
+        trainp.add_argument(f"--{name}", choices=choices, default=None)
     trainp.add_argument("--resume", type=str, default=None,
                         help="checkpoint file to continue from")
     trainp.set_defaults(fn=cmd_train)
 
-    embed = sub.add_parser("embed", allow_abbrev=False, parents=common,
+    embed = sub.add_parser("embed", allow_abbrev=False,
+                           parents=[*common, split_seeded, simulating],
                            help="simulate a trained model to produce embeddings")
     embed.add_argument("--params")
-    embed.add_argument("--input")
-    embed.add_argument("--graph")
-    embed.add_argument("--format", choices=["plain", "rating_csv"], default=None)
-    for name, typ in [("k", int), ("dt", float), ("damping", float),
-                      ("n-steps", int), ("p-hidden", float), ("split-seed", int),
-                      ("mu", float)]:
-        embed.add_argument(f"--{name}", type=typ, default=None,
-                           dest=name.replace("-", "_"))
-    embed.add_argument("--exact-split", action="store_true", default=None,
-                       dest="exact_split")
-    embed.add_argument("--semi-implicit", action="store_true", default=None,
-                       dest="semi_implicit")
     embed.add_argument("--binary", action="store_true", default=None)
-    embed.add_argument("--hidden-edges", type=str, default=None, dest="hidden_edges",
+    embed.add_argument("--hidden-edges", type=str, default=None,
                        help="file of 'u v' pairs to hide instead of sampling")
     embed.add_argument("--trace", type=str, default=None,
                        help="CSV of per-step mean |V| and loss (its cost is "
                             "part of solver_ms)")
     embed.set_defaults(fn=cmd_embed)
 
-    evalp = sub.add_parser("eval", allow_abbrev=False, parents=[output, configured],
+    evalp = sub.add_parser("eval", allow_abbrev=False,
+                           parents=[output, configured, simulating],
                            help="score hidden-edge predictions")
     evalp.add_argument("--threads", type=int, default=None,
                        help="worker threads for independent runs")
     evalp.add_argument("--embeddings")
     evalp.add_argument("--params")
-    evalp.add_argument("--input")
-    evalp.add_argument("--graph")
-    evalp.add_argument("--format", choices=["plain", "rating_csv"], default=None)
-    for name, typ in [("k", int), ("dt", float), ("damping", float),
-                      ("n-steps", int), ("mu", float), ("p-hidden", float)]:
-        evalp.add_argument(f"--{name}", type=typ, default=None,
-                           dest=name.replace("-", "_"))
     evalp.add_argument("--seeds", type=str, default=None,
                        help="comma-separated seeds for multi-run aggregation")
-    evalp.add_argument("--exact-split", action="store_true", default=None,
-                       dest="exact_split")
-    evalp.add_argument("--semi-implicit", action="store_true", default=None,
-                       dest="semi_implicit")
     evalp.add_argument("--calibrate", action="store_true", default=None,
                        help="fit the distance classifier on visible edges "
                             "instead of the fixed threshold")
@@ -592,8 +577,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma list of N:M pairs")
     benchp.add_argument("--ks", type=str, default=None, help="comma list of dims")
     benchp.add_argument("--reps", type=int, default=None)
-    benchp.add_argument("--model", choices=["spring", "spring-nn"], default=None)
-    benchp.add_argument("--sim-steps", type=int, default=None, dest="sim_steps")
+    benchp.add_argument("--model", choices=MODELS, default=None)
+    benchp.add_argument("--sim-steps", type=int, default=None)
     benchp.set_defaults(fn=cmd_bench)
 
     return parser

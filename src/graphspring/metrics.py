@@ -10,6 +10,10 @@ from scipy.special import expit
 
 from .graphs import SignedGraph
 
+# the reported metrics in table order: (column heading, MetricsReport field)
+METRICS = (("F1-MI", "f1_micro"), ("F1-MA", "f1_macro"), ("F1-WT", "f1_weighted"),
+           ("F1-BI", "f1_binary"), ("AUC-P", "auc_p"), ("AUC-L", "auc_l"))
+
 
 @dataclass(frozen=True)
 class PredictionSet:
@@ -41,12 +45,14 @@ class MetricsReport:
 
     def to_table(self) -> str:
         """Aligned text table with the conventional percentage scaling."""
-        names = ["F1-MI", "F1-MA", "F1-WT", "F1-BI", "AUC-P", "AUC-L"]
-        values = [self.f1_micro, self.f1_macro, self.f1_weighted,
-                  self.f1_binary, self.auc_p, self.auc_l]
-        head = "  ".join(f"{n:>7}" for n in names)
-        body = "  ".join(f"{100.0 * x:7.2f}" for x in values)
+        head = "  ".join(f"{name:>7}" for name, _ in METRICS)
+        body = "  ".join(f"{100.0 * getattr(self, field):7.2f}" for _, field in METRICS)
         return head + "\n" + body + "\n"
+
+
+def predict_prob(dist, mu: float):
+    """Probability that an edge is positive: logistic in (mu - dist)."""
+    return expit(mu - np.asarray(dist, dtype=np.float64))
 
 
 def edge_distances(graph: SignedGraph, edges: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -94,7 +100,7 @@ def predict(graph: SignedGraph, hidden_set: np.ndarray, X: np.ndarray,
         raise ValueError("hidden set is empty, nothing to predict")
     dist = edge_distances(graph, hidden_set, X)
     if calibration is None:
-        prob = expit(mu - dist)
+        prob = predict_prob(dist, mu)
     else:
         slope, intercept = calibration
         prob = expit(slope * dist + intercept)
@@ -205,9 +211,17 @@ def aggregate_reports(reports: list[MetricsReport]) -> dict:
     if not reports:
         raise ValueError("no reports to aggregate")
     out: dict = {"n_runs": len(reports)}
-    for name in ("f1_micro", "f1_macro", "f1_weighted", "f1_binary",
-                 "auc_p", "auc_l"):
+    for _, name in METRICS:
         values = np.array([getattr(r, name) for r in reports], dtype=np.float64)
         out[f"{name}_mean"] = float(values.mean())
         out[f"{name}_std"] = float(values.std())
     return out
+
+
+def aggregate_table(agg: dict) -> str:
+    """Aligned text table of each metric's mean ± std from `aggregate_reports`."""
+    head = "  ".join(f"{name:>14}" for name, _ in METRICS)
+    body = "  ".join(
+        f"{100 * agg[field + '_mean']:8.2f}±{100 * agg[field + '_std']:.2f}".rjust(14)
+        for _, field in METRICS)
+    return head + "\n" + body + "\n"

@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import expit
 
 from . import rng
 from .artifacts import atomic_write
@@ -23,17 +22,12 @@ from .forces import (ForceParams, decode_flat, encode_flat, init_params,
                      params_from_json, params_to_json)
 from .forcefield import FieldContext, force_field_vjp, prepare
 from .graphs import NodeStatics, SignedGraph, compute_node_statics
-from .metrics import auc, f1_scores, predict
+from .metrics import auc, f1_scores, predict, predict_prob
 from .simulate import (SimConfig, SimState, SimulationDivergedError, init_state,
                        simulate, worst_node)
 
 EPOCH_INIT_TAG = "epoch-init"
 VAL_TAG = "val-hide"
-
-
-def predict_prob(dist, mu: float):
-    """Probability that an edge is positive: logistic in (mu - dist)."""
-    return expit(mu - np.asarray(dist, dtype=np.float64))
 
 
 @dataclass(frozen=True)

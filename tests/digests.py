@@ -11,21 +11,34 @@ It digests the loss, gradient and final X and V of `loss_and_grad` and the
 final state of `simulate` for both models, both orderings, k in {8, 64}, with
 and without coincident endpoints (on the first, a middle and the last edge,
 starting at t_step 3), and the per-epoch loss, auc_l and f1_macro and the
-`params.json` bytes of a 3-epoch `train` for both models.  The file name keeps
-pytest from collecting it.
+`params.json` bytes of a 3-epoch `train` for both models.  Then, in a temporary
+directory on the synthetic graph's dump, it runs the command-line `train` (both
+models), `embed` (text, binary and with `--hidden-edges`) and `eval` (with
+`--params` over two seeds, and with `--embeddings`), and digests the bytes of
+every artifact they write, leaving out the wall-clock columns; of each
+`manifest.json`, which holds temporary paths, it digests the `config` dict
+(sorted keys) and prints the `config_hash`.  The file name keeps pytest from
+collecting it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
 from graphspring import (LossConfig, SimConfig, SimState, SpringParams,
-                         TrainConfig, compute_node_statics, init_params,
-                         init_state, loss_and_grad, params_to_json, prepare,
-                         simulate, train)
+                         TrainConfig, compute_node_statics, dump_graph,
+                         init_params, init_state, loss_and_grad, params_to_json,
+                         prepare, simulate, train)
 from graphspring.bench import synthetic_graph
+from graphspring.cli import main as cli_main
 
 N_NODES, N_EDGES, N_STEPS = 300, 1200, 30
 # rest lengths either side of the typical distances at k = 8 and k = 64, so the
@@ -59,6 +72,60 @@ def start_state(graph, cfg: SimConfig, tied: bool) -> SimState:
     return SimState(X, state.V, 3)
 
 
+def bytes_digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def artifact_digest(path: Path) -> str:
+    if path.name == "manifest.json":
+        manifest = json.loads(path.read_text())
+        config = json.dumps(manifest["config"], sort_keys=True).encode()
+        return f"config {bytes_digest(config)} config_hash {manifest['config_hash']}"
+    if path.name in ("history.csv", "embed_meta.json"):   # drop the wall-clock times
+        text = path.read_text()
+        if path.name == "history.csv":
+            kept = [row[:-1] for row in csv.reader(io.StringIO(text))]
+        else:
+            kept = {k: v for k, v in json.loads(text).items() if k != "solver_ms"}
+        return bytes_digest(json.dumps(kept).encode())
+    return bytes_digest(path.read_bytes())
+
+
+def cli_runs(tmp: Path, graph):
+    """(name, argv) of the command-line runs, each writing to tmp / name."""
+    dump, full, hide = tmp / "graph.txt", tmp / "full.txt", tmp / "hide.txt"
+    dump.write_text(dump_graph(graph))
+    # eval --params hides signs itself, so it reads the graph with all signs shown
+    full.write_text(dump_graph(graph.with_observed(graph.true_sign)))
+    hide.write_text("".join(f"{graph.u[e]} {graph.v[e]}\n" for e in (0, 5, 17)))
+    steps = ["--k", 8, "--n-steps", N_STEPS]
+    sim = ["--graph", dump, *steps]
+    params = tmp / "train-spring-nn" / "params.json"
+    for kind in ("spring", "spring-nn"):
+        yield f"train-{kind}", ["train", *sim, "--model", kind, "--epochs", 3, "--seed", 3]
+    embed = ["embed", "--params", params, *sim, "--seed", 4]
+    yield "embed-text", embed
+    yield "embed-binary", [*embed, "--binary"]
+    yield "embed-hidden-edges", [*embed, "--hidden-edges", hide]
+    yield "eval-params", ["eval", "--params", params, "--graph", full, *steps,
+                          "--seeds", "1,2"]
+    yield "eval-embeddings", ["eval", "--embeddings", tmp / "embed-text" / "embeddings.txt",
+                              "--graph", dump]
+
+
+def cli_digests(graph) -> None:
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        for run, argv in cli_runs(tmp, graph):
+            out = tmp / run
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli_main([str(a) for a in argv] + ["--out", str(out)])
+            if code != 0:
+                raise SystemExit(f"{run} exited {code}")
+            for path in sorted(out.iterdir()):
+                print(f"cli {run:18} {path.name:16} {artifact_digest(path)}")
+
+
 def main() -> None:
     graph = synthetic_graph(N_NODES, N_EDGES, seed=11)
     statics = compute_node_statics(graph)
@@ -82,7 +149,8 @@ def main() -> None:
               f"loss {digest([h.loss for h in history])} "
               f"auc_l {digest([h.auc_l for h in history])} "
               f"f1_macro {digest([h.f1_macro for h in history])} "
-              f"params.json {hashlib.sha256(params_to_json(params).encode()).hexdigest()[:16]}")
+              f"params.json {bytes_digest(params_to_json(params).encode())}")
+    cli_digests(graph)
 
 
 if __name__ == "__main__":

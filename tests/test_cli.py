@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -385,6 +386,70 @@ def test_manifest_replay_rejects_unknown_config_keys(toy_csv, tmp_path, capsys):
     assert run_cli("embed", "--from-manifest", stale, "--out", tmp_path / "e3") == 1
     assert "float32" in capsys.readouterr().err
     assert not (tmp_path / "e3").exists()
+
+
+@pytest.mark.parametrize("flag,text", [
+    ("--from-manifest", '{"tool": "graphspring"}'),
+    ("--from-manifest", "[1, 2]"),
+    ("--from-manifest", '{"config": [], "input_paths": {}}'),
+    ("--from-manifest", '{"config": {}}'),
+    ("--from-manifest", '{"config": {}, "input_paths": {"input": 3}}'),
+    ("--from-manifest", "{not json"),
+    ("--config", "[1]"),
+    ("--config", '"k"'),
+    ("--config", ""),
+])
+def test_malformed_manifest_or_config_exits_1_naming_the_file(flag, text, tmp_path,
+                                                              capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    for command in ("train", "embed", "eval", "bench"):
+        assert run_cli(command, flag, path, "--out", tmp_path / "o") == 1, command
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err, (command, err)
+    assert not (tmp_path / "o").exists()
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_replay_reads_the_hidden_edges_file(toy_csv, tmp_path):
+    ing = tmp_path / "ing"
+    run_cli("ingest", "--input", toy_csv, "--format", "rating_csv", "--out", ing)
+    graph = parse_graph_dump((ing / "graph.txt").read_text())
+    listed = tmp_path / "hide.txt"
+    listed.write_text(f"{graph.u[0]} {graph.v[0]}\n{graph.u[3]} {graph.v[3]}\n")
+    params = tmp_path / "params.json"
+    params.write_text(params_to_json(init_params("spring-nn", seed=2)))
+    first, replay = tmp_path / "e1", tmp_path / "e2"
+    assert run_cli("embed", "--params", params, "--graph", ing / "graph.txt",
+                   "--hidden-edges", listed, "--k", "3", "--n-steps", "4",
+                   "--seed", "2", "--out", first) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    assert manifest["inputs"][str(listed)] == sha256(listed)
+    assert run_cli("embed", "--from-manifest", first / "manifest.json",
+                   "--out", replay) == 0
+    assert (first / "embeddings.txt").read_bytes() == \
+        (replay / "embeddings.txt").read_bytes()
+
+
+def test_replay_reads_the_resumed_checkpoint(toy_csv, tmp_path):
+    common = ["--input", toy_csv, "--format", "rating_csv", "--model", "spring",
+              "--k", "3", "--n-steps", "4", "--seed", "1"]
+    first, resumed, replay = tmp_path / "t1", tmp_path / "t2", tmp_path / "t3"
+    assert run_cli("train", *common, "--epochs", "2", "--lr", "0.2",
+                   "--checkpoint-every", "1", "--out", first) == 0
+    checkpoint = first / "checkpoint.json"
+    # the checkpoint carries Adam's lr of 0.2; the resumed run's own lr is the default
+    assert run_cli("train", *common, "--epochs", "4", "--resume", checkpoint,
+                   "--out", resumed) == 0
+    manifest = json.loads((resumed / "manifest.json").read_text())
+    assert manifest["inputs"][str(checkpoint)] == sha256(checkpoint)
+    assert run_cli("train", "--from-manifest", resumed / "manifest.json",
+                   "--out", replay) == 0
+    assert (resumed / "params.json").read_bytes() == \
+        (replay / "params.json").read_bytes()
 
 
 def test_train_divergence_keeps_the_last_good_checkpoint(toy_csv, tmp_path, capsys):
