@@ -10,8 +10,10 @@ Each shared setting is declared in one place: the simulating commands (train,
 embed and eval) take their common flags from one parent parser and their
 common defaults from `SIM_DEFAULTS`, whose values come from the library's
 config classes.  `_start` is the one resolver of a run's input files: a flag
-wins over the manifest's `input_paths`, and the new manifest records and
-hashes every file the run reads.
+wins over the manifest's `input_paths`, a file taken from the manifest must
+still have its recorded hash, and the new manifest records and hashes every
+file the run reads.  `_split` is the one rule by which train, embed and eval
+choose the signs a run hides.
 """
 
 from __future__ import annotations
@@ -118,11 +120,12 @@ def _load_json_object(path: str, what: str) -> dict:
 
 def _load_manifest(path: str) -> dict:
     manifest = _load_json_object(path, "manifest")
-    paths = manifest.get("input_paths")
-    if not (isinstance(manifest.get("config"), dict) and isinstance(paths, dict)
-            and all(isinstance(p, str) for p in paths.values())):
-        raise ValueError(f"manifest {path} needs a 'config' object and an "
-                         f"'input_paths' object of strings")
+    if not (isinstance(manifest.get("config"), dict) and all(
+            isinstance(manifest.get(key), dict)
+            and all(isinstance(v, str) for v in manifest[key].values())
+            for key in ("input_paths", "inputs"))):
+        raise ValueError(f"manifest {path} needs a 'config' object and "
+                         f"'input_paths' and 'inputs' objects of strings")
     return manifest
 
 
@@ -156,14 +159,22 @@ def _start(args: argparse.Namespace, defaults: dict) -> tuple[dict, dict, Path]:
     """Settings, input files and output directory of a train, embed or eval run.
 
     An input file's flag wins over the manifest's `input_paths`; the returned
-    inputs go to the new manifest, which hashes each of them, so a replay of
-    it reads the same files.
+    inputs go to the new manifest, which hashes each of them.  A replay refuses
+    a file taken from the manifest whose hash is not the one recorded.
     """
     manifest = _load_manifest(args.from_manifest) if args.from_manifest else None
     config = _resolve(defaults, args, args.config, manifest)
+    if "split_seed" in config and config["split_seed"] is None:
+        config["split_seed"] = config["seed"]
     recorded = (manifest or {}).get("input_paths", {})
     inputs = {key: getattr(args, key) or recorded.get(key)
               for key in INPUTS if hasattr(args, key)}
+    for key, path in inputs.items():
+        if path and not getattr(args, key):
+            want, got = manifest["inputs"].get(path), _sha256(path)
+            if got != want:
+                raise ValueError(f"input {path} has SHA-256 {got}, but the "
+                                 f"manifest recorded {want}")
     config["format"] = args.format or (manifest or {}).get("config", {}).get(
         "format", "plain")
     return config, inputs, Path(args.out or "run")
@@ -205,10 +216,22 @@ def _load_graph(paths: dict, fmt: str) -> SignedGraph:
     return to_undirected(stage)
 
 
-def _maybe_hide(graph: SignedGraph, p_hidden, split_seed, exact: bool):
-    if p_hidden is None:
-        return graph, graph.hidden_edges()
-    return hide_signs(graph, SplitSpec(float(p_hidden), int(split_seed), exact))
+def _split(graph: SignedGraph, config: dict, seed: int) -> tuple[SignedGraph, np.ndarray]:
+    """How train, embed and eval choose the hidden signs: a graph that hides a
+    sign keeps its split, a null p_hidden hides none, else `seed` draws them."""
+    hidden = graph.hidden_edges()
+    if hidden.size or config["p_hidden"] is None:
+        return graph, hidden
+    return hide_signs(graph, SplitSpec(config["p_hidden"], seed, config["exact_split"]))
+
+
+def _load_params(path: str):
+    try:
+        return params_from_json(Path(path).read_text(encoding="utf-8"))
+    except KeyError as err:
+        raise ValueError(f"parameter file {path} has no {err} entry") from None
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"parameter file {path}: {err}") from None
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -257,12 +280,9 @@ def cmd_split(args) -> int:
 
 def cmd_train(args) -> int:
     config, inputs, out = _start(args, TRAIN_DEFAULTS)
-    graph = _load_graph(inputs, config["format"])
-    if config["split_seed"] is None:
-        config["split_seed"] = config["seed"]
-    if not inputs["graph"]:
-        graph, _ = _maybe_hide(graph, config["p_hidden"], config["split_seed"],
-                               config["exact_split"])
+    graph, _ = _split(_load_graph(inputs, config["format"]), config,
+                      config["split_seed"])
+    resume = load_checkpoint(inputs["resume"]) if inputs["resume"] else None
 
     artifacts = {"params": out / "params.json", "history": out / "history.csv"}
     _write_manifest(out, "train", config, inputs, artifacts)
@@ -275,7 +295,6 @@ def cmd_train(args) -> int:
         clip_lo=config["clip_lo"], clip_hi=config["clip_hi"], seed=config["seed"],
         init_policy=config["init_policy"], val_fraction=config["val_fraction"])
 
-    resume = load_checkpoint(inputs["resume"]) if inputs["resume"] else None
     every = config["checkpoint_every"]
     last_good = resume
 
@@ -309,12 +328,9 @@ def cmd_embed(args) -> int:
     if not inputs["params"]:
         raise ValueError("--params is required")
 
-    params = params_from_json(Path(inputs["params"]).read_text(encoding="utf-8"))
-    graph = _load_graph(inputs, config["format"])
-    split_seed = config["split_seed"] if config["split_seed"] is not None else config["seed"]
-    if not inputs["graph"]:
-        graph, _ = _maybe_hide(graph, config["p_hidden"], split_seed,
-                               config["exact_split"])
+    params = _load_params(inputs["params"])
+    graph, _ = _split(_load_graph(inputs, config["format"]), config,
+                      config["split_seed"])
     if inputs["hidden_edges"]:
         graph = _hide_listed(graph, inputs["hidden_edges"])
 
@@ -401,18 +417,16 @@ def _hide_listed(graph: SignedGraph, path: str) -> SignedGraph:
 
 def _eval_one(graph: SignedGraph, params, config: dict, seed: int,
               config_hash: str):
-    sim_seed = int(seed)
-    hidden_graph, hidden = _maybe_hide(graph, config["p_hidden"], sim_seed,
-                                       config["exact_split"])
+    hidden_graph, hidden = _split(graph, config, seed)
     if hidden.size == 0:
         raise ValueError("no hidden edges to evaluate")
     statics = compute_node_statics(hidden_graph)
-    sim = _sim_config(config, sim_seed)
+    sim = _sim_config(config, seed)
     state = init_state(hidden_graph.n_nodes, sim)
     final = simulate(state, hidden_graph, statics, params, sim)
     calibration = calibrate_on_visible(hidden_graph, final.X) \
         if config["calibrate"] else None
-    return evaluate(hidden_graph, hidden, final.X, config["mu"], seed=sim_seed,
+    return evaluate(hidden_graph, hidden, final.X, config["mu"], seed=seed,
                     config_hash=config_hash, calibration=calibration)
 
 
@@ -427,7 +441,7 @@ def cmd_eval(args) -> int:
         X = (read_embeddings_binary(emb_path) if str(emb_path).endswith(".bin")
              else read_embeddings_text(emb_path))
         if X.shape[0] != graph.n_nodes:
-            raise ValueError(f"embedding file has {X.shape[0]} rows, "
+            raise ValueError(f"embedding file {emb_path} has {X.shape[0]} rows, "
                              f"graph has {graph.n_nodes} nodes")
         _write_manifest(out, "eval", config, inputs, {"report": out / "report.json"})
         calibration = calibrate_on_visible(graph, X) if config["calibrate"] else None
@@ -436,7 +450,7 @@ def cmd_eval(args) -> int:
         _write_text(out / "report.json", report.to_json())
         table = report.to_table()
     else:
-        params = params_from_json(Path(inputs["params"]).read_text(encoding="utf-8"))
+        params = _load_params(inputs["params"])
         seeds = [int(tok) for tok in config["seeds"].split(",") if tok != ""]
         _write_manifest(out, "eval", config, inputs,
                         {"reports": out / "report_<seed>.json",

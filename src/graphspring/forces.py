@@ -346,7 +346,7 @@ def params_to_json(params: ForceParams) -> str:
 
 def params_from_json(text: str) -> ForceParams:
     doc = json.loads(text)
-    if doc.get("format") != PARAMS_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != PARAMS_FORMAT:
         raise ValueError("not a parameter file")
     if doc.get("version") != PARAMS_VERSION:
         raise ValueError(f"unsupported parameter file version {doc.get('version')}")

@@ -13,6 +13,8 @@ from .graphs import SignedGraph
 # the reported metrics in table order: (column heading, MetricsReport field)
 METRICS = (("F1-MI", "f1_micro"), ("F1-MA", "f1_macro"), ("F1-WT", "f1_weighted"),
            ("F1-BI", "f1_binary"), ("AUC-P", "auc_p"), ("AUC-L", "auc_l"))
+# the iteration cap of `fit_distance_calibration`'s Newton solve
+CALIBRATION_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,7 @@ def edge_distances(graph: SignedGraph, edges: np.ndarray, X: np.ndarray) -> np.n
     return np.sqrt(((X[v] - X[u]) ** 2).sum(axis=1))
 
 
-def fit_distance_calibration(dist: np.ndarray, positive: np.ndarray,
-                             max_iter: int = 50) -> tuple[float, float]:
+def fit_distance_calibration(dist: np.ndarray, positive: np.ndarray) -> tuple[float, float]:
     """Logistic regression of the positive-sign indicator on edge distance.
 
     Returns (slope, intercept) for prob = sigmoid(slope * dist + intercept);
@@ -75,7 +76,7 @@ def fit_distance_calibration(dist: np.ndarray, positive: np.ndarray,
         raise ValueError("calibration needs visible edges of both signs")
     design = np.column_stack([dist, np.ones_like(dist)])
     w = np.zeros(2)
-    for _ in range(max_iter):
+    for _ in range(CALIBRATION_MAX_ITER):
         p = expit(design @ w)
         gradient = design.T @ (y - p)
         curvature = p * (1.0 - p)

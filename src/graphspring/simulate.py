@@ -148,11 +148,30 @@ def write_embeddings_text(path, X: np.ndarray) -> None:
 
 
 def read_embeddings_text(path) -> np.ndarray:
+    """Read `write_embeddings_text`'s format; a malformed file raises ValueError
+    naming it and, for a bad header or row, the line."""
     with open(path, "r", encoding="utf-8") as fh:
-        n, k = (int(tok) for tok in fh.readline().split())
-        X = np.loadtxt(fh, dtype=np.float64, ndmin=2)
+        try:
+            n, k = (int(tok) for tok in fh.readline().split())
+        except ValueError:
+            raise ValueError(f"{path}:1: expected the header 'n k'") from None
+        try:
+            X = np.loadtxt(fh, dtype=np.float64, ndmin=2)
+        except ValueError as err:
+            # numpy's row numbers do not count the blank and comment lines it skips
+            fh.seek(0)
+            fh.readline()
+            for lineno, line in enumerate(fh, 2):
+                row = line.split("#", 1)[0].split()
+                try:
+                    ok = len([float(tok) for tok in row]) in (0, k)
+                except ValueError:
+                    ok = False
+                if not ok:
+                    raise ValueError(f"{path}:{lineno}: expected {k} numbers") from None
+            raise ValueError(f"{path}: {err}") from None
     if X.shape != (n, k):
-        raise ValueError(f"embedding file header says {(n, k)}, data is {X.shape}")
+        raise ValueError(f"embedding file {path} header says {(n, k)}, data is {X.shape}")
     return X
 
 
@@ -169,15 +188,16 @@ def read_embeddings_binary(path) -> np.ndarray:
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
-            raise ValueError("not an embedding file (bad magic)")
+            raise ValueError(f"{path} is not an embedding file (bad magic)")
         header = fh.read(20)
         if len(header) != 20:
-            raise ValueError("embedding file ends inside its header")
+            raise ValueError(f"embedding file {path} ends inside its header")
         version, n, k = struct.unpack("<IQQ", header)
         if version != 1:
-            raise ValueError(f"unsupported embedding file version {version}")
+            raise ValueError(f"embedding file {path} has unsupported version {version}")
         if os.fstat(fh.fileno()).st_size - fh.tell() < 8 * n * k:
-            raise ValueError(f"embedding file is shorter than its {n} x {k} header says")
+            raise ValueError(f"embedding file {path} is shorter than its {n} x {k} "
+                             f"header says")
         data = np.frombuffer(fh.read(8 * n * k), dtype="<f8")
     return data.reshape(n, k).astype(np.float64)
 

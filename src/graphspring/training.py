@@ -244,7 +244,6 @@ def _validation_metrics(graph: SignedGraph, val_edges: np.ndarray,
 
 
 def train(graph: SignedGraph, statics: NodeStatics | None, cfg: TrainConfig,
-          params0: ForceParams | None = None,
           resume: "Checkpoint | None" = None,
           on_epoch=None,
           ) -> tuple[ForceParams, list[EpochStats]]:
@@ -269,8 +268,7 @@ def train(graph: SignedGraph, statics: NodeStatics | None, cfg: TrainConfig,
         adam = resume.adam
         start_epoch = resume.epoch
     else:
-        params = params0 if params0 is not None else init_params(
-            cfg.model_kind, rng.derive_seed(cfg.seed, "param-init"))
+        params = init_params(cfg.model_kind, rng.derive_seed(cfg.seed, "param-init"))
         adam = AdamState.fresh(params.flatten().shape[0], cfg.lr)
         start_epoch = 0
 
@@ -337,14 +335,22 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a `save_checkpoint` file; a malformed one raises ValueError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != CHECKPOINT_FORMAT or doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError("not a supported checkpoint file")
-    params = params_from_json(json.dumps(doc["params"]))
-    n = params.n_params
-    a = doc["adam"]
-    adam = AdamState(lr=a["lr"], beta1=a["beta1"], beta2=a["beta2"],
-                     eps_hat=a["eps_hat"], m=decode_flat(a["m_b64"], n),
-                     v=decode_flat(a["v_b64"], n), t=a["t"])
-    return Checkpoint(params=params, adam=adam, epoch=doc["epoch"])
+        text = fh.read()
+    try:
+        doc = json.loads(text)
+        if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT \
+                or doc.get("version") != CHECKPOINT_VERSION:
+            raise ValueError("not a supported checkpoint file")
+        params = params_from_json(json.dumps(doc["params"]))
+        n = params.n_params
+        a = doc["adam"]
+        adam = AdamState(lr=a["lr"], beta1=a["beta1"], beta2=a["beta2"],
+                         eps_hat=a["eps_hat"], m=decode_flat(a["m_b64"], n),
+                         v=decode_flat(a["v_b64"], n), t=a["t"])
+        return Checkpoint(params=params, adam=adam, epoch=doc["epoch"])
+    except KeyError as err:
+        raise ValueError(f"checkpoint {path} has no {err} entry") from None
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"checkpoint {path}: {err}") from None

@@ -1,0 +1,85 @@
+"""Mutation checks: small faults in the library that named tests must catch.
+
+Each entry of `MUTANTS` is (file under src/graphspring, exact old text, new
+text, tests that must fail).  For each one the script copies `src/` to a
+temporary directory, applies the edit there (the old text must occur exactly
+once), and runs the named tests with `PYTHONPATH` pointing at the copy.  A
+mutant survives when those tests all pass.  The script prints one line per
+mutant and exits 1 if any survives or no longer applies.  Run it from anywhere:
+
+    python tests/mutants.py
+
+A change to a VJP, the parser or the split rule adds its mutants here.  The
+file name keeps pytest from collecting it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+MUTANTS = [
+    # the one split rule resamples a dump that already hides signs
+    ("cli.py", 'if hidden.size or config["p_hidden"] is None:',
+     'if config["p_hidden"] is None:',
+     ["tests/test_cli.py::test_train_embed_and_eval_hide_the_same_signs"]),
+    # a replay skips the hash comparison of its recorded inputs
+    ("cli.py", "if got != want:", "if False:",
+     ["tests/test_cli.py::test_replay_refuses_an_input_whose_hash_changed",
+      "tests/test_cli.py::test_replay_of_a_run_that_overwrote_its_resumed_checkpoint_exits_1"]),
+    # the positive spring's VJP counts the kink d = l_pos as stretched
+    ("forces.py", "active = dist > p.l_pos", "active = dist >= p.l_pos",
+     ["tests/test_forcefield.py::test_vjp_at_kinks_matches_the_one_sided_difference"]),
+    # the force-field VJP drops the d-path term of the edge length
+    ("forcefield.py", "    ddist -= up_fwd * c_fwd + up_rev * c_rev\n", "",
+     ["tests/test_forcefield.py::test_vjp_matches_finite_differences",
+      "tests/test_forcefield.py::test_vjp_property_central_differences"]),
+    # the Euler update reads damping 0.05 as 0.049
+    ("simulate.py", "V *= 1.0 - config.damping", "V *= 1.0 - 0.049",
+     ["tests/test_acceptance.py::test_c05_two_body_oracle"]),
+]
+
+
+def run_mutant(path: str, old: str, new: str, tests: list[str]) -> str:
+    """'killed', 'SURVIVED' or 'ERROR: ...' for one mutant."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src,
+                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        target = src / "graphspring" / path
+        text = target.read_text(encoding="utf-8")
+        if text.count(old) != 1:
+            return f"ERROR: the old text occurs {text.count(old)} times"
+        target.write_text(text.replace(old, new, 1), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             *tests], cwd=ROOT, env=env, capture_output=True, text=True)
+    if result.returncode == 0:
+        return "SURVIVED"
+    if result.returncode == 1:
+        return "killed"
+    last = (result.stdout.strip().splitlines() or ["no output"])[-1]
+    return f"ERROR: pytest exited {result.returncode}: {last}"
+
+
+def main() -> int:
+    bad = 0
+    for path, old, new, tests in MUTANTS:
+        outcome = run_mutant(path, old, new, tests)
+        bad += outcome != "killed"
+        edit = f"{old.strip()!r} -> {new.strip()!r}"
+        print(f"{outcome:9} {path:14} {edit}", flush=True)
+    print(f"{len(MUTANTS)} mutants, {len(MUTANTS) - bad} killed, {bad} not")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,9 +7,11 @@ import sys
 import numpy as np
 import pytest
 
-from graphspring import dump_graph, parse_graph_dump
+from graphspring import (SplitSpec, dump_graph, hide_signs, parse_graph_dump,
+                         write_embeddings_text)
 from graphspring.cli import _hide_listed, _resolve, main
 from graphspring.forces import SpringParams, init_params, params_to_json
+from graphspring.training import AdamState, Checkpoint, save_checkpoint
 
 from conftest import hidden_toy
 
@@ -394,6 +396,8 @@ def test_manifest_replay_rejects_unknown_config_keys(toy_csv, tmp_path, capsys):
     ("--from-manifest", '{"config": [], "input_paths": {}}'),
     ("--from-manifest", '{"config": {}}'),
     ("--from-manifest", '{"config": {}, "input_paths": {"input": 3}}'),
+    ("--from-manifest", '{"config": {}, "input_paths": {}}'),
+    ("--from-manifest", '{"config": {}, "input_paths": {}, "inputs": {"a": 3}}'),
     ("--from-manifest", "{not json"),
     ("--config", "[1]"),
     ("--config", '"k"'),
@@ -450,6 +454,124 @@ def test_replay_reads_the_resumed_checkpoint(toy_csv, tmp_path):
                    "--out", replay) == 0
     assert (resumed / "params.json").read_bytes() == \
         (replay / "params.json").read_bytes()
+
+
+def test_replay_refuses_an_input_whose_hash_changed(toy_csv, tmp_path, capsys):
+    ing = tmp_path / "ing"
+    run_cli("ingest", "--input", toy_csv, "--format", "rating_csv", "--out", ing)
+    dump = ing / "graph.txt"
+    first = tmp_path / "t1"
+    assert run_cli("train", "--graph", dump, "--model", "spring", "--k", "3",
+                   "--epochs", "1", "--n-steps", "2", "--out", first) == 0
+    recorded = sha256(dump)
+    with dump.open("a") as fh:
+        fh.write("# changed\n")
+    capsys.readouterr()
+    assert run_cli("train", "--from-manifest", first / "manifest.json",
+                   "--out", tmp_path / "t2") == 1
+    err = capsys.readouterr().err
+    assert str(dump) in err and recorded in err and sha256(dump) in err
+    assert not (tmp_path / "t2").exists()
+    # a file given by flag replaces the recorded one, so its hash is not checked
+    assert run_cli("train", "--from-manifest", first / "manifest.json",
+                   "--graph", dump, "--out", tmp_path / "t3") == 0
+
+
+def test_replay_of_a_run_that_overwrote_its_resumed_checkpoint_exits_1(
+        toy_csv, tmp_path, capsys):
+    common = ["--input", toy_csv, "--format", "rating_csv", "--model", "spring",
+              "--k", "3", "--n-steps", "4", "--seed", "1", "--checkpoint-every", "1"]
+    run = tmp_path / "A"
+    assert run_cli("train", *common, "--epochs", "2", "--out", run) == 0
+    assert run_cli("train", *common, "--epochs", "4", "--resume",
+                   run / "checkpoint.json", "--out", run) == 0
+    capsys.readouterr()
+    assert run_cli("train", "--from-manifest", run / "manifest.json",
+                   "--out", tmp_path / "B") == 1
+    assert str(run / "checkpoint.json") in capsys.readouterr().err
+    assert not (tmp_path / "B").exists()
+
+
+@pytest.mark.parametrize("source", ["edge-list", "full-dump", "split-dump"])
+@pytest.mark.parametrize("command", ["train", "embed", "eval"])
+def test_train_embed_and_eval_hide_the_same_signs(command, source, toy_csv, tmp_path,
+                                                  monkeypatch):
+    """A dump that hides signs keeps its split; otherwise p_hidden is drawn with
+    the split seed (train and embed) or the run's seed (eval)."""
+    import graphspring.cli as cli
+    ing, spl = tmp_path / "ing", tmp_path / "spl"
+    run_cli("ingest", "--input", toy_csv, "--format", "rating_csv", "--out", ing)
+    run_cli("split", "--graph", ing / "graph.txt", "--p-hidden", "0.4",
+            "--split-seed", "9", "--out", spl)
+    params = tmp_path / "params.json"
+    params.write_text(params_to_json(SpringParams()))
+    seen = []
+
+    def recording(real, at):
+        def wrapper(*args, **kwargs):
+            seen.append(args[at].hidden_edges())
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "train", recording(cli.train, 0))
+    monkeypatch.setattr(cli, "simulate", recording(cli.simulate, 1))
+    argv, p_hidden = {
+        "train": (["train", "--model", "spring", "--epochs", "1", "--seed", "3"], 0.2),
+        "embed": (["embed", "--params", params, "--p-hidden", "0.3", "--seed", "3"], 0.3),
+        "eval": (["eval", "--params", params, "--seeds", "3"], 0.2),
+    }[command]
+    graph = {"edge-list": ["--input", toy_csv, "--format", "rating_csv"],
+             "full-dump": ["--graph", ing / "graph.txt"],
+             "split-dump": ["--graph", spl / "graph_split.txt"]}[source]
+    assert run_cli(*argv, *graph, "--k", "2", "--n-steps", "2",
+                   "--out", tmp_path / "o") == 0
+    if source == "split-dump":
+        want = parse_graph_dump((spl / "graph_split.txt").read_text()).hidden_edges()
+    else:
+        full = parse_graph_dump((ing / "graph.txt").read_text())
+        want = hide_signs(full, SplitSpec(p_hidden, 3))[1]
+    assert len(seen) == 1 and np.array_equal(seen[0], want)
+
+
+# edits that break a valid parameter file or checkpoint
+JSON_EDITS = {"params-without-data": lambda doc: doc.pop("data_b64"),
+              "params-data-not-text": lambda doc: doc.update(data_b64=3),
+              "checkpoint-without-params": lambda doc: doc.pop("params"),
+              "checkpoint-adam-not-object": lambda doc: doc.update(adam=[])}
+# line edits that break an embedding text file; the last edited line is the bad one
+EMBEDDING_EDITS = {"embeddings-header": {1: "100"},
+                   "embeddings-row": {3: "0 0 x"},
+                   "embeddings-row-after-comment": {2: "# note", 3: "0 0 x"}}
+
+
+@pytest.mark.parametrize("case", [*JSON_EDITS, *EMBEDDING_EDITS])
+def test_malformed_input_file_exits_1_naming_the_file(case, tmp_path, capsys):
+    graph, _ = hidden_toy()
+    dump, path = tmp_path / "graph.txt", tmp_path / "bad"
+    dump.write_text(dump_graph(graph))
+    where = str(path)
+    if case in JSON_EDITS:
+        if case.startswith("params"):
+            path.write_text(params_to_json(SpringParams()))
+            argv = ["embed", "--params", path]
+        else:
+            save_checkpoint(path, Checkpoint(SpringParams(), AdamState.fresh(7, 0.03), 1))
+            argv = ["train", "--model", "spring", "--epochs", "2", "--resume", path]
+        doc = json.loads(path.read_text())
+        JSON_EDITS[case](doc)
+        path.write_text(json.dumps(doc))
+    else:
+        write_embeddings_text(path, np.zeros((graph.n_nodes, 3)))
+        lines = path.read_text().splitlines()
+        for line, text in EMBEDDING_EDITS[case].items():
+            lines[line - 1] = text
+        path.write_text("\n".join(lines) + "\n")
+        argv, where = ["eval", "--embeddings", path], f"{path}:{max(EMBEDDING_EDITS[case])}:"
+    assert run_cli(*argv, "--graph", dump, "--k", "2", "--n-steps", "1",
+                   "--out", tmp_path / "o") == 1
+    err = capsys.readouterr().err
+    assert where in err and "Traceback" not in err, err
+    assert not (tmp_path / "o").exists()
 
 
 def test_train_divergence_keeps_the_last_good_checkpoint(toy_csv, tmp_path, capsys):
