@@ -1,10 +1,11 @@
 """Command-line front end: ingest, split, train, embed, eval, bench.
 
-Every command writes a manifest of the resolved run before doing any long
-work, and exits 0 on success, 1 on runtime failure, 2 on usage errors.  train,
-embed, eval and bench resolve their configuration as CLI flags > --config JSON
-file > built-in defaults, and re-running one of them with --from-manifest
-reproduces the original outputs.
+Every command exits 0 on success, 1 on runtime failure, 2 on usage errors.
+train, embed, eval and bench write a manifest of the resolved run before
+their long work (ingest and split write theirs last, after their outputs),
+and resolve their configuration as CLI flags > --config JSON file > built-in
+defaults; re-running one of them with --from-manifest reproduces the
+original outputs.
 
 Each shared setting is declared in one place: the simulating commands (train,
 embed and eval) take their common flags from one parent parser and their
@@ -32,9 +33,9 @@ import numpy as np
 
 from . import __version__, bench
 from .artifacts import atomic_write
-from .forces import init_params, params_from_json, params_to_json
+from .forces import MODEL_KINDS, init_params, params_from_json, params_to_json
 from .forcefield import prepare
-from .graphs import (SignedGraph, SplitSpec, compute_node_statics, dump_graph,
+from .graphs import (FORMATS, SignedGraph, SplitSpec, compute_node_statics, dump_graph,
                      hide_signs, load_edge_list, parse_graph_dump, to_undirected)
 from .metrics import (aggregate_reports, aggregate_table, calibrate_on_visible,
                       evaluate)
@@ -42,8 +43,9 @@ from .simulate import (SimConfig, SimulationDivergedError, init_state,
                        mean_abs_velocity, read_embeddings_binary,
                        read_embeddings_text, simulate, write_embeddings_binary,
                        write_embeddings_text)
-from .training import (LossConfig, TrainConfig, load_checkpoint, loss,
-                       save_checkpoint, train, write_history_csv)
+from .training import (INIT_POLICIES, LOSS_DOMAINS, TARGET_ENCODINGS, LossConfig,
+                       TrainConfig, load_checkpoint, loss, save_checkpoint, train,
+                       write_history_csv)
 
 # the library's defaults, each written once in its config class
 _TRAIN = TrainConfig()
@@ -76,8 +78,6 @@ BENCH_DEFAULTS = {
 
 # the files a run may read, by the flag that names them
 INPUTS = ("input", "graph", "params", "embeddings", "hidden_edges", "resume")
-FORMATS = ["plain", "rating_csv"]
-MODELS = ["spring", "spring-nn"]
 
 
 def _open_text(path: str):
@@ -520,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulating = _parent(
         ("--input", dict(help="edge list")),
         ("--graph", dict(help="canonical graph dump")),
-        ("--format", dict(choices=FORMATS, default=None)),
+        ("--format", dict(choices=list(FORMATS), default=None)),
         *[(f"--{name}", dict(type=typ, default=None))
           for name, typ in [("k", int), ("dt", float), ("damping", float),
                             ("n-steps", int), ("mu", float), ("p-hidden", float)]],
@@ -531,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     ingest = sub.add_parser("ingest", allow_abbrev=False, parents=[output],
                             help="parse an edge list into the canonical graph dump")
     ingest.add_argument("--input", required=True)
-    ingest.add_argument("--format", choices=FORMATS, default="plain")
+    ingest.add_argument("--format", choices=list(FORMATS), default="plain")
     ingest.set_defaults(fn=cmd_ingest)
 
     split = sub.add_parser("split", allow_abbrev=False,
@@ -539,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="hide a share of edge signs")
     split.add_argument("--input")
     split.add_argument("--graph")
-    split.add_argument("--format", choices=FORMATS, default="plain")
+    split.add_argument("--format", choices=list(FORMATS), default="plain")
     split.add_argument("--p-hidden", type=float, required=True)
     split.add_argument("--exact-split", action="store_true")
     split.set_defaults(fn=cmd_split)
@@ -547,14 +547,13 @@ def build_parser() -> argparse.ArgumentParser:
     trainp = sub.add_parser("train", allow_abbrev=False,
                             parents=[*common, split_seeded, simulating],
                             help="fit force parameters")
-    trainp.add_argument("--model", choices=MODELS, default=None)
+    trainp.add_argument("--model", choices=list(MODEL_KINDS), default=None)
     for name, typ in [("lr", float), ("epochs", int), ("val-fraction", float),
                       ("clip-lo", float), ("clip-hi", float), ("checkpoint-every", int)]:
         trainp.add_argument(f"--{name}", type=typ, default=None)
-    for name, choices in [("init-policy", ["resample_each_epoch", "fixed"]),
-                          ("loss-domain", ["visible_only", "all_edges_oracle"]),
-                          ("target-encoding", ["signed", "zero_one"])]:
-        trainp.add_argument(f"--{name}", choices=choices, default=None)
+    for name, choices in [("init-policy", INIT_POLICIES), ("loss-domain", LOSS_DOMAINS),
+                          ("target-encoding", TARGET_ENCODINGS)]:
+        trainp.add_argument(f"--{name}", choices=list(choices), default=None)
     trainp.add_argument("--resume", type=str, default=None,
                         help="checkpoint file to continue from")
     trainp.set_defaults(fn=cmd_train)
@@ -591,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma list of N:M pairs")
     benchp.add_argument("--ks", type=str, default=None, help="comma list of dims")
     benchp.add_argument("--reps", type=int, default=None)
-    benchp.add_argument("--model", choices=MODELS, default=None)
+    benchp.add_argument("--model", choices=list(MODEL_KINDS), default=None)
     benchp.add_argument("--sim-steps", type=int, default=None)
     benchp.set_defaults(fn=cmd_bench)
 

@@ -144,6 +144,7 @@ class NeuralSpringParams:
 
 
 ForceParams = Union[SpringParams, NeuralSpringParams]
+MODEL_KINDS = (SpringParams.kind, NeuralSpringParams.kind)
 
 
 # --- batched evaluation and vector-Jacobian products -------------------------
@@ -308,7 +309,7 @@ def init_params(kind: str, seed: int = 0) -> ForceParams:
             f_positive=_glorot_mlp(seed, "f+", EDGE_FEATURE_DIM, MLP_HIDDEN_F),
             f_negative=_glorot_mlp(seed, "f-", EDGE_FEATURE_DIM, MLP_HIDDEN_F),
         )
-    raise ValueError(f"unknown model kind {kind!r} (expected 'spring' or 'spring-nn')")
+    raise ValueError(f"unknown model kind {kind!r} (expected one of {list(MODEL_KINDS)})")
 
 
 # --- parameter files -----------------------------------------------------------

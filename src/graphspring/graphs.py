@@ -168,6 +168,7 @@ def _parse_rating_csv(line: str, lineno: int) -> tuple[int, int, int]:
 
 
 _PARSERS = {"plain": _parse_plain, "rating_csv": _parse_rating_csv}
+FORMATS = tuple(_PARSERS)
 
 # lines parsed per chunk: enough that numpy's per-call cost is small against the
 # chunk, few enough that the chunk's line strings and temporaries stay small
@@ -307,7 +308,7 @@ def load_edge_list(source: IO[bytes] | IO[str] | Iterable[str], fmt: str = "plai
     errors; both give the same edges.
     """
     if fmt not in _PARSERS:
-        raise ValueError(f"unknown format {fmt!r} (expected one of {sorted(_PARSERS)})")
+        raise ValueError(f"unknown format {fmt!r} (expected one of {list(FORMATS)})")
     parse = _PARSERS[fmt]
 
     lines = iter(source)
@@ -437,9 +438,9 @@ def compute_node_statics(graph: SignedGraph) -> NodeStatics:
 
 def dump_graph(graph: SignedGraph) -> str:
     """Canonical text dump: '# n_nodes N' then sorted 'u v true observed' lines."""
-    lines = [f"# n_nodes {graph.n_nodes}"]
-    for u, v, t, o in zip(graph.u, graph.v, graph.true_sign, graph.observed_sign):
-        lines.append(f"{u} {v} {t} {o}")
+    rows = zip(graph.u.tolist(), graph.v.tolist(), graph.true_sign.tolist(),
+               graph.observed_sign.tolist())
+    lines = [f"# n_nodes {graph.n_nodes}", *(f"{u} {v} {t} {o}" for u, v, t, o in rows)]
     return "\n".join(lines) + "\n"
 
 

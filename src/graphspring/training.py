@@ -29,19 +29,25 @@ from .simulate import (SimConfig, SimState, SimulationDivergedError, init_state,
 EPOCH_INIT_TAG = "epoch-init"
 VAL_TAG = "val-hide"
 
+# each setting's allowed values, the default first
+LOSS_DOMAINS = ("visible_only", "all_edges_oracle")
+TARGET_ENCODINGS = ("signed", "zero_one")
+INIT_POLICIES = ("resample_each_epoch", "fixed")
+# Adam's constants (Kingma & Ba, ICLR 2015), fixed by the method
+BETA1, BETA2, EPS_HAT = 0.9, 0.999, 1e-8
 
 @dataclass(frozen=True)
 class LossConfig:
     mu: float = 2.5
-    domain: str = "visible_only"          # or "all_edges_oracle"
-    target_encoding: str = "signed"  # or "zero_one"
+    domain: str = LOSS_DOMAINS[0]
+    target_encoding: str = TARGET_ENCODINGS[0]
 
     def __post_init__(self):
         if self.mu <= 0:
             raise ValueError("mu must be positive")
-        if self.domain not in ("visible_only", "all_edges_oracle"):
+        if self.domain not in LOSS_DOMAINS:
             raise ValueError(f"unknown loss domain {self.domain!r}")
-        if self.target_encoding not in ("signed", "zero_one"):
+        if self.target_encoding not in TARGET_ENCODINGS:
             raise ValueError(f"unknown target encoding {self.target_encoding!r}")
 
 
@@ -108,13 +114,13 @@ class TrainConfig:
     clip_lo: float = -1.0
     clip_hi: float = 1.0
     seed: int = 0
-    init_policy: str = "resample_each_epoch"  # or "fixed"
+    init_policy: str = INIT_POLICIES[0]
     val_fraction: float = 0.1
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
-        if self.init_policy not in ("resample_each_epoch", "fixed"):
+        if self.init_policy not in INIT_POLICIES:
             raise ValueError(f"unknown init policy {self.init_policy!r}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in [0, 1)")
@@ -172,33 +178,29 @@ def clip_gradient(g: np.ndarray, lo: float = -1.0, hi: float = 1.0) -> np.ndarra
 
 @dataclass(frozen=True)
 class AdamState:
-    lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_hat: float = 1e-8
-    m: np.ndarray = None  # type: ignore[assignment]
-    v: np.ndarray = None  # type: ignore[assignment]
-    t: int = 0
+    """Adam's moment estimates and step count; the run owns the learning rate."""
+    m: np.ndarray
+    v: np.ndarray
+    t: int
 
     @classmethod
-    def fresh(cls, n_params: int, lr: float) -> "AdamState":
-        return cls(lr=lr, m=np.zeros(n_params), v=np.zeros(n_params), t=0)
+    def fresh(cls, n_params: int) -> "AdamState":
+        return cls(m=np.zeros(n_params), v=np.zeros(n_params), t=0)
 
 
-def adam_step(state: AdamState, params: ForceParams,
-              g: np.ndarray) -> tuple[AdamState, ForceParams]:
+def adam_step(state: AdamState, params: ForceParams, g: np.ndarray,
+              lr: float) -> tuple[AdamState, ForceParams]:
     """One bias-corrected Adam update of the flat parameter vector."""
     flat = params.flatten()
     if g.shape != flat.shape or state.m.shape != flat.shape:
         raise ValueError("gradient/moment shapes do not match the parameters")
     t = state.t + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    flat = flat - state.lr * m_hat / (np.sqrt(v_hat) + state.eps_hat)
-    new_state = replace(state, m=m, v=v, t=t)
-    return new_state, type(params).from_flat(flat)
+    m = BETA1 * state.m + (1.0 - BETA1) * g
+    v = BETA2 * state.v + (1.0 - BETA2) * g * g
+    m_hat = m / (1.0 - BETA1 ** t)
+    v_hat = v / (1.0 - BETA2 ** t)
+    flat = flat - lr * m_hat / (np.sqrt(v_hat) + EPS_HAT)
+    return AdamState(m=m, v=v, t=t), type(params).from_flat(flat)
 
 
 @dataclass(frozen=True)
@@ -252,8 +254,18 @@ def train(graph: SignedGraph, statics: NodeStatics | None, cfg: TrainConfig,
     A stratified share of the visible edges is re-hidden as a validation set
     for the per-epoch metrics; those edges leave the loss domain (they act as
     neutral springs, like any hidden edge).  Statics are recomputed on the
-    training view so no validation sign leaks into the features.
+    training view so no validation sign leaks into the features.  A resumed run
+    takes every setting from `cfg`; its model kind and epochs must fit the checkpoint.
     """
+    if resume is None:
+        params = init_params(cfg.model_kind, rng.derive_seed(cfg.seed, "param-init"))
+        resume = Checkpoint(params, AdamState.fresh(params.n_params), epoch=0)
+    kind, done = resume.params.kind, resume.epoch
+    if kind != cfg.model_kind or done > cfg.epochs:
+        raise ValueError(f"cannot resume a {kind!r} checkpoint of epoch {done} in a "
+                         f"run of {cfg.epochs} epochs of {cfg.model_kind!r}")
+    params, adam = resume.params, resume.adam
+
     val_edges = _stratified_validation(graph, cfg.val_fraction, cfg.seed)
     observed = graph.observed_sign.copy()
     observed[val_edges] = 0
@@ -263,17 +275,8 @@ def train(graph: SignedGraph, statics: NodeStatics | None, cfg: TrainConfig,
     ctx = prepare(train_graph, train_statics)
     _loss_terms(train_graph, cfg.loss)  # validate the domain up front
 
-    if resume is not None:
-        params = resume.params
-        adam = resume.adam
-        start_epoch = resume.epoch
-    else:
-        params = init_params(cfg.model_kind, rng.derive_seed(cfg.seed, "param-init"))
-        adam = AdamState.fresh(params.flatten().shape[0], cfg.lr)
-        start_epoch = 0
-
     history: list[EpochStats] = []
-    for epoch in range(start_epoch, cfg.epochs):
+    for epoch in range(done, cfg.epochs):
         started = time.perf_counter()
         epoch_index = epoch if cfg.init_policy == "resample_each_epoch" else 0
         sim_cfg = replace(cfg.sim, seed=rng.derive_seed(cfg.seed, EPOCH_INIT_TAG,
@@ -285,7 +288,7 @@ def train(graph: SignedGraph, statics: NodeStatics | None, cfg: TrainConfig,
             raise SimulationDivergedError(err.step, err.node, err.what,
                                           epoch + 1) from err
         grad = clip_gradient(grad, cfg.clip_lo, cfg.clip_hi)
-        adam, params = adam_step(adam, params, grad)
+        adam, params = adam_step(adam, params, grad, cfg.lr)
         auc_l, f1_macro = _validation_metrics(graph, val_edges, final.X, cfg.loss.mu)
         wall_ms = (time.perf_counter() - started) * 1000.0
         stats = EpochStats(epoch + 1, value, auc_l, f1_macro, wall_ms)
@@ -307,7 +310,8 @@ def write_history_csv(path, history: list[EpochStats]) -> None:
 # --- checkpoints -----------------------------------------------------------------
 
 CHECKPOINT_FORMAT = "graphspring-checkpoint"
-CHECKPOINT_VERSION = 1
+# version 1 also stored Adam's learning rate and constants; a load ignores them
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -323,11 +327,8 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "version": CHECKPOINT_VERSION,
         "epoch": ckpt.epoch,
         "params": json.loads(params_to_json(ckpt.params)),
-        "adam": {
-            "lr": ckpt.adam.lr, "beta1": ckpt.adam.beta1, "beta2": ckpt.adam.beta2,
-            "eps_hat": ckpt.adam.eps_hat, "t": ckpt.adam.t,
-            "m_b64": encode_flat(ckpt.adam.m), "v_b64": encode_flat(ckpt.adam.v),
-        },
+        "adam": {"t": ckpt.adam.t, "m_b64": encode_flat(ckpt.adam.m),
+                 "v_b64": encode_flat(ckpt.adam.v)},
     }
     with atomic_write(path) as fh:
         json.dump(doc, fh, indent=2)
@@ -341,14 +342,11 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         doc = json.loads(text)
         if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT \
-                or doc.get("version") != CHECKPOINT_VERSION:
+                or doc.get("version") not in (1, CHECKPOINT_VERSION):
             raise ValueError("not a supported checkpoint file")
         params = params_from_json(json.dumps(doc["params"]))
-        n = params.n_params
-        a = doc["adam"]
-        adam = AdamState(lr=a["lr"], beta1=a["beta1"], beta2=a["beta2"],
-                         eps_hat=a["eps_hat"], m=decode_flat(a["m_b64"], n),
-                         v=decode_flat(a["v_b64"], n), t=a["t"])
+        a, n = doc["adam"], params.n_params
+        adam = AdamState(decode_flat(a["m_b64"], n), decode_flat(a["v_b64"], n), a["t"])
         return Checkpoint(params=params, adam=adam, epoch=doc["epoch"])
     except KeyError as err:
         raise ValueError(f"checkpoint {path} has no {err} entry") from None

@@ -43,6 +43,48 @@ MUTANTS = [
     # the Euler update reads damping 0.05 as 0.049
     ("simulate.py", "V *= 1.0 - config.damping", "V *= 1.0 - 0.049",
      ["tests/test_acceptance.py::test_c05_two_body_oracle"]),
+    # the MLP VJP counts the ReLU kink pre = 0 as active
+    ("forces.py", "slope = (pre > 0) * p.w1[:, None]",
+     "slope = (pre >= 0) * p.w1[:, None]",
+     ["tests/test_forces.py::test_batch_vjp_matches_central_differences",
+      "tests/test_forcefield.py::test_vjp_matches_finite_differences",
+      "tests/test_forcefield.py::test_vjp_property_central_differences",
+      "tests/test_forcefield.py::test_vjp_at_kinks_matches_the_one_sided_difference"]),
+    # the neutral spring's stiffness gradient lands in the wrong slot
+    ("forces.py", "grad[4] = np.dot(upstream, dist - p.l_neu)",
+     "grad[3] = np.dot(upstream, dist - p.l_neu)",
+     ["tests/test_forces.py::test_batch_vjp_matches_central_differences"]),
+    # a tie-broken edge pushes its u end with the reverse magnitude
+    ("forcefield.py", "np.add.at(agg, ctx.u[edges], f_fwd[edges, None] * units)",
+     "np.add.at(agg, ctx.u[edges], f_rev[edges, None] * units)",
+     ["tests/test_forcefield.py::test_coincident_nodes_no_nan_and_deterministic",
+      "tests/test_forcefield.py::test_tie_correction_matches_brute_force",
+      "tests/test_forcefield.py::test_vjp_property_coincident_endpoints"]),
+    # the VJP's diagonal sums the weights of the wrong direction
+    ("forcefield.py",
+     "dx = _weighted(ctx, c_rev, c_fwd, -_rowsum(ctx, c_fwd, c_rev)) @ (gain[:, None] * w)",
+     "dx = _weighted(ctx, c_rev, c_fwd, -_rowsum(ctx, c_rev, c_fwd)) @ (gain[:, None] * w)",
+     ["tests/test_forcefield.py::test_vjp_matches_finite_differences",
+      "tests/test_forcefield.py::test_vjp_property_central_differences"]),
+    # the edge blocks stop one edge short, so the last edge has no geometry
+    ("forcefield.py", "hi = min(lo + rows, m)", "hi = min(lo + rows, m - 1)",
+     ["tests/test_forcefield.py::test_blocked_kernels_match_the_sparse_oracle_bitwise"]),
+    # the semi-implicit adjoint of V1 takes twice the time step
+    ("training.py", "gV += np.multiply(gX, dt, out=scratch)   # the adjoint of V1",
+     "gV += np.multiply(gX, 2 * dt, out=scratch)   # the adjoint of V1",
+     ["tests/test_training.py::test_semi_implicit_gradients_match_fd"]),
+    # the bulk parser accepts a line break inside a line
+    ("graphs.py", "            or ((byte == 10) & (after != 0)).any()\n", "",
+     ["tests/test_graphs.py::test_loader_matches_the_line_by_line_oracle",
+      "tests/test_graphs.py::test_loader_matches_the_oracle_on_lines_numpy_may_read_differently"]),
+    # the bulk parser lets a run of 19 digits through
+    ("graphs.py", 'b"\\1" * 19', 'b"\\1" * 20',
+     ["tests/test_graphs.py::test_loader_matches_the_line_by_line_oracle",
+      "tests/test_graphs.py::test_loader_matches_the_oracle_on_lines_numpy_may_read_differently",
+      "tests/test_graphs.py::test_ids_beyond_int64_name_the_line"]),
+    # a resumed run trains a checkpoint of another model kind or a later epoch
+    ("training.py", "if kind != cfg.model_kind or done > cfg.epochs:", "if False:",
+     ["tests/test_cli.py::test_resume_that_contradicts_the_checkpoint_exits_1"]),
 ]
 
 

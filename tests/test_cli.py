@@ -445,7 +445,8 @@ def test_replay_reads_the_resumed_checkpoint(toy_csv, tmp_path):
     assert run_cli("train", *common, "--epochs", "2", "--lr", "0.2",
                    "--checkpoint-every", "1", "--out", first) == 0
     checkpoint = first / "checkpoint.json"
-    # the checkpoint carries Adam's lr of 0.2; the resumed run's own lr is the default
+    # the first run trains with lr 0.2; the resumed run uses its own lr, the
+    # default, and the replay takes it from the manifest
     assert run_cli("train", *common, "--epochs", "4", "--resume", checkpoint,
                    "--out", resumed) == 0
     manifest = json.loads((resumed / "manifest.json").read_text())
@@ -490,6 +491,63 @@ def test_replay_of_a_run_that_overwrote_its_resumed_checkpoint_exits_1(
                    "--out", tmp_path / "B") == 1
     assert str(run / "checkpoint.json") in capsys.readouterr().err
     assert not (tmp_path / "B").exists()
+
+
+RESUME = ["--format", "rating_csv", "--k", "3", "--n-steps", "4", "--seed", "1"]
+
+
+def checkpoint_of(toy_csv, out, model, epochs):
+    """The checkpoint of a `model` run of `epochs` epochs."""
+    assert run_cli("train", "--input", toy_csv, *RESUME, "--model", model,
+                   "--epochs", epochs, "--checkpoint-every", epochs, "--out", out) == 0
+    return out / "checkpoint.json"
+
+
+def test_resumed_run_uses_its_own_learning_rate(toy_csv, tmp_path):
+    checkpoint = checkpoint_of(toy_csv, tmp_path / "A", "spring", 1)
+    written = []
+    for lr in ("0.03", "0.5"):
+        out = tmp_path / f"lr{lr}"
+        assert run_cli("train", "--input", toy_csv, *RESUME, "--model", "spring",
+                       "--epochs", "2", "--lr", lr, "--resume", checkpoint,
+                       "--out", out) == 0
+        written.append((out / "params.json").read_bytes())
+    assert written[0] != written[1]
+
+
+@pytest.mark.parametrize("model,epochs,want", [("spring", "3", ["'spring-nn'", "'spring'"]),
+                                               ("spring-nn", "2", ["epoch 3", "2 epochs"])])
+def test_resume_that_contradicts_the_checkpoint_exits_1(model, epochs, want, toy_csv,
+                                                          tmp_path, capsys):
+    """A checkpoint of another model kind, or of a later epoch than the run's
+    last, fails before training and names both values."""
+    checkpoint = checkpoint_of(toy_csv, tmp_path / "A", "spring-nn", 3)
+    capsys.readouterr()
+    assert run_cli("train", "--input", toy_csv, *RESUME, "--model", model,
+                   "--epochs", epochs, "--resume", checkpoint,
+                   "--out", tmp_path / "B") == 1
+    err = capsys.readouterr().err
+    assert all(text in err for text in want) and "Traceback" not in err, err
+    assert not (tmp_path / "B" / "params.json").exists()
+
+
+def test_version_1_checkpoint_resumes_like_version_2(toy_csv, tmp_path):
+    """A version-1 file also stored Adam's settings; they are ignored."""
+    checkpoint = checkpoint_of(toy_csv, tmp_path / "A", "spring", 1)
+    doc = json.loads(checkpoint.read_text())
+    adam = doc["adam"]
+    doc.update(version=1, adam={"lr": 0.2, "beta1": 0.9, "beta2": 0.999, "eps_hat": 1e-8,
+                                "t": adam["t"], "m_b64": adam["m_b64"],
+                                "v_b64": adam["v_b64"]})
+    old = tmp_path / "v1.json"
+    old.write_text(json.dumps(doc, indent=2) + "\n")
+    written = []
+    for path in (checkpoint, old):
+        out = tmp_path / path.stem
+        assert run_cli("train", "--input", toy_csv, *RESUME, "--model", "spring",
+                       "--epochs", "2", "--resume", path, "--out", out) == 0
+        written.append((out / "params.json").read_bytes())
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("source", ["edge-list", "full-dump", "split-dump"])
@@ -555,7 +613,7 @@ def test_malformed_input_file_exits_1_naming_the_file(case, tmp_path, capsys):
             path.write_text(params_to_json(SpringParams()))
             argv = ["embed", "--params", path]
         else:
-            save_checkpoint(path, Checkpoint(SpringParams(), AdamState.fresh(7, 0.03), 1))
+            save_checkpoint(path, Checkpoint(SpringParams(), AdamState.fresh(7), 1))
             argv = ["train", "--model", "spring", "--epochs", "2", "--resume", path]
         doc = json.loads(path.read_text())
         JSON_EDITS[case](doc)

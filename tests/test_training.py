@@ -287,17 +287,17 @@ def test_clip_invalid_bounds():
 
 def test_adam_zero_gradient_fixpoint():
     params = SpringParams()
-    state = AdamState.fresh(7, lr=0.05)
+    state = AdamState.fresh(7)
     for _ in range(3):
-        state, params = adam_step(state, params, np.zeros(7))
+        state, params = adam_step(state, params, np.zeros(7), 0.05)
     assert params == SpringParams()
 
 
 def test_adam_first_step_magnitude():
     params = SpringParams()
-    state = AdamState.fresh(7, lr=0.05)
+    state = AdamState.fresh(7)
     g = np.full(7, 0.3)
-    state, updated = adam_step(state, params, g)
+    state, updated = adam_step(state, params, g, 0.05)
     # bias-corrected first step is lr * c / (|c| + eps)
     expected = 0.05 * 0.3 / (0.3 + 1e-8)
     delta = params.flatten() - updated.flatten()
@@ -311,9 +311,9 @@ def test_adam_deterministic():
 
     def run():
         params = SpringParams()
-        state = AdamState.fresh(7, lr=0.01)
+        state = AdamState.fresh(7)
         for g in grads:
-            state, params = adam_step(state, params, g)
+            state, params = adam_step(state, params, g, 0.01)
         return params.flatten()
 
     assert np.array_equal(run(), run())
@@ -321,7 +321,7 @@ def test_adam_deterministic():
 
 def test_adam_shape_mismatch():
     with pytest.raises(ValueError):
-        adam_step(AdamState.fresh(3, 0.1), SpringParams(), np.zeros(3))
+        adam_step(AdamState.fresh(3), SpringParams(), np.zeros(3), 0.1)
 
 
 # --- train loop -----------------------------------------------------------------
@@ -345,8 +345,7 @@ def test_single_epoch_is_one_adam_step():
     sim = SimConfig(k=3, n_steps=5,
                     seed=rng.derive_seed(13, "epoch-init", 0))
     _, grad, _ = loss_and_grad(graph, st, p0, sim, cfg.loss)
-    adam, expected = adam_step(AdamState.fresh(7, cfg.lr), p0,
-                               clip_gradient(grad))
+    adam, expected = adam_step(AdamState.fresh(7), p0, clip_gradient(grad), cfg.lr)
     assert np.array_equal(params.flatten(), expected.flatten())
 
 
@@ -428,8 +427,7 @@ def test_divergence_reports_epoch():
 def test_checkpoint_round_trip(tmp_path):
     rand = np.random.default_rng(2)
     params = random_neural(rand)
-    adam = AdamState(lr=0.03, m=rand.normal(0, 1, 208), v=rand.uniform(0, 1, 208),
-                     t=17)
+    adam = AdamState(m=rand.normal(0, 1, 208), v=rand.uniform(0, 1, 208), t=17)
     path = tmp_path / "ckpt.json"
     save_checkpoint(path, Checkpoint(params=params, adam=adam, epoch=17))
     back = load_checkpoint(path)
@@ -440,12 +438,23 @@ def test_checkpoint_round_trip(tmp_path):
     assert back.adam.t == adam.t
 
 
+def test_checkpoint_holds_only_adam_state(tmp_path):
+    import dataclasses
+    import json
+    assert [f.name for f in dataclasses.fields(AdamState)] == ["m", "v", "t"]
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, Checkpoint(SpringParams(), AdamState.fresh(7), epoch=1))
+    doc = json.loads(path.read_text())
+    assert doc["version"] == 2
+    assert sorted(doc["adam"]) == ["m_b64", "t", "v_b64"]
+
+
 def test_checkpoint_write_failing_midway_keeps_previous(tmp_path, monkeypatch):
     import json
     rand = np.random.default_rng(3)
     params = random_neural(rand)
     path = tmp_path / "ckpt.json"
-    save_checkpoint(path, Checkpoint(params=params, adam=AdamState.fresh(208, 0.03),
+    save_checkpoint(path, Checkpoint(params=params, adam=AdamState.fresh(208),
                                      epoch=4))
 
     def torn_dump(obj, fh, **kwargs):
@@ -455,7 +464,7 @@ def test_checkpoint_write_failing_midway_keeps_previous(tmp_path, monkeypatch):
     monkeypatch.setattr(json, "dump", torn_dump)
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(path, Checkpoint(params=SpringParams(),
-                                         adam=AdamState.fresh(7, 0.03), epoch=5))
+                                         adam=AdamState.fresh(7), epoch=5))
     monkeypatch.undo()
     back = load_checkpoint(path)
     assert back.epoch == 4
