@@ -1,17 +1,31 @@
-"""Synthetic graphs and timing harness for the linear-complexity claim."""
+"""The timing record behind every speed claim, on one fixed synthetic graph.
+
+`record` times a dataset-free run of BitcoinOTC size, the one `graphspring
+bench` runs: `synthetic_graph(N_NODES, N_EDGES, GRAPH_SEED)`, the model
+`init_params(MODEL, 0)`, k = K and N_STEPS steps.  The finer split of a call
+(geometry, magnitudes, product) is left to perfbench's spans.
+"""
 
 from __future__ import annotations
 
+import os
+import platform
 import time
-from dataclasses import dataclass
+import tracemalloc
 
 import numpy as np
+import scipy
 
 from . import rng
-from .forces import ForceParams, init_params
-from .forcefield import force_field, prepare
+from .forces import init_params
+from .forcefield import force_field, force_field_vjp, prepare
 from .graphs import SignedGraph, SplitSpec, compute_node_statics, hide_signs
 from .simulate import SimConfig, init_state, simulate
+from .training import LossConfig, loss_and_grad, loss_with_grad
+
+# the fixed run of every record: a BitcoinOTC-size graph, spring-nn, k = 64
+N_NODES, N_EDGES, GRAPH_SEED = 5881, 21492, 1
+MODEL, K, N_STEPS = "spring-nn", 64, 120
 
 
 def synthetic_graph(n_nodes: int, n_edges: int, seed: int,
@@ -19,11 +33,9 @@ def synthetic_graph(n_nodes: int, n_edges: int, seed: int,
     """Random signed graph: a ring keeps every node connected, the rest is uniform."""
     if n_edges < n_nodes:
         raise ValueError("need at least n_nodes edges to keep every node connected")
-    ring_u = np.arange(n_nodes, dtype=np.int64)
-    ring_v = (ring_u + 1) % n_nodes
-    lo = np.minimum(ring_u, ring_v)
-    hi = np.maximum(ring_u, ring_v)
-    codes = set((lo * n_nodes + hi).tolist())
+    ring = np.arange(n_nodes, dtype=np.int64)
+    nxt = (ring + 1) % n_nodes
+    codes = set((np.minimum(ring, nxt) * n_nodes + np.maximum(ring, nxt)).tolist())
 
     extra_needed = n_edges - n_nodes
     pairs: list[int] = []
@@ -35,15 +47,12 @@ def synthetic_graph(n_nodes: int, n_edges: int, seed: int,
         a = (draw[:batch] % n_nodes).astype(np.int64)
         b = (draw[batch:] % n_nodes).astype(np.int64)
         for x, y in zip(a, b):
-            if x == y:
-                continue
             code = int(min(x, y)) * n_nodes + int(max(x, y))
-            if code in codes:
-                continue
-            codes.add(code)
-            pairs.append(code)
-            if len(pairs) == extra_needed:
-                break
+            if x != y and code not in codes:
+                codes.add(code)
+                pairs.append(code)
+                if len(pairs) == extra_needed:
+                    break
     all_codes = np.sort(np.fromiter(codes, dtype=np.int64, count=len(codes)))
     u = all_codes // n_nodes
     v = all_codes % n_nodes
@@ -62,68 +71,67 @@ def median_ms(fn, repeats: int = 7) -> tuple[float, float]:
         started = time.perf_counter()
         fn()
         times.append((time.perf_counter() - started) * 1000.0)
-    times = np.sort(np.array(times))
-    q1, q3 = np.percentile(times, [25, 75])
-    return float(np.median(times)), float(q3 - q1)
+    q1, median, q3 = np.percentile(times, [25, 50, 75])
+    return float(median), float(q3 - q1)
 
 
-@dataclass(frozen=True)
-class BenchRow:
-    n_nodes: int
-    n_edges: int
-    k: int
-    op: str
-    median_ms: float
-    iqr_ms: float
+def timed_operations(n_nodes: int, n_edges: int, k: int) -> dict:
+    """The operations a record times, as calls without arguments at the same
+    initial positions: `force_field`, its VJP (the loss gradient as cotangent),
+    `loss_with_grad`, a `loss_and_grad` epoch and an N_STEPS-step embed."""
+    graph = synthetic_graph(n_nodes, n_edges, GRAPH_SEED)
+    statics = compute_node_statics(graph)
+    ctx = prepare(graph, statics)
+    model = init_params(MODEL, 0)
+    sim = SimConfig(k=k, n_steps=N_STEPS, seed=0)
+    state = init_state(n_nodes, sim)
+    loss_cfg = LossConfig()
+    _, upstream = loss_with_grad(graph, state.X, loss_cfg)
+    return {
+        "force_field": lambda: force_field(ctx, model, state.X),
+        "force_field_vjp": lambda: force_field_vjp(ctx, model, state.X, upstream),
+        "loss_with_grad": lambda: loss_with_grad(graph, state.X, loss_cfg),
+        "epoch": lambda: loss_and_grad(graph, statics, model, sim, loss_cfg, ctx=ctx),
+        "embed": lambda: simulate(state, graph, statics, model, sim, ctx=ctx),
+    }
 
 
-def run_grid(model: ForceParams, sizes: list[tuple[int, int]], ks: list[int],
-             seed: int = 0, repeats: int = 7, sim_steps: int = 20) -> list[BenchRow]:
-    """Time the force field and a short simulation over a (N, M) x k grid."""
-    rows: list[BenchRow] = []
-    for n_nodes, n_edges in sizes:
-        graph = synthetic_graph(n_nodes, n_edges, seed)
-        statics = compute_node_statics(graph)
-        ctx = prepare(graph, statics)
-        for k in ks:
-            cfg = SimConfig(k=k, n_steps=sim_steps, seed=seed)
-            state = init_state(n_nodes, cfg)
-            force_field(ctx, model, state.X)  # warm up caches
-            med, iqr = median_ms(lambda: force_field(ctx, model, state.X),
-                                 repeats)
-            rows.append(BenchRow(n_nodes, n_edges, k, "force_field", med, iqr))
-            med, iqr = median_ms(
-                lambda: simulate(state, graph, statics, model, cfg, ctx=ctx), repeats)
-            rows.append(BenchRow(n_nodes, n_edges, k, "simulate", med, iqr))
-    return rows
+def record(reps: int) -> dict:
+    """Time the fixed run: each `<operation>_ms` is {"median", "iqr"} over `reps`
+    calls.  `other_ms` is the epoch less N_STEPS field calls and VJPs and one
+    loss; its IQR is the sum of theirs, a bound, as they are timed apart.
+    Memory: the position tape, tracemalloc's peak over one more (untimed,
+    warm-up) epoch and the minor page faults per timed epoch."""
+    import resource  # Unix only, like the page-fault count it reads
 
-
-def time_force_field(n_nodes: int, n_edges: int, k: int, seed: int = 1,
-                     reps: int = 9) -> float:
-    """Median force-field wall time (ms) for one synthetic configuration.
-
-    Best measured in a fresh process per configuration: long-lived heaps can
-    land one configuration's buffers in a persistently slow layout, which
-    says nothing about how the cost scales with edges or dimensions.
-    """
-    model = init_params("spring-nn", seed=0)
-    graph = synthetic_graph(n_nodes, n_edges, seed)
-    ctx = prepare(graph, compute_node_statics(graph))
-    X = init_state(n_nodes, SimConfig(k=k, seed=0)).X
-    force_field(ctx, model, X)  # warm up
-    return median_ms(lambda: force_field(ctx, model, X), reps)[0]
-
-
-def linearity_summary(rows: list[BenchRow]) -> str:
-    """Least-squares fit of force_field medians against a*M*k + b*N*k + c."""
-    ff = [r for r in rows if r.op == "force_field"]
-    if len(ff) < 3:
-        return "linear fit skipped: need at least 3 force_field measurements\n"
-    A = np.array([[r.n_edges * r.k, r.n_nodes * r.k, 1.0] for r in ff])
-    y = np.array([r.median_ms for r in ff])
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    pred = A @ coef
-    denom = float(((y - y.mean()) ** 2).sum())
-    r2 = 1.0 - float(((y - pred) ** 2).sum()) / denom if denom else 1.0
-    return (f"force_field ms ~= {coef[0]:.3e}*M*k + {coef[1]:.3e}*N*k + {coef[2]:.3f}"
-            f"   (R^2 = {r2:.4f})\n")
+    ops = timed_operations(N_NODES, N_EDGES, K)
+    tracemalloc.start()
+    try:
+        ops["epoch"]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    timings = {"epoch": median_ms(ops.pop("epoch"), reps)}
+    faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / reps
+    # the epochs have run every operation, so the rest start warm
+    timings.update((name, median_ms(fn, reps)) for name, fn in ops.items())
+    layers = [(N_STEPS, "force_field"), (N_STEPS, "force_field_vjp"), (1, "loss_with_grad")]
+    timings["other"] = (
+        timings["epoch"][0] - sum(n * timings[name][0] for n, name in layers),
+        timings["epoch"][1] + sum(n * timings[name][1] for n, name in layers))
+    return {
+        "graph": {"n_nodes": N_NODES, "n_edges": N_EDGES, "seed": GRAPH_SEED,
+                  "model": MODEL, "k": K, "n_steps": N_STEPS},
+        "reps": reps,
+        **{f"{name}_ms": {"median": median, "iqr": iqr}
+           for name, (median, iqr) in timings.items()},
+        "tape_bytes": (N_STEPS + 1) * N_NODES * K * 8,
+        "peak_traced_mb": peak / 2 ** 20,
+        "minor_faults_per_epoch": faults,
+        "env": {"python": platform.python_version(), "numpy": np.__version__,
+                "scipy": scipy.__version__, "platform": platform.platform(),
+                "nproc": os.cpu_count(),
+                "threads": {key: value for key, value in sorted(os.environ.items())
+                            if key.endswith("_THREADS")}},
+    }

@@ -14,7 +14,8 @@ config classes.  `_start` is the one resolver of a run's input files: a flag
 wins over the manifest's `input_paths`, a file taken from the manifest must
 still have its recorded hash, and the new manifest records and hashes every
 file the run reads.  `_split` is the one rule by which train, embed and eval
-choose the signs a run hides.
+choose the signs a run hides.  bench has one setting, the repetitions: it
+times the fixed run of `bench.record` and writes the record to `bench.json`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import __version__, bench
 from .artifacts import atomic_write
-from .forces import MODEL_KINDS, init_params, params_from_json, params_to_json
+from .forces import MODEL_KINDS, params_from_json, params_to_json
 from .forcefield import prepare
 from .graphs import (FORMATS, SignedGraph, SplitSpec, compute_node_statics, dump_graph,
                      hide_signs, load_edge_list, parse_graph_dump, to_undirected)
@@ -44,8 +45,8 @@ from .simulate import (SimConfig, SimulationDivergedError, init_state,
                        read_embeddings_text, simulate, write_embeddings_binary,
                        write_embeddings_text)
 from .training import (INIT_POLICIES, LOSS_DOMAINS, TARGET_ENCODINGS, LossConfig,
-                       TrainConfig, load_checkpoint, loss, save_checkpoint, train,
-                       write_history_csv)
+                       TrainConfig, check_resume, load_checkpoint, loss,
+                       save_checkpoint, train, write_history_csv)
 
 # the library's defaults, each written once in its config class
 _TRAIN = TrainConfig()
@@ -71,10 +72,7 @@ EMBED_DEFAULTS = {**SIM_DEFAULTS, "p_hidden": None, "seed": _SIM.seed,
 
 EVAL_DEFAULTS = {**SIM_DEFAULTS, "seeds": "0", "threads": 1, "calibrate": False}
 
-BENCH_DEFAULTS = {
-    "sizes": "1000:8000,1000:16000,2000:16000", "ks": "16,32", "reps": 7,
-    "seed": 0, "model": "spring", "sim_steps": 10,
-}
+BENCH_DEFAULTS = {"reps": 7}
 
 # the files a run may read, by the flag that names them
 INPUTS = ("input", "graph", "params", "embeddings", "hidden_edges", "resume")
@@ -282,11 +280,6 @@ def cmd_train(args) -> int:
     config, inputs, out = _start(args, TRAIN_DEFAULTS)
     graph, _ = _split(_load_graph(inputs, config["format"]), config,
                       config["split_seed"])
-    resume = load_checkpoint(inputs["resume"]) if inputs["resume"] else None
-
-    artifacts = {"params": out / "params.json", "history": out / "history.csv"}
-    _write_manifest(out, "train", config, inputs, artifacts)
-
     loss_cfg = LossConfig(mu=config["mu"], domain=config["loss_domain"],
                           target_encoding=config["target_encoding"])
     train_cfg = TrainConfig(
@@ -294,6 +287,12 @@ def cmd_train(args) -> int:
         loss=loss_cfg, model_kind=config["model"], lr=config["lr"],
         clip_lo=config["clip_lo"], clip_hi=config["clip_hi"], seed=config["seed"],
         init_policy=config["init_policy"], val_fraction=config["val_fraction"])
+    resume = load_checkpoint(inputs["resume"]) if inputs["resume"] else None
+    if resume is not None:
+        check_resume(resume, train_cfg)
+
+    artifacts = {"params": out / "params.json", "history": out / "history.csv"}
+    _write_manifest(out, "train", config, inputs, artifacts)
 
     every = config["checkpoint_every"]
     last_good = resume
@@ -472,23 +471,12 @@ def cmd_bench(args) -> int:
     manifest = _load_manifest(args.from_manifest) if args.from_manifest else None
     config = _resolve(BENCH_DEFAULTS, args, args.config, manifest)
     out = Path(args.out if args.out else "bench")
-    sizes = [tuple(int(x) for x in part.split(":"))
-             for part in config["sizes"].split(",")]
-    ks = [int(x) for x in config["ks"].split(",")]
-    _write_manifest(out, "bench", config, {}, {"timings": out / "timings.csv"})
-
-    model = init_params(config["model"], seed=config["seed"])
-    rows = bench.run_grid(model, sizes, ks, seed=config["seed"],
-                          repeats=config["reps"], sim_steps=config["sim_steps"])
-    with atomic_write(out / "timings.csv") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n_nodes", "n_edges", "k", "op", "median_ms", "iqr_ms"])
-        for r in rows:
-            writer.writerow([r.n_nodes, r.n_edges, r.k, r.op,
-                             f"{r.median_ms:.3f}", f"{r.iqr_ms:.3f}"])
-    summary = bench.linearity_summary(rows)
-    _write_text(out / "summary.txt", summary)
-    print(summary, end="")
+    _write_manifest(out, "bench", config, {}, {"bench": out / "bench.json"})
+    record = bench.record(config["reps"])
+    _write_text(out / "bench.json", json.dumps(record, indent=2) + "\n")
+    for key, value in record.items():
+        if key.endswith("_ms"):
+            print(f"{key:20} {value['median']:10.1f}  (IQR {value['iqr']:.1f})")
     return 0
 
 
@@ -584,14 +572,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "instead of the fixed threshold")
     evalp.set_defaults(fn=cmd_eval)
 
-    benchp = sub.add_parser("bench", allow_abbrev=False, parents=common,
-                            help="time the force field on synthetic graphs")
-    benchp.add_argument("--sizes", type=str, default=None,
-                        help="comma list of N:M pairs")
-    benchp.add_argument("--ks", type=str, default=None, help="comma list of dims")
+    benchp = sub.add_parser("bench", allow_abbrev=False, parents=[output, configured],
+                            help="time an epoch and an embed on a fixed "
+                                 "BitcoinOTC-size synthetic graph")
     benchp.add_argument("--reps", type=int, default=None)
-    benchp.add_argument("--model", choices=list(MODEL_KINDS), default=None)
-    benchp.add_argument("--sim-steps", type=int, default=None)
     benchp.set_defaults(fn=cmd_bench)
 
     return parser

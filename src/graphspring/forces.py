@@ -73,19 +73,15 @@ class MlpParams:
     b1: float
 
     def __post_init__(self):
-        h, n_in = self.w0.shape
+        h = self.w0.shape[0]
         if self.b0.shape != (h,) or self.w1.shape != (h,):
             raise ValueError("MLP parameter shapes are inconsistent")
-        for arr in (self.w0, self.b0, self.w1):
-            if not np.isfinite(arr).all():
-                raise ValueError("MLP parameters must be finite")
-        if not np.isfinite(self.b1):
+        if not all(np.isfinite(a).all() for a in (self.w0, self.b0, self.w1, self.b1)):
             raise ValueError("MLP parameters must be finite")
 
     @property
     def n_params(self) -> int:
-        h, n_in = self.w0.shape
-        return h * n_in + h + h + 1
+        return self.w0.size + 2 * self.w0.shape[0] + 1
 
     def flatten(self) -> np.ndarray:
         return np.concatenate([self.w0.ravel(), self.b0, self.w1, [self.b1]])

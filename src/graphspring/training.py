@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import rng
 from .artifacts import atomic_write
@@ -98,10 +99,13 @@ def loss_with_grad(graph: SignedGraph, X: np.ndarray,
     live = dist > 0
     scale[live] = ddist[live] / dist[live]
     ddiff = scale[:, None] * diff
-    dX = np.zeros_like(X, dtype=np.float64)
-    np.add.at(dX, v, ddiff)
-    np.add.at(dX, u, -ddiff)
-    return value, dX
+    # dX = B ddiff for the incidence B with +1 at (v, e) and -1 at (u, e); the
+    # edges are sorted (u < v, by u), so each row's columns ascend and it sums
+    # its v-terms before its u-terms, in edge order
+    edges = np.tile(np.arange(u.size), 2)
+    incidence = sp.csr_matrix((np.repeat([1.0, -1.0], u.size),
+                               (np.concatenate([v, u]), edges)), shape=(X.shape[0], u.size))
+    return value, incidence @ ddiff
 
 
 @dataclass(frozen=True)
@@ -221,13 +225,9 @@ def _stratified_validation(graph: SignedGraph, fraction: float,
     chosen = []
     for sign_val in (1, -1):
         idx = np.flatnonzero(graph.observed_sign == sign_val)
-        if idx.size == 0:
-            continue
         n_take = int(np.ceil(fraction * idx.size))
         order = np.argsort(draws[idx], kind="stable")
         chosen.append(idx[order[:n_take]])
-    if not chosen:
-        return np.zeros(0, dtype=np.int64)
     return np.sort(np.concatenate(chosen)).astype(np.int64)
 
 
@@ -260,11 +260,8 @@ def train(graph: SignedGraph, statics: NodeStatics | None, cfg: TrainConfig,
     if resume is None:
         params = init_params(cfg.model_kind, rng.derive_seed(cfg.seed, "param-init"))
         resume = Checkpoint(params, AdamState.fresh(params.n_params), epoch=0)
-    kind, done = resume.params.kind, resume.epoch
-    if kind != cfg.model_kind or done > cfg.epochs:
-        raise ValueError(f"cannot resume a {kind!r} checkpoint of epoch {done} in a "
-                         f"run of {cfg.epochs} epochs of {cfg.model_kind!r}")
-    params, adam = resume.params, resume.adam
+    check_resume(resume, cfg)
+    params, adam, done = resume.params, resume.adam, resume.epoch
 
     val_edges = _stratified_validation(graph, cfg.val_fraction, cfg.seed)
     observed = graph.observed_sign.copy()
@@ -296,6 +293,15 @@ def train(graph: SignedGraph, statics: NodeStatics | None, cfg: TrainConfig,
         if on_epoch is not None:
             on_epoch(Checkpoint(params=params, adam=adam, epoch=epoch + 1), stats)
     return params, history
+
+
+def check_resume(resume: "Checkpoint", cfg: TrainConfig) -> None:
+    """Raise ValueError, naming both values, when a checkpoint holds another
+    model kind than the run's or a later epoch than its last."""
+    kind, done = resume.params.kind, resume.epoch
+    if kind != cfg.model_kind or done > cfg.epochs:
+        raise ValueError(f"cannot resume a {kind!r} checkpoint of epoch {done} in a "
+                         f"run of {cfg.epochs} epochs of {cfg.model_kind!r}")
 
 
 def write_history_csv(path, history: list[EpochStats]) -> None:
@@ -341,11 +347,16 @@ def load_checkpoint(path) -> Checkpoint:
         text = fh.read()
     try:
         doc = json.loads(text)
+        # a type check first: json gives True for true, and True == 1
         if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT \
-                or doc.get("version") not in (1, CHECKPOINT_VERSION):
+                or type(doc.get("version")) is not int \
+                or doc["version"] not in (1, CHECKPOINT_VERSION):
             raise ValueError("not a supported checkpoint file")
         params = params_from_json(json.dumps(doc["params"]))
         a, n = doc["adam"], params.n_params
+        if type(doc["epoch"]) is not int or type(a["t"]) is not int:
+            raise ValueError(f"epoch and adam.t must be integers, not "
+                             f"{json.dumps(doc['epoch'])} and {json.dumps(a['t'])}")
         adam = AdamState(decode_flat(a["m_b64"], n), decode_flat(a["v_b64"], n), a["t"])
         return Checkpoint(params=params, adam=adam, epoch=doc["epoch"])
     except KeyError as err:

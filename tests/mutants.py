@@ -85,6 +85,11 @@ MUTANTS = [
     # a resumed run trains a checkpoint of another model kind or a later epoch
     ("training.py", "if kind != cfg.model_kind or done > cfg.epochs:", "if False:",
      ["tests/test_cli.py::test_resume_that_contradicts_the_checkpoint_exits_1"]),
+    # the loss gradient drops the -1 of each edge's u endpoint
+    ("training.py", "np.repeat([1.0, -1.0], u.size)", "np.repeat([1.0, 1.0], u.size)",
+     ["tests/test_training.py::test_loss_gradient_matches_fd",
+      "tests/test_training.py::test_grad_through_sim_matches_fd",
+      "tests/test_acceptance.py::test_c01_gradient_fidelity"]),
 ]
 
 

@@ -373,12 +373,14 @@ def test_c08_metric_oracle_equivalence():
 
 
 def measure_isolated(n_nodes: int, n_edges: int, k: int, trials: int = 5) -> float:
-    """Median over fresh-interpreter runs of the median force-field time."""
+    """Median over fresh-interpreter runs of the bench's median force-field time
+    (9 calls after one warm-up) on its synthetic graph."""
     import subprocess
     import sys
 
-    code = ("from graphspring.bench import time_force_field; "
-            f"print(time_force_field({n_nodes}, {n_edges}, {k}))")
+    code = ("from graphspring import bench; "
+            f"ff = bench.timed_operations({n_nodes}, {n_edges}, {k})['force_field']; "
+            "ff(); print(bench.median_ms(ff, 9)[0])")
     samples = []
     for _ in range(trials):
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -528,7 +528,7 @@ def test_resume_that_contradicts_the_checkpoint_exits_1(model, epochs, want, toy
                    "--out", tmp_path / "B") == 1
     err = capsys.readouterr().err
     assert all(text in err for text in want) and "Traceback" not in err, err
-    assert not (tmp_path / "B" / "params.json").exists()
+    assert not (tmp_path / "B").exists()
 
 
 def test_version_1_checkpoint_resumes_like_version_2(toy_csv, tmp_path):
@@ -595,7 +595,10 @@ def test_train_embed_and_eval_hide_the_same_signs(command, source, toy_csv, tmp_
 JSON_EDITS = {"params-without-data": lambda doc: doc.pop("data_b64"),
               "params-data-not-text": lambda doc: doc.update(data_b64=3),
               "checkpoint-without-params": lambda doc: doc.pop("params"),
-              "checkpoint-adam-not-object": lambda doc: doc.update(adam=[])}
+              "checkpoint-adam-not-object": lambda doc: doc.update(adam=[]),
+              "checkpoint-epoch-text": lambda doc: doc.update(epoch="1"),
+              "checkpoint-t-text": lambda doc: doc["adam"].update(t="1"),
+              "checkpoint-version-true": lambda doc: doc.update(version=True)}
 # line edits that break an embedding text file; the last edited line is the bad one
 EMBEDDING_EDITS = {"embeddings-header": {1: "100"},
                    "embeddings-row": {3: "0 0 x"},
@@ -658,6 +661,7 @@ def test_train_divergence_keeps_the_last_good_checkpoint(toy_csv, tmp_path, caps
     ["train", "--input", "e.txt", "--raw-degree-features"],
     ["embed", "--params", "p.json", "--input", "e.txt", "--threads", "2"],
     ["bench", "--threads", "2"],
+    ["bench", "--seed", "1"],
     ["eval", "--params", "p.json", "--input", "e.txt", "--seed", "5"],
     ["eval", "--params", "p.json", "--input", "e.txt", "--seed=5"],
     ["train", "--input", "e.txt", "--epoch", "3"],
@@ -780,14 +784,31 @@ def test_eval_threads_write_identical_reports(toy_csv, tmp_path):
         assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
 
 
-def test_bench_csv_schema(tmp_path):
+def test_bench_writes_the_record_beside_its_manifest(tmp_path, monkeypatch, capsys):
+    from graphspring import bench
+    for name, value in [("N_NODES", 60), ("N_EDGES", 200), ("K", 3), ("N_STEPS", 4)]:
+        monkeypatch.setattr(bench, name, value)
     out = tmp_path / "bn"
-    assert run_cli("bench", "--sizes", "60:200", "--ks", "3", "--reps", "3",
-                   "--sim-steps", "2", "--out", out) == 0
-    lines = (out / "timings.csv").read_text().splitlines()
-    assert lines[0] == "n_nodes,n_edges,k,op,median_ms,iqr_ms"
-    assert len(lines) >= 3
-    assert (out / "summary.txt").exists()
+    assert run_cli("bench", "--reps", "2", "--out", out) == 0
+    record = json.loads((out / "bench.json").read_text())
+    timed = ["force_field", "force_field_vjp", "loss_with_grad", "epoch", "embed", "other"]
+    assert sorted(record) == sorted([
+        "graph", "reps", *[f"{name}_ms" for name in timed], "tape_bytes",
+        "peak_traced_mb", "minor_faults_per_epoch", "env"])
+    assert record["graph"] == {"n_nodes": 60, "n_edges": 200, "seed": 1,
+                               "model": "spring-nn", "k": 3, "n_steps": 4}
+    assert record["reps"] == 2 and record["tape_bytes"] == 5 * 60 * 3 * 8
+    for name in timed:
+        assert sorted(record[f"{name}_ms"]) == ["iqr", "median"]
+        assert record[f"{name}_ms"]["iqr"] >= 0
+        assert name == "other" or record[f"{name}_ms"]["median"] > 0
+    assert record["peak_traced_mb"] > 0 and record["minor_faults_per_epoch"] >= 0
+    assert sorted(record["env"]) == ["nproc", "numpy", "platform", "python", "scipy",
+                                     "threads"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == {"reps": 2}
+    assert manifest["artifacts"] == {"bench": str(out / "bench.json")}
+    assert "epoch_ms" in capsys.readouterr().out
 
 
 def test_gzip_input(toy_csv, tmp_path):

@@ -14,13 +14,8 @@ FLAG_SURFACE = {
     "bench": {
         "--config": ("config", str, None, None, False, "store"),
         "--from-manifest": ("from_manifest", str, None, None, False, "store"),
-        "--ks": ("ks", str, None, None, False, "store"),
-        "--model": ("model", None, None, ["spring", "spring-nn"], False, "store"),
         "--out": ("out", str, None, None, False, "store"),
         "--reps": ("reps", int, None, None, False, "store"),
-        "--seed": ("seed", int, None, None, False, "store"),
-        "--sim-steps": ("sim_steps", int, None, None, False, "store"),
-        "--sizes": ("sizes", str, None, None, False, "store"),
     },
     "embed": {
         "--binary": ("binary", None, None, None, False, "store_true"),
