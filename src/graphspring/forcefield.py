@@ -14,30 +14,37 @@ the neural model.  This is the form spring and stress layouts are written in
 (Koren, "Drawing graphs by eigenvectors", 2005; Gansner, Koren & North,
 "Graph drawing by stress majorization", 2004).  `prepare` builds the sparse
 structure of A - diag(rowsum(A)) once; each evaluation fills in its 2m edge
-weights and n diagonal entries and applies it to X in one sparse-matrix
-product, with a fixed, reproducible accumulation order.  An edge whose
-endpoints are closer than EPS has weight 0 in A and instead pushes its
-endpoints along a seeded tie-break unit vector.
+weights and n diagonal entries, folds the gain into them by row, and adds the
+product with X straight into the caller's array (`out += M @ X`, scipy's CSR
+kernel, no zero-filled result), with a fixed, reproducible accumulation
+order.  The caller may pass the gain times a constant, gathered onto the
+matrix slots once (`node_scale`): the integrator passes dt times the gain and
+adds dt F into its velocities.  An edge whose endpoints are closer than EPS
+has weight 0 in A and instead pushes its endpoints along a seeded tie-break
+unit vector.
 
 The edge vectors X[v] - X[u] are never held for all edges at once: they are
 formed block by block in two gather buffers of BLOCK_BYTES each (512 edges at
 k = 64), and only the per-edge scalars that the rest of the pass needs (the
 length d and, in the VJP, the products of the cotangent rows with the edge
-vector) are kept.  One call therefore needs O(n k + m) memory: a few n x k
-arrays (the result, and in the VJP the scaled cotangent and one more product),
-a few dozen floats per edge and the two buffers, not the m x k edge vectors.
+vector) are kept.  One call therefore needs O(n k + m) memory: the result,
+if the caller passes none, a few dozen floats per edge and the two buffers,
+not the m x k edge vectors.
 
 `force_field_vjp` is the exact reverse-mode counterpart: given the gradient
 w of a scalar objective with respect to the returned force matrix, it
 recomputes the edge geometry from the same positions and returns the
 gradients with respect to positions and the flat parameter vector.  With
-W = g * w, s the per-edge products of w with the edge vector, and
-t = (dL/dd) / d (0 on tie-broken edges), the position gradient is
+s the per-edge products of w with the edge vector and t = (dL/dd) / d (0 on
+tie-broken edges), the position gradient is
 
-    dX = A^T W - rowsum(A) * W - (T X - rowsum(T) * X),   T[u, v] = T[v, u] = t,
+    dX = (A - diag(rowsum(A)))^T diag(g) w - (T - diag(rowsum(T))) X,
+    T[u, v] = T[v, u] = t,
 
-two more products on the same structure.  One MLP pass per direction gives
-the magnitudes, their parameter gradient and df/dd together.
+two more products on the same structure, both added into the caller's
+array: the first with g folded into the values by column, the second with
+the weights -t.  One MLP pass per direction gives the magnitudes, their
+parameter gradient and df/dd together.
 
 `prepare` splits the edges by observed sign once, and each evaluation hands
 every `SignGroup` to `forces` as one batch; the model kind and the edge
@@ -50,6 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from . import rng
 from .forces import (ForceParams, edge_statics, force_batch, force_batch_vjp,
@@ -139,14 +147,46 @@ def _rowsum(ctx: FieldContext, at_uv: np.ndarray, at_vu: np.ndarray) -> np.ndarr
             + np.bincount(ctx.v, at_vu, ctx.n_nodes))
 
 
-def _weighted(ctx: FieldContext, at_uv: np.ndarray, at_vu: np.ndarray,
-              diag: np.ndarray) -> sp.csr_matrix:
-    """The (n, n) matrix with at_uv[e] at (u, v) and at_vu[e] at (v, u) for each
-    edge e, and diag on the diagonal, on the prepared Laplacian structure."""
+def _values(ctx: FieldContext, at_uv: np.ndarray, at_vu: np.ndarray,
+            diag: np.ndarray) -> np.ndarray:
+    """The stored values, in CSR slot order, of the (n, n) matrix on the prepared
+    Laplacian structure with at_uv[e] at (u, v) and at_vu[e] at (v, u) for each
+    edge e, and diag on the diagonal."""
     data = np.empty(ctx.slots.size)
     data[ctx.slots] = np.concatenate([at_vu, diag, at_uv])
-    return sp.csr_matrix((data, ctx.lap_indices, ctx.lap_indptr),
-                         shape=(ctx.n_nodes, ctx.n_nodes))
+    return data
+
+
+def _accumulate(out: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
+                data: np.ndarray, rhs: np.ndarray) -> None:
+    """out += M @ rhs in place, for the CSR matrix M = (data, indices, indptr).
+
+    scipy's CSR kernel adds each product straight into `out`, in the same order
+    as `M @ rhs`, with no matrix object and no zero-filled result."""
+    rhs = np.ascontiguousarray(rhs, dtype=np.float64)
+    # the kernel writes through raw pointers: check what it cannot
+    if (out.dtype != np.float64 or not out.flags.c_contiguous
+            or out.shape != (indptr.size - 1, rhs.shape[1])):
+        raise ValueError("out must be a C-contiguous float64 array with a row per "
+                         "row of M and a column per column of rhs")
+    _sparsetools.csr_matvecs(out.shape[0], rhs.shape[0], out.shape[1], indptr, indices,
+                             data, rhs.ravel(), out.ravel())
+
+
+@dataclass(frozen=True)
+class NodeScale:
+    """A per-node factor s (the gain times a constant) and its value at the row
+    and at the column of every slot of the prepared Laplacian structure."""
+
+    node: np.ndarray            # (n,) s
+    rows: np.ndarray            # (2m + n,) s at each slot's row
+    cols: np.ndarray            # (2m + n,) s at each slot's column
+
+
+def node_scale(ctx: FieldContext, model: ForceParams, factor: float = 1.0) -> NodeScale:
+    """The model's per-node gain times `factor`, gathered onto the slots."""
+    s = gain_batch(model, ctx.node_features) * factor
+    return NodeScale(s, np.repeat(s, np.diff(ctx.lap_indptr)), s[ctx.lap_indices])
 
 
 def _geometry(ctx: FieldContext, X: np.ndarray, w: np.ndarray | None = None):
@@ -216,38 +256,62 @@ def _magnitudes_vjp(ctx: FieldContext, model: ForceParams, dist: np.ndarray,
 
 
 def force_field(ctx: FieldContext, model: ForceParams, X: np.ndarray,
-                seed: int = 0, step: int = 0) -> np.ndarray:
+                seed: int = 0, step: int = 0, *, out: np.ndarray | None = None,
+                scale: NodeScale | None = None) -> np.ndarray:
     """Net force on every node from the spring model at positions X.
 
-    Runs in O(edges * dims + nodes * dims) with a fixed, reproducible
-    accumulation order.
+    Given `out` (C-contiguous float64, the shape of X, sharing no memory with
+    it), adds the force to it in place and returns it; otherwise adds it to
+    zeros.  `scale` defaults to `node_scale(ctx, model)`; with
+    `node_scale(ctx, model, c)` the call adds c times the force.  Runs in
+    O(edges * dims + nodes * dims) with a fixed, reproducible accumulation order.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=np.float64)
     if X.shape[0] != ctx.n_nodes:
         raise ValueError(f"X has {X.shape[0]} rows, graph has {ctx.n_nodes} nodes")
+    if out is None:
+        out = np.zeros_like(X)
     if ctx.n_edges == 0:
-        return np.zeros_like(X, dtype=np.float64)
+        return out
+    if scale is None:
+        scale = node_scale(ctx, model)
     dist, tied, _, _ = _geometry(ctx, X)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         f_fwd, f_rev = _magnitudes(ctx, model, dist)
         c_fwd = np.where(tied, 0.0, f_fwd / dist)
         c_rev = np.where(tied, 0.0, f_rev / dist)
-        agg = _weighted(ctx, c_fwd, c_rev, -_rowsum(ctx, c_fwd, c_rev)) @ X
+        # the force on node i is s_i times row i of (A - diag(A 1)) X
+        data = _values(ctx, c_fwd, c_rev, -_rowsum(ctx, c_fwd, c_rev))
+        data *= scale.rows
+        _accumulate(out, ctx.lap_indptr, ctx.lap_indices, data, X)
         if tied.any():
             edges, units = _tie_units(tied, X.shape[1], seed, step)
-            np.add.at(agg, ctx.u[edges], f_fwd[edges, None] * units)
-            np.add.at(agg, ctx.v[edges], -f_rev[edges, None] * units)
-        agg *= gain_batch(model, ctx.node_features)[:, None]
-        return agg
+            u, v = ctx.u[edges], ctx.v[edges]
+            np.add.at(out, u, (scale.node[u] * f_fwd[edges])[:, None] * units)
+            np.add.at(out, v, -(scale.node[v] * f_rev[edges])[:, None] * units)
+    return out
 
 
 def force_field_vjp(ctx: FieldContext, model: ForceParams, X: np.ndarray,
-                    w: np.ndarray, seed: int = 0, step: int = 0
+                    w: np.ndarray, seed: int = 0, step: int = 0, *,
+                    out: np.ndarray | None = None, gain: NodeScale | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients (d/dX, d/dparams) of sum(w * force_field(X)) for cotangent w."""
+    """Gradients (d/dX, d/dparams) of sum(w * force_field(X)) for cotangent w.
+
+    Given `out` (C-contiguous float64, the shape of X, sharing no memory with X
+    or w), adds d/dX to it in place and returns it; otherwise adds it to zeros.
+    `gain` is `node_scale(ctx, model)`, which a caller making many calls
+    evaluates once.
+    """
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    w = np.ascontiguousarray(w, dtype=np.float64)
+    if out is None:
+        out = np.zeros_like(X)
     if ctx.n_edges == 0:
-        return np.zeros_like(X, dtype=np.float64), np.zeros(model.flatten().shape[0])
-    X, w = np.asarray(X, dtype=np.float64), np.asarray(w, dtype=np.float64)
+        return out, np.zeros(model.flatten().shape[0])
+    if gain is None:
+        gain = node_scale(ctx, model)
+    g = gain.node
     dist, tied, s_u, s_v = _geometry(ctx, X, w)
     # a tie-broken edge acts as an edge of length 1 along its tie-break unit
     scale = dist
@@ -256,11 +320,10 @@ def force_field_vjp(ctx: FieldContext, model: ForceParams, X: np.ndarray,
         s_u[edges] = np.einsum("ij,ij->i", w[ctx.u[edges]], units)
         s_v[edges] = np.einsum("ij,ij->i", w[ctx.v[edges]], units)
         scale = np.where(tied, 1.0, dist)
-    gain = gain_batch(model, ctx.node_features)
 
     # force on u is g_u f_uv diff / d, force on v is -g_v f_vu diff / d
-    up_fwd = gain[ctx.u] * s_u / scale
-    up_rev = -gain[ctx.v] * s_v / scale
+    up_fwd = g[ctx.u] * s_u / scale
+    up_rev = -g[ctx.v] * s_v / scale
     f_fwd, f_rev, grad_params, ddist = _magnitudes_vjp(ctx, model, dist, up_fwd, up_rev)
     c_fwd, c_rev = f_fwd / scale, f_rev / scale
     grad_params += gain_batch_vjp(model, ctx.node_features,
@@ -272,6 +335,12 @@ def force_field_vjp(ctx: FieldContext, model: ForceParams, X: np.ndarray,
     t = ddist / scale
     if tied.any():
         c_fwd[tied] = c_rev[tied] = t[tied] = 0.0
-    dx = _weighted(ctx, c_rev, c_fwd, -_rowsum(ctx, c_fwd, c_rev)) @ (gain[:, None] * w)
-    dx -= _weighted(ctx, t, t, -_rowsum(ctx, t, t)) @ X
-    return dx, grad_params
+    # d/dX = (A - D_A)^T diag(g) w - (T - D_T) X: g scales the columns of the
+    # transpose, and the second matrix is the Laplacian of the weights -t
+    data = _values(ctx, c_rev, c_fwd, -_rowsum(ctx, c_fwd, c_rev))
+    data *= gain.cols
+    _accumulate(out, ctx.lap_indptr, ctx.lap_indices, data, w)
+    np.negative(t, out=t)
+    data = _values(ctx, t, t, -_rowsum(ctx, t, t))
+    _accumulate(out, ctx.lap_indptr, ctx.lap_indices, data, X)
+    return out, grad_params

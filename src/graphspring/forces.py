@@ -345,8 +345,12 @@ def params_from_json(text: str) -> ForceParams:
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("format") != PARAMS_FORMAT:
         raise ValueError("not a parameter file")
-    if doc.get("version") != PARAMS_VERSION:
-        raise ValueError(f"unsupported parameter file version {doc.get('version')}")
+    # a type check first: json gives True for true, and True == 1
+    if type(doc.get("version")) is not int or doc["version"] != PARAMS_VERSION:
+        raise ValueError(f"unsupported parameter file version "
+                         f"{json.dumps(doc.get('version'))}")
+    if type(doc["n_params"]) is not int:
+        raise ValueError(f"n_params must be an integer, not {json.dumps(doc['n_params'])}")
     flat = decode_flat(doc["data_b64"], doc["n_params"])
     if doc["kind"] == "spring":
         return SpringParams.from_flat(flat)

@@ -5,6 +5,8 @@ velocities, then velocities are damped and accelerated by the force field
 evaluated at the old positions.  An optional semi-implicit mode advances
 positions with the freshly updated velocities instead, the usual stability
 fix for stiff springs; the default matches the plain explicit ordering.
+The force field adds dt times the force straight into the damped velocities,
+so a step writes no n x k force array.
 
 `simulate` is the only time-stepping loop: embedding calls it directly, and
 training's forward pass calls it with an `on_step` hook that tapes positions.
@@ -21,7 +23,7 @@ import numpy as np
 from . import rng
 from .artifacts import atomic_write
 from .forces import ForceParams
-from .forcefield import FieldContext, force_field, prepare
+from .forcefield import FieldContext, force_field, node_scale, prepare
 from .graphs import NodeStatics, SignedGraph
 
 INIT_TAG = "init"
@@ -88,22 +90,6 @@ def init_state(n_nodes: int, config: SimConfig) -> SimState:
     return SimState(X, np.zeros((n_nodes, config.k)), 0)
 
 
-def _advance(X: np.ndarray, V: np.ndarray, F: np.ndarray, config: SimConfig,
-             scratch: np.ndarray) -> np.ndarray:
-    """One damped-Euler update without allocating: V becomes
-    (1 - damping) V + dt F in place, and X1 = X + dt V (the updated V if
-    semi-implicit) is written into F's buffer and returned.  `scratch` is an
-    n x k work array."""
-    F *= config.dt
-    if not config.semi_implicit:
-        np.multiply(V, config.dt, out=scratch)
-    V *= 1.0 - config.damping
-    V += F
-    if config.semi_implicit:
-        np.multiply(V, config.dt, out=scratch)
-    return np.add(scratch, X, out=F)
-
-
 def simulate(state: SimState, graph: SignedGraph, statics: NodeStatics,
              model: ForceParams, config: SimConfig, ctx: FieldContext | None = None,
              on_step=None) -> SimState:
@@ -111,16 +97,24 @@ def simulate(state: SimState, graph: SignedGraph, statics: NodeStatics,
 
     Each step allocates only its new position matrix.  The velocities live in
     one array, a copy of `state.V` updated in place: every state passed to
-    `on_step` shares it, so a hook that keeps velocities must copy them.
+    `on_step` shares it, so a hook that keeps velocities must copy them.  The
+    gain is evaluated once per call, and each step damps V and then adds
+    dt times the force straight into it.
     """
     if ctx is None:
         ctx = prepare(graph, statics)
     V = state.V.copy()
-    scratch = np.empty_like(V)
+    scale = node_scale(ctx, model, config.dt)
     for _ in range(config.n_steps):
-        F = force_field(ctx, model, state.X, seed=config.seed, step=state.t_step)
         with np.errstate(over="ignore", invalid="ignore"):
-            X1 = _advance(state.X, V, F, config, scratch)
+            if not config.semi_implicit:
+                X1 = config.dt * V                  # the old velocities
+            V *= 1.0 - config.damping
+            force_field(ctx, model, state.X, seed=config.seed, step=state.t_step,
+                        out=V, scale=scale)
+            if config.semi_implicit:
+                X1 = config.dt * V                  # the new ones
+            X1 += state.X
         if not (np.isfinite(X1).all() and np.isfinite(V).all()):
             raise SimulationDivergedError(state.t_step + 1, worst_node(X1, V))
         state = SimState(X1, V, state.t_step + 1)

@@ -4,7 +4,8 @@ The forward pass is `simulate.simulate` with an `on_step` hook that records
 every intermediate position matrix (memory grows linearly with the step
 count); the backward pass walks the recorded states in reverse, applying the
 hand-derived vector-Jacobian products of the Euler update and of the force
-field.  Gradients are flat vectors aligned with `params.flatten()`.
+field, whose position gradient is added into the running one in place.
+Gradients are flat vectors aligned with `params.flatten()`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from . import rng
 from .artifacts import atomic_write
 from .forces import (ForceParams, decode_flat, encode_flat, init_params,
                      params_from_json, params_to_json)
-from .forcefield import FieldContext, force_field_vjp, prepare
+from .forcefield import FieldContext, force_field_vjp, node_scale, prepare
 from .graphs import NodeStatics, SignedGraph, compute_node_statics
 from .metrics import auc, f1_scores, predict, predict_prob
 from .simulate import (SimConfig, SimState, SimulationDivergedError, init_state,
@@ -153,20 +154,21 @@ def loss_and_grad(graph: SignedGraph, statics: NodeStatics, params: ForceParams,
 
     value, gX = loss_with_grad(graph, final.X, loss_cfg)
     gV = np.zeros_like(gX)
-    scratch = np.empty_like(gX)
+    w, scratch = np.empty_like(gX), np.empty_like(gX)
+    gain = node_scale(ctx, params)
     grad = np.zeros_like(params.flatten())
     dt, damp = sim_cfg.dt, sim_cfg.damping
 
+    # w = dt gV is the cotangent of the step's force; its VJP adds into gX
     for t in range(sim_cfg.n_steps - 1, -1, -1):
         if sim_cfg.semi_implicit:
             gV += np.multiply(gX, dt, out=scratch)   # the adjoint of V1
-        dXF, dtheta = force_field_vjp(ctx, params, tape[t],
-                                      np.multiply(gV, dt, out=scratch),
-                                      seed=sim_cfg.seed, step=t0 + t)
+        np.multiply(gV, dt, out=w)
         gV *= 1.0 - damp
         if not sim_cfg.semi_implicit:
             gV += np.multiply(gX, dt, out=scratch)
-        gX += dXF
+        _, dtheta = force_field_vjp(ctx, params, tape[t], w, seed=sim_cfg.seed,
+                                    step=t0 + t, out=gX, gain=gain)
         grad += dtheta
         if not np.isfinite(grad).all():
             raise SimulationDivergedError(t0 + t, worst_node(gX, gV), "gradient")

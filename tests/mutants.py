@@ -43,6 +43,27 @@ MUTANTS = [
     # the Euler update reads damping 0.05 as 0.049
     ("simulate.py", "V *= 1.0 - config.damping", "V *= 1.0 - 0.049",
      ["tests/test_acceptance.py::test_c05_two_body_oracle"]),
+    # the Euler update damps the velocities after adding the force, not before
+    ("simulate.py",
+     "            V *= 1.0 - config.damping\n"
+     "            force_field(ctx, model, state.X, seed=config.seed, step=state.t_step,\n"
+     "                        out=V, scale=scale)\n",
+     "            force_field(ctx, model, state.X, seed=config.seed, step=state.t_step,\n"
+     "                        out=V, scale=scale)\n"
+     "            V *= 1.0 - config.damping\n",
+     ["tests/test_simulate.py::test_one_step_is_the_damped_euler_update_of_the_public_force_field",
+      "tests/test_acceptance.py::test_c05_two_body_oracle"]),
+    # the field scales each matrix value by the gain of its column, not its row
+    ("forcefield.py", "data *= scale.rows", "data *= scale.cols",
+     ["tests/test_forcefield.py::test_random_instances_match_brute_force"]),
+    # the VJP's transposed product scales by the gain of each row, not column
+    ("forcefield.py", "data *= gain.cols", "data *= gain.rows",
+     ["tests/test_forcefield.py::test_vjp_matches_finite_differences",
+      "tests/test_forcefield.py::test_vjp_property_central_differences"]),
+    # the VJP's second product adds +(T - D_T) X instead of subtracting it
+    ("forcefield.py", "    np.negative(t, out=t)\n", "",
+     ["tests/test_forcefield.py::test_vjp_matches_finite_differences",
+      "tests/test_forcefield.py::test_vjp_property_central_differences"]),
     # the MLP VJP counts the ReLU kink pre = 0 as active
     ("forces.py", "slope = (pre > 0) * p.w1[:, None]",
      "slope = (pre >= 0) * p.w1[:, None]",
@@ -55,15 +76,15 @@ MUTANTS = [
      "grad[3] = np.dot(upstream, dist - p.l_neu)",
      ["tests/test_forces.py::test_batch_vjp_matches_central_differences"]),
     # a tie-broken edge pushes its u end with the reverse magnitude
-    ("forcefield.py", "np.add.at(agg, ctx.u[edges], f_fwd[edges, None] * units)",
-     "np.add.at(agg, ctx.u[edges], f_rev[edges, None] * units)",
+    ("forcefield.py", "np.add.at(out, u, (scale.node[u] * f_fwd[edges])[:, None] * units)",
+     "np.add.at(out, u, (scale.node[u] * f_rev[edges])[:, None] * units)",
      ["tests/test_forcefield.py::test_coincident_nodes_no_nan_and_deterministic",
       "tests/test_forcefield.py::test_tie_correction_matches_brute_force",
       "tests/test_forcefield.py::test_vjp_property_coincident_endpoints"]),
     # the VJP's diagonal sums the weights of the wrong direction
     ("forcefield.py",
-     "dx = _weighted(ctx, c_rev, c_fwd, -_rowsum(ctx, c_fwd, c_rev)) @ (gain[:, None] * w)",
-     "dx = _weighted(ctx, c_rev, c_fwd, -_rowsum(ctx, c_rev, c_fwd)) @ (gain[:, None] * w)",
+     "data = _values(ctx, c_rev, c_fwd, -_rowsum(ctx, c_fwd, c_rev))",
+     "data = _values(ctx, c_rev, c_fwd, -_rowsum(ctx, c_rev, c_fwd))",
      ["tests/test_forcefield.py::test_vjp_matches_finite_differences",
       "tests/test_forcefield.py::test_vjp_property_central_differences"]),
     # the edge blocks stop one edge short, so the last edge has no geometry

@@ -594,6 +594,8 @@ def test_train_embed_and_eval_hide_the_same_signs(command, source, toy_csv, tmp_
 # edits that break a valid parameter file or checkpoint
 JSON_EDITS = {"params-without-data": lambda doc: doc.pop("data_b64"),
               "params-data-not-text": lambda doc: doc.update(data_b64=3),
+              "params-version-true": lambda doc: doc.update(version=True),
+              "params-n-params-float": lambda doc: doc.update(n_params=7.0),
               "checkpoint-without-params": lambda doc: doc.pop("params"),
               "checkpoint-adam-not-object": lambda doc: doc.update(adam=[]),
               "checkpoint-epoch-text": lambda doc: doc.update(epoch="1"),

@@ -58,7 +58,10 @@ class SparseOracle:
     """The force field and its VJP with the edge vectors held for all edges at
     once, as products with sparse (m, n) difference and gather operators.  The
     library streams the same arithmetic through small edge blocks, so the two
-    must agree bit for bit."""
+    must agree bit for bit.  After the geometry both fold the per-node gain into
+    the matrix values (by row in the field, by column in the VJP's transposed
+    product), and the VJP adds its second product, with weights -t, into the
+    first one's result."""
 
     def __init__(self, ctx):
         self.ctx = ctx
@@ -76,6 +79,11 @@ class SparseOracle:
         dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         return diff, dist, dist < EPS
 
+    def _matrix(self, data):
+        ctx = self.ctx
+        return sp.csr_matrix((data, ctx.lap_indices, ctx.lap_indptr),
+                             shape=(ctx.n_nodes, ctx.n_nodes))
+
     def force_field(self, model, X, seed=0, step=0):
         ctx = self.ctx
         if ctx.n_edges == 0:
@@ -85,13 +93,15 @@ class SparseOracle:
             f_fwd, f_rev = forcefield._magnitudes(ctx, model, dist)
             c_fwd = np.where(tied, 0.0, f_fwd / dist)
             c_rev = np.where(tied, 0.0, f_rev / dist)
-        agg = forcefield._weighted(ctx, c_fwd, c_rev,
-                                   -forcefield._rowsum(ctx, c_fwd, c_rev)) @ X
+        gain = gain_batch(model, ctx.node_features)
+        data = forcefield._values(ctx, c_fwd, c_rev, -forcefield._rowsum(ctx, c_fwd, c_rev))
+        rows = np.repeat(np.arange(ctx.n_nodes), np.diff(ctx.lap_indptr))
+        agg = self._matrix(data * gain[rows]) @ X
         if tied.any():
             edges, units = forcefield._tie_units(tied, X.shape[1], seed, step)
-            np.add.at(agg, ctx.u[edges], f_fwd[edges, None] * units)
-            np.add.at(agg, ctx.v[edges], -f_rev[edges, None] * units)
-        agg *= gain_batch(model, ctx.node_features)[:, None]
+            u, v = ctx.u[edges], ctx.v[edges]
+            np.add.at(agg, u, (gain[u] * f_fwd[edges])[:, None] * units)
+            np.add.at(agg, v, -(gain[v] * f_rev[edges])[:, None] * units)
         return agg
 
     def force_field_vjp(self, model, X, w, seed=0, step=0):
@@ -118,9 +128,11 @@ class SparseOracle:
         t = ddist / scale
         if tied.any():
             c_fwd[tied] = c_rev[tied] = t[tied] = 0.0
-        dx = forcefield._weighted(ctx, c_rev, c_fwd,
-                                  -forcefield._rowsum(ctx, c_fwd, c_rev)) @ (gain[:, None] * w)
-        dx -= forcefield._weighted(ctx, t, t, -forcefield._rowsum(ctx, t, t)) @ X
+        data = forcefield._values(ctx, c_rev, c_fwd, -forcefield._rowsum(ctx, c_fwd, c_rev))
+        dx = self._matrix(data * gain[ctx.lap_indices]) @ w
+        forcefield._accumulate(dx, ctx.lap_indptr, ctx.lap_indices,
+                               forcefield._values(ctx, -t, -t, forcefield._rowsum(ctx, t, t)),
+                               X)
         return dx, grad_params
 
 
@@ -303,6 +315,28 @@ def test_blocked_kernels_match_the_sparse_oracle_bitwise(kind, k, edges_of):
     want_dX, want_dtheta = oracle.force_field_vjp(params, X, w, seed=4, step=9)
     assert dX.tobytes() == want_dX.tobytes()
     assert dtheta.tobytes() == want_dtheta.tobytes()
+
+
+def test_accumulate_adds_the_csr_product_into_out():
+    # the field and its VJP add their products into the caller's array through
+    # scipy's private CSR kernel; a scipy whose kernel zeroes or replaces `out`,
+    # or reads the arrays in another layout, fails here
+    rand = np.random.default_rng(8)
+    n_rows, n_cols, k = 30, 20, 5
+    cells = rand.choice(n_rows * n_cols, 120, replace=False)
+    M = sp.csr_matrix((rand.normal(size=cells.size), np.divmod(cells, n_cols)),
+                      shape=(n_rows, n_cols))
+    rhs = np.asfortranarray(rand.normal(size=(n_cols, k)))
+    out = rand.normal(size=(n_rows, k))
+    want = out + M @ rhs
+    forcefield._accumulate(out, M.indptr, M.indices, M.data, rhs)
+    assert np.abs(out - want).max() <= 1e-14 * np.abs(want).max()
+    zeros = np.zeros((n_rows, k))
+    forcefield._accumulate(zeros, M.indptr, M.indices, M.data, rhs)
+    assert zeros.tobytes() == (M @ rhs).tobytes()
+    for bad in (np.zeros((k, n_rows)).T, np.zeros((n_rows, k + 1))):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            forcefield._accumulate(bad, M.indptr, M.indices, M.data, rhs)
 
 
 @pytest.mark.parametrize("kind", ["spring", "spring-nn"])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -327,6 +329,15 @@ def test_json_round_trip_bit_exact():
 def test_json_rejects_garbage():
     with pytest.raises(ValueError):
         params_from_json("{}")
+
+
+@pytest.mark.parametrize("key, value", [("version", True), ("n_params", 7.0)])
+def test_json_rejects_a_count_that_is_not_an_int(key, value):
+    # json reads true as True, and True == 1 and 7.0 == 7 in Python
+    doc = json.loads(params_to_json(SpringParams()))
+    doc[key] = value
+    with pytest.raises(ValueError, match=key):
+        params_from_json(json.dumps(doc))
 
 
 def test_unknown_kind_rejected():

@@ -6,7 +6,8 @@ from graphspring import (SignedGraph, SimConfig, SimState,
                          read_embeddings_binary, read_embeddings_text,
                          simulate, write_embeddings_binary,
                          write_embeddings_text)
-from graphspring.forces import SpringParams
+from graphspring.forcefield import force_field, prepare
+from graphspring.forces import SpringParams, init_params
 from graphspring.simulate import mean_abs_velocity, worst_node
 
 from conftest import hidden_toy, statics_of
@@ -56,6 +57,30 @@ def test_step_reads_old_velocity():
     assert nxt.t_step == 1
 
 
+@pytest.mark.parametrize("semi_implicit", [False, True])
+def test_one_step_is_the_damped_euler_update_of_the_public_force_field(semi_implicit):
+    # simulate adds dt times the force straight into the damped velocities,
+    # with the gain folded into the matrix; written out with the public
+    # force_field, the step is V1 = (1 - d) V + dt F(X), X1 = X + dt V (V1 if
+    # semi-implicit), equal up to rounding
+    graph, _ = hidden_toy(seed=3)
+    st = statics_of(graph)
+    cfg = SimConfig(k=4, dt=0.01, damping=0.1, n_steps=1, seed=2,
+                    semi_implicit=semi_implicit)
+    rand = np.random.default_rng(1)
+    X = rand.normal(0, 1, (graph.n_nodes, cfg.k))
+    V = rand.normal(0, 1, X.shape)
+    X[graph.v[0]] = X[graph.u[0]]   # one tie-broken edge
+    model = init_params("spring-nn", seed=2)
+    F = force_field(prepare(graph, st), model, X, seed=cfg.seed, step=5)
+    V1 = (1.0 - cfg.damping) * V + cfg.dt * F
+    X1 = X + cfg.dt * (V1 if semi_implicit else V)
+    got = simulate(SimState(X, V, 5), graph, st, model, cfg)
+    assert np.abs(got.V - V1).max() <= 1e-12 * np.abs(V1).max()
+    assert np.abs(got.X - X1).max() <= 1e-12 * np.abs(X1).max()
+    assert not np.array_equal(got.X, X + cfg.dt * (V if semi_implicit else V1))
+
+
 def test_velocity_decay_is_geometric_bitwise():
     # no edges -> zero force -> V scales by (1 - d) each step
     graph = SignedGraph(3, np.zeros(0, np.int64), np.zeros(0, np.int64),
@@ -85,8 +110,8 @@ def test_zero_steps_returns_state_unchanged():
 
 @pytest.mark.parametrize("semi_implicit", [False, True])
 def test_simulate_leaves_the_input_state_untouched(semi_implicit):
-    # the step updates velocities in place and reuses the force buffer, so
-    # the caller's arrays must never be among them
+    # the step adds the force into the velocities in place, so the caller's
+    # arrays must never be among them
     graph, _ = hidden_toy(seed=1)
     cfg = SimConfig(k=3, n_steps=4, seed=4, semi_implicit=semi_implicit)
     rand = np.random.default_rng(0)
