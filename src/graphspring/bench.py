@@ -18,7 +18,7 @@ import scipy
 
 from . import rng
 from .forces import init_params
-from .forcefield import force_field, force_field_vjp, prepare
+from .forcefield import force_field, force_field_vjp, node_gain, prepare
 from .graphs import SignedGraph, SplitSpec, compute_node_statics, hide_signs
 from .simulate import SimConfig, init_state, simulate
 from .training import LossConfig, loss_and_grad, loss_with_grad
@@ -65,11 +65,13 @@ def synthetic_graph(n_nodes: int, n_edges: int, seed: int,
 
 
 def median_ms(fn, repeats: int = 7) -> tuple[float, float]:
-    """Median and interquartile range of fn() wall time in milliseconds."""
+    """Median and interquartile range of fn() wall time in milliseconds.  Each
+    result is held until the next call returns, as a training loop holds its
+    state, so the allocator sees the heap that training gives it."""
     times = []
     for _ in range(repeats):
         started = time.perf_counter()
-        fn()
+        held = fn()   # the previous result is released only once this returns
         times.append((time.perf_counter() - started) * 1000.0)
     q1, median, q3 = np.percentile(times, [25, 50, 75])
     return float(median), float(q3 - q1)
@@ -78,7 +80,9 @@ def median_ms(fn, repeats: int = 7) -> tuple[float, float]:
 def timed_operations(n_nodes: int, n_edges: int, k: int) -> dict:
     """The operations a record times, as calls without arguments at the same
     initial positions: `force_field`, its VJP (the loss gradient as cotangent),
-    `loss_with_grad`, a `loss_and_grad` epoch and an N_STEPS-step embed."""
+    `loss_with_grad`, a `loss_and_grad` epoch and an N_STEPS-step embed.  The
+    field and VJP calls take the arguments they get inside an epoch: an `out`
+    to add into and the gain, evaluated once (dt times it for the field)."""
     graph = synthetic_graph(n_nodes, n_edges, GRAPH_SEED)
     statics = compute_node_statics(graph)
     ctx = prepare(graph, statics)
@@ -87,9 +91,12 @@ def timed_operations(n_nodes: int, n_edges: int, k: int) -> dict:
     state = init_state(n_nodes, sim)
     loss_cfg = LossConfig()
     _, upstream = loss_with_grad(graph, state.X, loss_cfg)
+    dt_gain, gain = node_gain(ctx, model, sim.dt), node_gain(ctx, model)
+    out = np.zeros_like(state.X)
     return {
-        "force_field": lambda: force_field(ctx, model, state.X),
-        "force_field_vjp": lambda: force_field_vjp(ctx, model, state.X, upstream),
+        "force_field": lambda: force_field(ctx, model, state.X, out=out, gain=dt_gain),
+        "force_field_vjp": lambda: force_field_vjp(ctx, model, state.X, upstream,
+                                                   out=out, gain=gain),
         "loss_with_grad": lambda: loss_with_grad(graph, state.X, loss_cfg),
         "epoch": lambda: loss_and_grad(graph, statics, model, sim, loss_cfg, ctx=ctx),
         "embed": lambda: simulate(state, graph, statics, model, sim, ctx=ctx),

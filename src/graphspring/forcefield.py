@@ -17,11 +17,14 @@ structure of A - diag(rowsum(A)) once; each evaluation fills in its 2m edge
 weights and n diagonal entries, folds the gain into them by row, and adds the
 product with X straight into the caller's array (`out += M @ X`, scipy's CSR
 kernel, no zero-filled result), with a fixed, reproducible accumulation
-order.  The caller may pass the gain times a constant, gathered onto the
-matrix slots once (`node_scale`): the integrator passes dt times the gain and
-adds dt F into its velocities.  An edge whose endpoints are closer than EPS
-has weight 0 in A and instead pushes its endpoints along a seeded tie-break
-unit vector.
+order.  The caller may pass the gain vector times a constant (`node_gain`):
+the integrator passes dt times the gain and adds dt F into its velocities.
+An edge whose endpoints are closer than EPS has weight 0 in A and instead
+pushes its endpoints along a seeded tie-break unit vector.
+
+Both operators check their arguments (`_checked`) before any work.  The CSR
+kernel is scipy's private `csr_matvecs`, resolved when the module loads: a
+scipy without it fails the import.
 
 The edge vectors X[v] - X[u] are never held for all edges at once: they are
 formed block by block in two gather buffers of BLOCK_BYTES each (512 edges at
@@ -56,8 +59,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
-from scipy.sparse import _sparsetools
+
+try:
+    # private to scipy: a second product path would round differently, so a
+    # scipy without it is refused here rather than worked around
+    from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
+except ImportError:
+    raise ImportError("graphspring needs scipy.sparse._sparsetools.csr_matvecs, "
+                      f"which scipy {scipy.__version__} does not provide") from None
 
 from . import rng
 from .forces import (ForceParams, edge_statics, force_batch, force_batch_vjp,
@@ -169,24 +180,35 @@ def _accumulate(out: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
             or out.shape != (indptr.size - 1, rhs.shape[1])):
         raise ValueError("out must be a C-contiguous float64 array with a row per "
                          "row of M and a column per column of rhs")
-    _sparsetools.csr_matvecs(out.shape[0], rhs.shape[0], out.shape[1], indptr, indices,
-                             data, rhs.ravel(), out.ravel())
+    _csr_matvecs(out.shape[0], rhs.shape[0], out.shape[1], indptr, indices, data,
+                 rhs.ravel(), out.ravel())
 
 
-@dataclass(frozen=True)
-class NodeScale:
-    """A per-node factor s (the gain times a constant) and its value at the row
-    and at the column of every slot of the prepared Laplacian structure."""
-
-    node: np.ndarray            # (n,) s
-    rows: np.ndarray            # (2m + n,) s at each slot's row
-    cols: np.ndarray            # (2m + n,) s at each slot's column
+def node_gain(ctx: FieldContext, model: ForceParams, factor: float = 1.0) -> np.ndarray:
+    """The model's (n,) per-node gain times `factor`."""
+    return gain_batch(model, ctx.node_features) * factor
 
 
-def node_scale(ctx: FieldContext, model: ForceParams, factor: float = 1.0) -> NodeScale:
-    """The model's per-node gain times `factor`, gathered onto the slots."""
-    s = gain_batch(model, ctx.node_features) * factor
-    return NodeScale(s, np.repeat(s, np.diff(ctx.lap_indptr)), s[ctx.lap_indices])
+def _checked(ctx: FieldContext, X: np.ndarray, w: np.ndarray | None,
+             gain: np.ndarray | None, out: np.ndarray | None):
+    """X and w as C-contiguous float64 arrays, once the operators' preconditions
+    hold: X is (n, k), w (if given) has its shape, the gain (if given) is (n,),
+    and `out` shares no memory with X or w.  Raises ValueError naming the shapes."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] != ctx.n_nodes:
+        raise ValueError(f"X has shape {X.shape}, expected ({ctx.n_nodes}, k) "
+                         f"for a graph of {ctx.n_nodes} nodes")
+    if gain is not None and np.shape(gain) != (ctx.n_nodes,):
+        raise ValueError(f"gain has shape {np.shape(gain)}, expected ({ctx.n_nodes},)")
+    if out is not None and np.may_share_memory(out, X):
+        raise ValueError("out shares memory with X")
+    if w is not None:
+        w = np.ascontiguousarray(w, dtype=np.float64)
+        if w.shape != X.shape:
+            raise ValueError(f"w has shape {w.shape}, X has shape {X.shape}")
+        if out is not None and np.may_share_memory(out, w):
+            raise ValueError("out shares memory with w")
+    return X, w
 
 
 def _geometry(ctx: FieldContext, X: np.ndarray, w: np.ndarray | None = None):
@@ -257,61 +279,54 @@ def _magnitudes_vjp(ctx: FieldContext, model: ForceParams, dist: np.ndarray,
 
 def force_field(ctx: FieldContext, model: ForceParams, X: np.ndarray,
                 seed: int = 0, step: int = 0, *, out: np.ndarray | None = None,
-                scale: NodeScale | None = None) -> np.ndarray:
+                gain: np.ndarray | None = None) -> np.ndarray:
     """Net force on every node from the spring model at positions X.
 
     Given `out` (C-contiguous float64, the shape of X, sharing no memory with
     it), adds the force to it in place and returns it; otherwise adds it to
-    zeros.  `scale` defaults to `node_scale(ctx, model)`; with
-    `node_scale(ctx, model, c)` the call adds c times the force.  Runs in
+    zeros.  `gain` defaults to `node_gain(ctx, model)`; with
+    `node_gain(ctx, model, c)` the call adds c times the force.  Runs in
     O(edges * dims + nodes * dims) with a fixed, reproducible accumulation order.
     """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    if X.shape[0] != ctx.n_nodes:
-        raise ValueError(f"X has {X.shape[0]} rows, graph has {ctx.n_nodes} nodes")
-    if out is None:
-        out = np.zeros_like(X)
+    X, _ = _checked(ctx, X, None, gain, out)
     if ctx.n_edges == 0:
-        return out
-    if scale is None:
-        scale = node_scale(ctx, model)
+        return np.zeros_like(X) if out is None else out
+    g = node_gain(ctx, model) if gain is None else gain
     dist, tied, _, _ = _geometry(ctx, X)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         f_fwd, f_rev = _magnitudes(ctx, model, dist)
         c_fwd = np.where(tied, 0.0, f_fwd / dist)
         c_rev = np.where(tied, 0.0, f_rev / dist)
-        # the force on node i is s_i times row i of (A - diag(A 1)) X
-        data = _values(ctx, c_fwd, c_rev, -_rowsum(ctx, c_fwd, c_rev))
-        data *= scale.rows
+        # the force on node i is g_i times row i of (A - diag(A 1)) X
+        data = _values(ctx, c_fwd * g[ctx.u], c_rev * g[ctx.v],
+                       -g * _rowsum(ctx, c_fwd, c_rev))
+        if out is None:
+            out = np.zeros_like(X)
         _accumulate(out, ctx.lap_indptr, ctx.lap_indices, data, X)
         if tied.any():
             edges, units = _tie_units(tied, X.shape[1], seed, step)
             u, v = ctx.u[edges], ctx.v[edges]
-            np.add.at(out, u, (scale.node[u] * f_fwd[edges])[:, None] * units)
-            np.add.at(out, v, -(scale.node[v] * f_rev[edges])[:, None] * units)
+            np.add.at(out, u, (g[u] * f_fwd[edges])[:, None] * units)
+            np.add.at(out, v, -(g[v] * f_rev[edges])[:, None] * units)
     return out
 
 
 def force_field_vjp(ctx: FieldContext, model: ForceParams, X: np.ndarray,
                     w: np.ndarray, seed: int = 0, step: int = 0, *,
-                    out: np.ndarray | None = None, gain: NodeScale | None = None
+                    out: np.ndarray | None = None, gain: np.ndarray | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients (d/dX, d/dparams) of sum(w * force_field(X)) for cotangent w.
 
     Given `out` (C-contiguous float64, the shape of X, sharing no memory with X
     or w), adds d/dX to it in place and returns it; otherwise adds it to zeros.
-    `gain` is `node_scale(ctx, model)`, which a caller making many calls
+    `gain` is `node_gain(ctx, model)`, which a caller making many calls
     evaluates once.
     """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    w = np.ascontiguousarray(w, dtype=np.float64)
-    if out is None:
-        out = np.zeros_like(X)
+    X, w = _checked(ctx, X, w, gain, out)
     if ctx.n_edges == 0:
-        return out, np.zeros(model.flatten().shape[0])
-    if gain is None:
-        gain = node_scale(ctx, model)
-    g = gain.node
+        return (np.zeros_like(X) if out is None else out,
+                np.zeros(model.flatten().shape[0]))
+    g = node_gain(ctx, model) if gain is None else gain
     dist, tied, s_u, s_v = _geometry(ctx, X, w)
     # a tie-broken edge acts as an edge of length 1 along its tie-break unit
     scale = dist
@@ -322,8 +337,9 @@ def force_field_vjp(ctx: FieldContext, model: ForceParams, X: np.ndarray,
         scale = np.where(tied, 1.0, dist)
 
     # force on u is g_u f_uv diff / d, force on v is -g_v f_vu diff / d
-    up_fwd = g[ctx.u] * s_u / scale
-    up_rev = -g[ctx.v] * s_v / scale
+    g_u, g_v = g[ctx.u], g[ctx.v]
+    up_fwd = g_u * s_u / scale
+    up_rev = -g_v * s_v / scale
     f_fwd, f_rev, grad_params, ddist = _magnitudes_vjp(ctx, model, dist, up_fwd, up_rev)
     c_fwd, c_rev = f_fwd / scale, f_rev / scale
     grad_params += gain_batch_vjp(model, ctx.node_features,
@@ -337,8 +353,9 @@ def force_field_vjp(ctx: FieldContext, model: ForceParams, X: np.ndarray,
         c_fwd[tied] = c_rev[tied] = t[tied] = 0.0
     # d/dX = (A - D_A)^T diag(g) w - (T - D_T) X: g scales the columns of the
     # transpose, and the second matrix is the Laplacian of the weights -t
-    data = _values(ctx, c_rev, c_fwd, -_rowsum(ctx, c_fwd, c_rev))
-    data *= gain.cols
+    data = _values(ctx, c_rev * g_v, c_fwd * g_u, -g * _rowsum(ctx, c_fwd, c_rev))
+    if out is None:
+        out = np.zeros_like(X)
     _accumulate(out, ctx.lap_indptr, ctx.lap_indices, data, w)
     np.negative(t, out=t)
     data = _values(ctx, t, t, -_rowsum(ctx, t, t))

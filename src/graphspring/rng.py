@@ -34,7 +34,6 @@ import hashlib
 
 import numpy as np
 
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -50,9 +49,9 @@ def mix64(z: np.ndarray | int) -> np.ndarray | int:
     """SplitMix64 finalizer, vectorised over uint64 arrays."""
     z = np.asarray(z, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        z = (z + np.uint64(_GOLDEN)) & _MASK
-        z = ((z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)) & _MASK
-        z = ((z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)) & _MASK
+        z = z + np.uint64(_GOLDEN)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
         z = z ^ (z >> np.uint64(31))
     return z
 
@@ -67,7 +66,7 @@ def raw_uint64(seed: int, tag: str, indices: np.ndarray | int) -> np.ndarray:
     idx = np.atleast_1d(np.asarray(indices, dtype=np.uint64))
     key = np.uint64(stream_key(seed, tag))
     with np.errstate(over="ignore"):
-        state = (key + idx * np.uint64(_GOLDEN)) & _MASK
+        state = key + idx * np.uint64(_GOLDEN)
     return mix64(state)
 
 

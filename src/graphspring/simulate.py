@@ -23,7 +23,7 @@ import numpy as np
 from . import rng
 from .artifacts import atomic_write
 from .forces import ForceParams
-from .forcefield import FieldContext, force_field, node_scale, prepare
+from .forcefield import FieldContext, force_field, node_gain, prepare
 from .graphs import NodeStatics, SignedGraph
 
 INIT_TAG = "init"
@@ -104,14 +104,14 @@ def simulate(state: SimState, graph: SignedGraph, statics: NodeStatics,
     if ctx is None:
         ctx = prepare(graph, statics)
     V = state.V.copy()
-    scale = node_scale(ctx, model, config.dt)
+    gain = node_gain(ctx, model, config.dt)
     for _ in range(config.n_steps):
         with np.errstate(over="ignore", invalid="ignore"):
             if not config.semi_implicit:
                 X1 = config.dt * V                  # the old velocities
             V *= 1.0 - config.damping
             force_field(ctx, model, state.X, seed=config.seed, step=state.t_step,
-                        out=V, scale=scale)
+                        out=V, gain=gain)
             if config.semi_implicit:
                 X1 = config.dt * V                  # the new ones
             X1 += state.X

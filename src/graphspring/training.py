@@ -22,7 +22,7 @@ from . import rng
 from .artifacts import atomic_write
 from .forces import (ForceParams, decode_flat, encode_flat, init_params,
                      params_from_json, params_to_json)
-from .forcefield import FieldContext, force_field_vjp, node_scale, prepare
+from .forcefield import FieldContext, force_field_vjp, node_gain, prepare
 from .graphs import NodeStatics, SignedGraph, compute_node_statics
 from .metrics import auc, f1_scores, predict, predict_prob
 from .simulate import (SimConfig, SimState, SimulationDivergedError, init_state,
@@ -155,7 +155,7 @@ def loss_and_grad(graph: SignedGraph, statics: NodeStatics, params: ForceParams,
     value, gX = loss_with_grad(graph, final.X, loss_cfg)
     gV = np.zeros_like(gX)
     w, scratch = np.empty_like(gX), np.empty_like(gX)
-    gain = node_scale(ctx, params)
+    gain = node_gain(ctx, params)
     grad = np.zeros_like(params.flatten())
     dt, damp = sim_cfg.dt, sim_cfg.damping
 

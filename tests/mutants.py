@@ -47,17 +47,23 @@ MUTANTS = [
     ("simulate.py",
      "            V *= 1.0 - config.damping\n"
      "            force_field(ctx, model, state.X, seed=config.seed, step=state.t_step,\n"
-     "                        out=V, scale=scale)\n",
+     "                        out=V, gain=gain)\n",
      "            force_field(ctx, model, state.X, seed=config.seed, step=state.t_step,\n"
-     "                        out=V, scale=scale)\n"
+     "                        out=V, gain=gain)\n"
      "            V *= 1.0 - config.damping\n",
      ["tests/test_simulate.py::test_one_step_is_the_damped_euler_update_of_the_public_force_field",
       "tests/test_acceptance.py::test_c05_two_body_oracle"]),
-    # the field scales each matrix value by the gain of its column, not its row
-    ("forcefield.py", "data *= scale.rows", "data *= scale.cols",
+    # the field scales each edge weight by the gain of its column, not its row
+    ("forcefield.py", "data = _values(ctx, c_fwd * g[ctx.u], c_rev * g[ctx.v],",
+     "data = _values(ctx, c_fwd * g[ctx.v], c_rev * g[ctx.u],",
+     ["tests/test_forcefield.py::test_random_instances_match_brute_force"]),
+    # the field's diagonal leaves out the gain
+    ("forcefield.py", "                       -g * _rowsum(ctx, c_fwd, c_rev))",
+     "                       -_rowsum(ctx, c_fwd, c_rev))",
      ["tests/test_forcefield.py::test_random_instances_match_brute_force"]),
     # the VJP's transposed product scales by the gain of each row, not column
-    ("forcefield.py", "data *= gain.cols", "data *= gain.rows",
+    ("forcefield.py", "data = _values(ctx, c_rev * g_v, c_fwd * g_u,",
+     "data = _values(ctx, c_rev * g_u, c_fwd * g_v,",
      ["tests/test_forcefield.py::test_vjp_matches_finite_differences",
       "tests/test_forcefield.py::test_vjp_property_central_differences"]),
     # the VJP's second product adds +(T - D_T) X instead of subtracting it
@@ -76,17 +82,34 @@ MUTANTS = [
      "grad[3] = np.dot(upstream, dist - p.l_neu)",
      ["tests/test_forces.py::test_batch_vjp_matches_central_differences"]),
     # a tie-broken edge pushes its u end with the reverse magnitude
-    ("forcefield.py", "np.add.at(out, u, (scale.node[u] * f_fwd[edges])[:, None] * units)",
-     "np.add.at(out, u, (scale.node[u] * f_rev[edges])[:, None] * units)",
+    ("forcefield.py", "np.add.at(out, u, (g[u] * f_fwd[edges])[:, None] * units)",
+     "np.add.at(out, u, (g[u] * f_rev[edges])[:, None] * units)",
      ["tests/test_forcefield.py::test_coincident_nodes_no_nan_and_deterministic",
       "tests/test_forcefield.py::test_tie_correction_matches_brute_force",
       "tests/test_forcefield.py::test_vjp_property_coincident_endpoints"]),
     # the VJP's diagonal sums the weights of the wrong direction
     ("forcefield.py",
-     "data = _values(ctx, c_rev, c_fwd, -_rowsum(ctx, c_fwd, c_rev))",
-     "data = _values(ctx, c_rev, c_fwd, -_rowsum(ctx, c_rev, c_fwd))",
+     "c_fwd * g_u, -g * _rowsum(ctx, c_fwd, c_rev))",
+     "c_fwd * g_u, -g * _rowsum(ctx, c_rev, c_fwd))",
      ["tests/test_forcefield.py::test_vjp_matches_finite_differences",
       "tests/test_forcefield.py::test_vjp_property_central_differences"]),
+    # the VJP takes a cotangent of another shape, which the kernel reads past
+    ("forcefield.py", "if w.shape != X.shape:", "if False:",
+     ["tests/test_forcefield.py::test_vjp_refuses_a_cotangent_of_another_shape"]),
+    # the operators take positions of another row count
+    ("forcefield.py", "if X.ndim != 2 or X.shape[0] != ctx.n_nodes:", "if X.ndim != 2:",
+     ["tests/test_forcefield.py::test_vjp_refuses_positions_of_another_row_count"]),
+    # the operators take a gain of another length
+    ("forcefield.py", "if gain is not None and np.shape(gain) != (ctx.n_nodes,):",
+     "if False:",
+     ["tests/test_forcefield.py::test_a_gain_of_another_length_is_refused"]),
+    # the operators add into an out that is X itself
+    ("forcefield.py", "if out is not None and np.may_share_memory(out, X):", "if False:",
+     ["tests/test_forcefield.py::test_force_field_refuses_an_out_that_aliases_X",
+      "tests/test_forcefield.py::test_vjp_refuses_an_out_that_aliases_X_or_w"]),
+    # the VJP adds into an out that is w itself
+    ("forcefield.py", "if out is not None and np.may_share_memory(out, w):", "if False:",
+     ["tests/test_forcefield.py::test_vjp_refuses_an_out_that_aliases_X_or_w"]),
     # the edge blocks stop one edge short, so the last edge has no geometry
     ("forcefield.py", "hi = min(lo + rows, m)", "hi = min(lo + rows, m - 1)",
      ["tests/test_forcefield.py::test_blocked_kernels_match_the_sparse_oracle_bitwise"]),

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -260,6 +265,77 @@ def test_dimension_mismatch_rejected():
     st = compute_node_statics(graph)
     with pytest.raises(ValueError):
         force_field(prepare(graph, st), SpringParams(), np.zeros((graph.n_nodes + 1, 3)))
+
+
+# --- argument checks -----------------------------------------------------------------
+
+def checked_case(n_nodes: int = 200, k: int = 8):
+    """A 200-node graph at k = 8 with positions and a cotangent of matching shape."""
+    graph = random_graph(3 * n_nodes, seed=11, n_nodes=n_nodes)
+    ctx = prepare(graph, compute_node_statics(graph))
+    rand = np.random.default_rng(12)
+    X = rand.normal(0, 1.5, (n_nodes, k))
+    return ctx, init_params("spring-nn", seed=3), X, rand.normal(0, 1, X.shape)
+
+
+@pytest.mark.parametrize("rows", [150, 400])
+def test_vjp_refuses_a_cotangent_of_another_shape(rows):
+    # the CSR kernel reads w through a raw pointer: it read past the end of a
+    # shorter w and silently truncated a longer one
+    ctx, model, X, w = checked_case()
+    w = np.resize(w, (rows, w.shape[1]))
+    with pytest.raises(ValueError, match=rf"w has shape \({rows}, 8\), X has shape \(200, 8\)"):
+        force_field_vjp(ctx, model, X, w)
+
+
+def test_vjp_refuses_positions_of_another_row_count():
+    ctx, model, X, w = checked_case()
+    with pytest.raises(ValueError, match=r"X has shape \(150, 8\), expected \(200, k\)"):
+        force_field_vjp(ctx, model, X[:150], w[:150])
+
+
+@pytest.mark.parametrize("entry", ["force_field", "force_field_vjp"])
+def test_a_gain_of_another_length_is_refused(entry):
+    ctx, model, X, w = checked_case()
+    args = (X,) if entry == "force_field" else (X, w)
+    with pytest.raises(ValueError, match=r"gain has shape \(199,\), expected \(200,\)"):
+        getattr(forcefield, entry)(ctx, model, *args, gain=np.ones(199))
+
+
+def test_force_field_refuses_an_out_that_aliases_X():
+    # the product reads X while it adds into out, so out=X gave a wrong
+    # result with no error
+    ctx, model, X, _ = checked_case()
+    before = X.copy()
+    for out in (X, X[:, :]):
+        with pytest.raises(ValueError, match="out shares memory with X"):
+            force_field(ctx, model, X, out=out)
+    assert np.array_equal(X, before)
+
+
+@pytest.mark.parametrize("aliased", ["X", "w"])
+def test_vjp_refuses_an_out_that_aliases_X_or_w(aliased):
+    ctx, model, X, w = checked_case()
+    out = {"X": X, "w": w}[aliased]
+    before = out.copy()
+    with pytest.raises(ValueError, match=f"out shares memory with {aliased}"):
+        force_field_vjp(ctx, model, X, w, out=out)
+    assert np.array_equal(out, before)
+
+
+def test_import_names_a_missing_scipy_kernel():
+    # the products go through scipy's private csr_matvecs; a scipy without it
+    # must fail the import, naming the symbol and the version, and never
+    # reach a product
+    src = Path(forcefield.__file__).resolve().parents[1]
+    code = ("import scipy.sparse._sparsetools as tools; del tools.csr_matvecs; "
+            "import graphspring")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=str(src)))
+    assert result.returncode != 0
+    last = result.stderr.strip().splitlines()[-1]
+    assert last.startswith("ImportError:"), result.stderr
+    assert "csr_matvecs" in last and f"scipy {scipy.__version__}" in last
 
 
 def test_coincident_nodes_no_nan_and_deterministic():

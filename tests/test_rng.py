@@ -35,6 +35,18 @@ def test_raw_matches_documented_replay():
             assert [int(x) for x in got] == want
 
 
+def test_counters_wrap_silently_at_the_ends_of_uint64():
+    # uint64 arithmetic wraps mod 2**64 by itself; no mask and no warning
+    import warnings
+    ends = np.array([0, 5, MASK], dtype=np.uint64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in (0, 5, MASK):
+            got = rng.raw_uint64(seed, "init", ends)
+            assert [int(x) for x in got] == [raw_py(seed, "init", int(i)) for i in ends]
+            assert int(rng.mix64(np.uint64(seed))) == mix64_py(seed)
+
+
 def test_uniform01_matches_replay_bitwise():
     got = rng.uniform01(123, "hide", np.arange(64))
     want = np.array([uniform01_py(123, "hide", i) for i in range(64)])
