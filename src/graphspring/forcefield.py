@@ -193,13 +193,19 @@ def _checked(ctx: FieldContext, X: np.ndarray, w: np.ndarray | None,
              gain: np.ndarray | None, out: np.ndarray | None):
     """X and w as C-contiguous float64 arrays, once the operators' preconditions
     hold: X is (n, k), w (if given) has its shape, the gain (if given) is (n,),
-    and `out` shares no memory with X or w.  Raises ValueError naming the shapes."""
+    and `out` (if given) is a C-contiguous float64 array of X's shape sharing
+    no memory with X or w.  Raises ValueError naming the shapes."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != ctx.n_nodes:
         raise ValueError(f"X has shape {X.shape}, expected ({ctx.n_nodes}, k) "
                          f"for a graph of {ctx.n_nodes} nodes")
     if gain is not None and np.shape(gain) != (ctx.n_nodes,):
         raise ValueError(f"gain has shape {np.shape(gain)}, expected ({ctx.n_nodes},)")
+    if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.float64
+                                and out.flags.c_contiguous and out.shape == X.shape):
+        got = (f"{out.dtype} of shape {out.shape}, C-contiguous {out.flags.c_contiguous}"
+               if isinstance(out, np.ndarray) else type(out).__name__)
+        raise ValueError(f"out is {got}; expected C-contiguous float64 of shape {X.shape}")
     if out is not None and np.may_share_memory(out, X):
         raise ValueError("out shares memory with X")
     if w is not None:
@@ -297,9 +303,12 @@ def force_field(ctx: FieldContext, model: ForceParams, X: np.ndarray,
         f_fwd, f_rev = _magnitudes(ctx, model, dist)
         c_fwd = np.where(tied, 0.0, f_fwd / dist)
         c_rev = np.where(tied, 0.0, f_rev / dist)
-        # the force on node i is g_i times row i of (A - diag(A 1)) X
-        data = _values(ctx, c_fwd * g[ctx.u], c_rev * g[ctx.v],
-                       -g * _rowsum(ctx, c_fwd, c_rev))
+        # the force on node i is g_i times row i of (A - diag(A 1)) X; the
+        # gain is folded into the weights in place, with no m-length temporaries
+        diag = -g * _rowsum(ctx, c_fwd, c_rev)
+        c_fwd *= g[ctx.u]
+        c_rev *= g[ctx.v]
+        data = _values(ctx, c_fwd, c_rev, diag)
         if out is None:
             out = np.zeros_like(X)
         _accumulate(out, ctx.lap_indptr, ctx.lap_indices, data, X)
@@ -353,7 +362,10 @@ def force_field_vjp(ctx: FieldContext, model: ForceParams, X: np.ndarray,
         c_fwd[tied] = c_rev[tied] = t[tied] = 0.0
     # d/dX = (A - D_A)^T diag(g) w - (T - D_T) X: g scales the columns of the
     # transpose, and the second matrix is the Laplacian of the weights -t
-    data = _values(ctx, c_rev * g_v, c_fwd * g_u, -g * _rowsum(ctx, c_fwd, c_rev))
+    diag = -g * _rowsum(ctx, c_fwd, c_rev)
+    c_rev *= g_v
+    c_fwd *= g_u
+    data = _values(ctx, c_rev, c_fwd, diag)
     if out is None:
         out = np.zeros_like(X)
     _accumulate(out, ctx.lap_indptr, ctx.lap_indices, data, w)

@@ -54,16 +54,16 @@ MUTANTS = [
      ["tests/test_simulate.py::test_one_step_is_the_damped_euler_update_of_the_public_force_field",
       "tests/test_acceptance.py::test_c05_two_body_oracle"]),
     # the field scales each edge weight by the gain of its column, not its row
-    ("forcefield.py", "data = _values(ctx, c_fwd * g[ctx.u], c_rev * g[ctx.v],",
-     "data = _values(ctx, c_fwd * g[ctx.v], c_rev * g[ctx.u],",
+    ("forcefield.py", "c_fwd *= g[ctx.u]\n        c_rev *= g[ctx.v]",
+     "c_fwd *= g[ctx.v]\n        c_rev *= g[ctx.u]",
      ["tests/test_forcefield.py::test_random_instances_match_brute_force"]),
     # the field's diagonal leaves out the gain
-    ("forcefield.py", "                       -g * _rowsum(ctx, c_fwd, c_rev))",
-     "                       -_rowsum(ctx, c_fwd, c_rev))",
+    ("forcefield.py", "        diag = -g * _rowsum(ctx, c_fwd, c_rev)",
+     "        diag = -_rowsum(ctx, c_fwd, c_rev)",
      ["tests/test_forcefield.py::test_random_instances_match_brute_force"]),
     # the VJP's transposed product scales by the gain of each row, not column
-    ("forcefield.py", "data = _values(ctx, c_rev * g_v, c_fwd * g_u,",
-     "data = _values(ctx, c_rev * g_u, c_fwd * g_v,",
+    ("forcefield.py", "c_rev *= g_v\n    c_fwd *= g_u",
+     "c_rev *= g_u\n    c_fwd *= g_v",
      ["tests/test_forcefield.py::test_vjp_matches_finite_differences",
       "tests/test_forcefield.py::test_vjp_property_central_differences"]),
     # the VJP's second product adds +(T - D_T) X instead of subtracting it
@@ -89,8 +89,8 @@ MUTANTS = [
       "tests/test_forcefield.py::test_vjp_property_coincident_endpoints"]),
     # the VJP's diagonal sums the weights of the wrong direction
     ("forcefield.py",
-     "c_fwd * g_u, -g * _rowsum(ctx, c_fwd, c_rev))",
-     "c_fwd * g_u, -g * _rowsum(ctx, c_rev, c_fwd))",
+     "diag = -g * _rowsum(ctx, c_fwd, c_rev)\n    c_rev *= g_v",
+     "diag = -g * _rowsum(ctx, c_rev, c_fwd)\n    c_rev *= g_v",
      ["tests/test_forcefield.py::test_vjp_matches_finite_differences",
       "tests/test_forcefield.py::test_vjp_property_central_differences"]),
     # the VJP takes a cotangent of another shape, which the kernel reads past
@@ -103,6 +103,11 @@ MUTANTS = [
     ("forcefield.py", "if gain is not None and np.shape(gain) != (ctx.n_nodes,):",
      "if False:",
      ["tests/test_forcefield.py::test_a_gain_of_another_length_is_refused"]),
+    # the operators take an out the CSR kernel cannot write, and an edgeless
+    # call returns it
+    ("forcefield.py", "if out is not None and not (isinstance(out, np.ndarray)",
+     "if False and not (isinstance(out, np.ndarray)",
+     ["tests/test_forcefield.py::test_an_out_the_kernel_cannot_write_is_refused"]),
     # the operators add into an out that is X itself
     ("forcefield.py", "if out is not None and np.may_share_memory(out, X):", "if False:",
      ["tests/test_forcefield.py::test_force_field_refuses_an_out_that_aliases_X",

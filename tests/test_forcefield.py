@@ -323,6 +323,24 @@ def test_vjp_refuses_an_out_that_aliases_X_or_w(aliased):
     assert np.array_equal(out, before)
 
 
+@pytest.mark.parametrize("n_edges", [0, 600])
+@pytest.mark.parametrize("entry", ["force_field", "force_field_vjp"])
+def test_an_out_the_kernel_cannot_write_is_refused(entry, n_edges):
+    # the CSR kernel writes through a raw pointer; an edgeless call, which
+    # never reaches it, returned such an out unchanged with no error
+    graph = random_graph(n_edges, seed=11, n_nodes=200)
+    ctx = prepare(graph, compute_node_statics(graph))
+    _, model, X, w = checked_case()
+    args = (X,) if entry == "force_field" else (X, w)
+    for out, got in [(np.zeros((201, 8)), r"float64 of shape \(201, 8\), C-contiguous True"),
+                     (np.zeros((200, 8), np.float32), "float32"),
+                     (np.zeros((8, 200)).T, "C-contiguous False"),
+                     (np.zeros((200, 8)).tolist(), "list")]:
+        with pytest.raises(ValueError, match=rf"out is .*{got}.*; expected C-contiguous "
+                                                 r"float64 of shape \(200, 8\)"):
+            getattr(forcefield, entry)(ctx, model, *args, out=out)
+
+
 def test_import_names_a_missing_scipy_kernel():
     # the products go through scipy's private csr_matvecs; a scipy without it
     # must fail the import, naming the symbol and the version, and never
