@@ -23,8 +23,9 @@ An edge whose endpoints are closer than EPS has weight 0 in A and instead
 pushes its endpoints along a seeded tie-break unit vector.
 
 Both operators check their arguments (`_checked`) before any work.  The CSR
-kernel is scipy's private `csr_matvecs`, resolved when the module loads: a
-scipy without it fails the import.
+kernel is scipy's private `csr_matvecs`, resolved when the module loads
+beside `csc_matvecs`, which the loss gradient uses: a scipy without either
+fails the import.
 
 The edge vectors X[v] - X[u] are never held for all edges at once: they are
 formed block by block in two gather buffers of BLOCK_BYTES each (512 edges at
@@ -56,19 +57,26 @@ feature layout belong to `forces`.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 
 import numpy as np
 import scipy
 import scipy.sparse as sp
 
-try:
-    # private to scipy: a second product path would round differently, so a
-    # scipy without it is refused here rather than worked around
-    from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
-except ImportError:
-    raise ImportError("graphspring needs scipy.sparse._sparsetools.csr_matvecs, "
-                      f"which scipy {scipy.__version__} does not provide") from None
+
+def _scipy_kernel(name: str):
+    """scipy's private sparse kernel `name`.  A second product path would round
+    differently, so a scipy without it is refused here rather than worked around."""
+    try:
+        return getattr(importlib.import_module("scipy.sparse._sparsetools"), name)
+    except (ImportError, AttributeError):
+        raise ImportError(f"graphspring needs scipy.sparse._sparsetools.{name}, "
+                          f"which scipy {scipy.__version__} does not provide") from None
+
+
+# the field's products (CSR) and the loss gradient's scatter (CSC, in training)
+_csr_matvecs, _csc_matvecs = _scipy_kernel("csr_matvecs"), _scipy_kernel("csc_matvecs")
 
 from . import rng
 from .forces import (ForceParams, edge_statics, force_batch, force_batch_vjp,

@@ -119,8 +119,8 @@ MUTANTS = [
     ("forcefield.py", "hi = min(lo + rows, m)", "hi = min(lo + rows, m - 1)",
      ["tests/test_forcefield.py::test_blocked_kernels_match_the_sparse_oracle_bitwise"]),
     # the semi-implicit adjoint of V1 takes twice the time step
-    ("training.py", "gV += np.multiply(gX, dt, out=scratch)   # the adjoint of V1",
-     "gV += np.multiply(gX, 2 * dt, out=scratch)   # the adjoint of V1",
+    ("training.py", "_add_scaled(gV, gX, dt, buf)   # the adjoint of V1",
+     "_add_scaled(gV, gX, 2 * dt, buf)   # the adjoint of V1",
      ["tests/test_training.py::test_semi_implicit_gradients_match_fd"]),
     # the bulk parser accepts a line break inside a line
     ("graphs.py", "            or ((byte == 10) & (after != 0)).any()\n", "",
@@ -135,10 +135,21 @@ MUTANTS = [
     ("training.py", "if kind != cfg.model_kind or done > cfg.epochs:", "if False:",
      ["tests/test_cli.py::test_resume_that_contradicts_the_checkpoint_exits_1"]),
     # the loss gradient drops the -1 of each edge's u endpoint
-    ("training.py", "np.repeat([1.0, -1.0], u.size)", "np.repeat([1.0, 1.0], u.size)",
+    ("training.py", "np.tile([1.0, -1.0], rows)", "np.tile([1.0, 1.0], rows)",
      ["tests/test_training.py::test_loss_gradient_matches_fd",
       "tests/test_training.py::test_grad_through_sim_matches_fd",
       "tests/test_acceptance.py::test_c01_gradient_fidelity"]),
+    # the loss's edge blocks stop one edge short, so the last edge is lost
+    ("training.py", "hi = min(lo + rows, m)", "hi = min(lo + rows, m - 1)",
+     ["tests/test_training.py::test_streamed_loss_matches_the_whole_array_oracle_bitwise"]),
+    # the loss gradient scatters +1 to u and -1 to v
+    ("training.py", "ends[:b, 0], ends[:b, 1] = v[lo:hi], u[lo:hi]",
+     "ends[:b, 0], ends[:b, 1] = u[lo:hi], v[lo:hi]",
+     ["tests/test_training.py::test_loss_gradient_matches_fd",
+      "tests/test_training.py::test_streamed_loss_matches_the_whole_array_oracle_bitwise"]),
+    # the loss gradient divides by the length of a zero-length edge
+    ("training.py", "live = dist > 0", "live = dist >= 0",
+     ["tests/test_training.py::test_streamed_loss_matches_the_whole_array_oracle_bitwise"]),
 ]
 
 

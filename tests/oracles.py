@@ -7,11 +7,14 @@ independently of the batched and streamed code paths in `graphspring`.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from graphspring.forcefield import EPS, tie_break_unit
 from graphspring.forces import MlpParams, NeuralSpringParams, SpringParams
 from graphspring import graphs
 from graphspring.graphs import EdgeStage, GraphFormatError, SignedGraph
+from graphspring.metrics import predict_prob
+from graphspring.training import LossConfig, _loss_terms
 
 
 def spring_force(p: SpringParams, observed_sign: int, dist: float) -> float:
@@ -131,3 +134,26 @@ def to_undirected_by_unique(stage: EdgeStage) -> SignedGraph:
     u = (uniq_code // stage.n_nodes).astype(np.int64)
     v = (uniq_code % stage.n_nodes).astype(np.int64)
     return SignedGraph(stage.n_nodes, u, v, merged_sign, merged_sign.copy(), stage.raw_ids)
+
+
+def loss_with_grad_whole(graph: SignedGraph, X: np.ndarray,
+                         cfg: LossConfig) -> tuple[float, np.ndarray]:
+    """The loss and its gradient wrt X over every loss edge at once: the edge
+    vectors as one (m, k) array, and the gradient as one product with the
+    (n, m) incidence, +1 at (v, e) and -1 at (u, e)."""
+    edges, weight, target = _loss_terms(graph, cfg)
+    u, v = graph.u[edges], graph.v[edges]
+    diff = X[v] - X[u]
+    dist = np.sqrt((diff * diff).sum(axis=1))
+    prob = predict_prob(dist, cfg.mu)
+    resid = target - prob
+    value = float((resid * resid * weight).sum())
+    ddist = 2.0 * resid * weight * prob * (1.0 - prob)
+    scale = np.zeros_like(dist)
+    live = dist > 0
+    scale[live] = ddist[live] / dist[live]
+    ddiff = scale[:, None] * diff
+    incidence = sp.csr_matrix((np.repeat([1.0, -1.0], u.size),
+                               (np.concatenate([v, u]), np.tile(np.arange(u.size), 2))),
+                              shape=(X.shape[0], u.size))
+    return value, incidence @ ddiff

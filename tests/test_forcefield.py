@@ -341,19 +341,20 @@ def test_an_out_the_kernel_cannot_write_is_refused(entry, n_edges):
             getattr(forcefield, entry)(ctx, model, *args, out=out)
 
 
-def test_import_names_a_missing_scipy_kernel():
-    # the products go through scipy's private csr_matvecs; a scipy without it
-    # must fail the import, naming the symbol and the version, and never
-    # reach a product
+@pytest.mark.parametrize("kernel", ["csr_matvecs", "csc_matvecs"])
+def test_import_names_a_missing_scipy_kernel(kernel):
+    # the field's products and the loss gradient go through scipy's private
+    # csr_matvecs and csc_matvecs; a scipy without one must fail the import,
+    # naming the symbol and the version, and never reach a product
     src = Path(forcefield.__file__).resolve().parents[1]
-    code = ("import scipy.sparse._sparsetools as tools; del tools.csr_matvecs; "
+    code = (f"import scipy.sparse._sparsetools as tools; del tools.{kernel}; "
             "import graphspring")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=dict(os.environ, PYTHONPATH=str(src)))
     assert result.returncode != 0
     last = result.stderr.strip().splitlines()[-1]
     assert last.startswith("ImportError:"), result.stderr
-    assert "csr_matvecs" in last and f"scipy {scipy.__version__}" in last
+    assert f"_sparsetools.{kernel}," in last and f"scipy {scipy.__version__}" in last
 
 
 def test_coincident_nodes_no_nan_and_deterministic():
@@ -431,6 +432,28 @@ def test_accumulate_adds_the_csr_product_into_out():
     for bad in (np.zeros((k, n_rows)).T, np.zeros((n_rows, k + 1))):
         with pytest.raises(ValueError, match="C-contiguous"):
             forcefield._accumulate(bad, M.indptr, M.indices, M.data, rhs)
+
+
+def test_csc_kernel_adds_the_product_into_out():
+    # the loss gradient adds each column block of the incidence times the
+    # scaled edge vectors through scipy's private CSC kernel; a scipy whose
+    # kernel takes other arguments, zeroes or replaces `out`, or reads the
+    # arrays in another layout fails here
+    rand = np.random.default_rng(9)
+    n_rows, n_cols, k = 30, 20, 5
+    cells = rand.choice(n_rows * n_cols, 120, replace=False)
+    B = sp.csc_matrix((rand.normal(size=cells.size), np.divmod(cells, n_cols)),
+                      shape=(n_rows, n_cols))
+    rhs = rand.normal(size=(n_cols, k))
+    zeros = np.zeros((n_rows, k))
+    forcefield._csc_matvecs(n_rows, n_cols, k, B.indptr, B.indices, B.data,
+                            rhs.ravel(), zeros.ravel())
+    assert zeros.tobytes() == (B @ rhs).tobytes()
+    out = rand.normal(size=(n_rows, k))
+    want = out + B @ rhs
+    forcefield._csc_matvecs(n_rows, n_cols, k, B.indptr, B.indices, B.data,
+                            rhs.ravel(), out.ravel())
+    assert np.abs(out - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("kind", ["spring", "spring-nn"])

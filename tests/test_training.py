@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphspring import (SignedGraph, SimConfig, compute_node_statics,
-                         init_params, load_checkpoint, save_checkpoint)
+                         init_params, load_checkpoint, save_checkpoint, training)
+from graphspring.forcefield import prepare
 from graphspring.forces import SpringParams
 from graphspring.training import (AdamState, Checkpoint, EpochStats, LossConfig,
                                   TrainConfig, adam_step, clip_gradient, loss,
@@ -12,6 +15,8 @@ from graphspring.training import (AdamState, Checkpoint, EpochStats, LossConfig,
                                   train, write_history_csv)
 
 from conftest import hidden_toy, statics_of
+from oracles import loss_with_grad_whole
+from test_forcefield import random_graph
 from test_forces import random_neural
 
 
@@ -152,6 +157,84 @@ def test_loss_gradient_matches_fd():
         Xm[i, j] -= h
         fd = (loss(graph, Xp, cfg) - loss(graph, Xm, cfg)) / (2 * h)
         assert fd == pytest.approx(dX[i, j], abs=1e-9)
+
+
+# --- the streamed loss -------------------------------------------------------------
+
+def traced_peak(call) -> int:
+    """tracemalloc's peak, in bytes, over call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("domain", training.LOSS_DOMAINS)
+@pytest.mark.parametrize("encoding", training.TARGET_ENCODINGS)
+@pytest.mark.parametrize("k, block_bytes", [(64, None), (5, 8 * 5 * 11)],
+                         ids=["k64", "k5-11-rows"])
+def test_streamed_loss_matches_the_whole_array_oracle_bitwise(domain, encoding, k,
+                                                              block_bytes, monkeypatch):
+    if block_bytes is not None:
+        monkeypatch.setattr(training, "BLOCK_BYTES", block_bytes)
+    graph = random_graph(1500, seed=7, n_nodes=300)
+    cfg = LossConfig(domain=domain, target_encoding=encoding)
+    edges, _, _ = training._loss_terms(graph, cfg)
+    rows = training.BLOCK_BYTES // (8 * k)
+    # several blocks, the last one short
+    assert edges.size > rows and edges.size % rows != 0
+    X = np.random.default_rng(k).normal(0, 1.5, (graph.n_nodes, k))
+    # a zero-length loss edge in the first block: it gets no gradient
+    X[graph.v[edges[1]]] = X[graph.u[edges[1]]]
+
+    value, grad = loss_with_grad(graph, X, cfg)
+    streamed = loss(graph, X, cfg)
+    want_value, want_grad = loss_with_grad_whole(graph, X, cfg)
+    assert value == streamed == want_value
+    assert grad.tobytes() == want_grad.tobytes()
+    assert np.isfinite(grad).all()
+
+
+def test_the_loss_refuses_positions_without_a_row_per_endpoint():
+    graph, _ = hidden_toy(seed=3)
+    X = np.zeros((graph.n_nodes - 1, 2))
+    with pytest.raises(ValueError, match="not a row of X"):
+        loss_with_grad(graph, X, LossConfig())
+
+
+@pytest.fixture(scope="module")
+def many_edges():
+    """m = 10 n at k = 64: one (loss edges) x k array outweighs 8 n x k arrays."""
+    graph = random_graph(20000, seed=5, n_nodes=2000)
+    X = np.random.default_rng(6).normal(0, 1.5, (graph.n_nodes, 64))
+    return graph, X
+
+
+def test_loss_with_grad_holds_no_loss_edge_by_dims_array(many_edges):
+    # the whole-array formula peaked at 2.33x of one such array, the streamed
+    # one at 0.32x (the gradient itself is 0.12x)
+    graph, X = many_edges
+    cfg = LossConfig()
+    edges, _, _ = training._loss_terms(graph, cfg)
+    assert traced_peak(lambda: loss_with_grad(graph, X, cfg)) < edges.size * X.shape[1] * 8
+
+
+@pytest.mark.parametrize("kind", ["spring", "spring-nn"])
+def test_an_epoch_holds_its_tape_and_a_few_node_arrays(many_edges, kind):
+    # above the tape an epoch holds V, gX, gV, w and the VJP's per-edge
+    # scalars: 8.3 (spring) and 9.9 (spring-nn) n x k arrays here, or 120 and
+    # 202 bytes per edge beyond 6 of them; the whole-array loss held 20.8
+    graph, X = many_edges
+    statics = compute_node_statics(graph)
+    ctx = prepare(graph, statics)
+    n, k = X.shape
+    sim = SimConfig(k=k, n_steps=4, seed=1)
+    tape = (sim.n_steps + 1) * n * k * 8
+    peak = traced_peak(lambda: loss_and_grad(graph, statics, init_params(kind, 3), sim,
+                                             LossConfig(), ctx=ctx))
+    assert peak <= tape + 6 * n * k * 8 + 40 * 8 * graph.n_edges
 
 
 # --- gradients through the simulation ------------------------------------------
