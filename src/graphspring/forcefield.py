@@ -91,6 +91,11 @@ EPS = 1e-9
 BLOCK_BYTES = 256 * 1024
 
 
+def _block_rows(n_rows: int, k: int) -> int:
+    """Rows of k float64 values in a block of BLOCK_BYTES: at least 1, at most n_rows."""
+    return max(1, min(n_rows, BLOCK_BYTES // (8 * k)))
+
+
 def tie_break_unit(k: int, edge_index: int, step: int, seed: int = 0) -> np.ndarray:
     """Deterministic pseudo-random unit vector for coincident endpoints."""
     raw = rng.uniform_sym(seed, f"{TIE_TAG}:{step}", edge_index * k + np.arange(k))
@@ -236,7 +241,7 @@ def _geometry(ctx: FieldContext, X: np.ndarray, w: np.ndarray | None = None):
     aborts on the resulting non-finite values right after the update.
     """
     m, k = ctx.n_edges, X.shape[1]
-    rows = max(1, min(m, BLOCK_BYTES // (8 * k)))
+    rows = _block_rows(m, k)
     at_u, at_v = np.empty((rows, k)), np.empty((rows, k))
     dist = np.empty(m)
     s_u, s_v = (None, None) if w is None else (np.empty(m), np.empty(m))

@@ -7,16 +7,11 @@ hand-derived vector-Jacobian products of the Euler update and of the force
 field, whose position gradient is added into the running one in place.
 Gradients are flat vectors aligned with `params.flatten()`.
 
-The loss goes through its edges a block of BLOCK_BYTES of edge vectors at a
-time, and adds its gradient into the (n, k) result with scipy's CSC kernel,
-a column block of the edge incidence at a time, bitwise equal to one product
-with the whole incidence.  So an epoch's peak memory is the (T+1) n k tape
-plus V, gX, gV, w and the VJP's per-edge scalars: on `graphspring bench`'s
-graph (n = 5881, k = 64, 120 steps), tracemalloc's peak of one epoch went
-from 374.7 MiB, 9.47 n x k arrays above the tape, to 367.7 MiB, 7.05 above
-it, when the loss stopped holding its (m, k) edge vectors and the adjoint
-update its (n, k) scratch array.  `train` drops each epoch's final state
-before the next epoch runs.
+The loss goes through its edges a block of forcefield.BLOCK_BYTES of edge
+vectors at a time, and adds its gradient into the (n, k) result with scipy's
+CSC kernel, a column block of the edge incidence at a time, bitwise equal to
+one product with the whole incidence.  So an epoch's peak memory is the
+(T+1) n k tape plus V, gX, gV, w and the VJP's per-edge scalars.
 """
 
 from __future__ import annotations
@@ -32,7 +27,7 @@ from . import rng
 from .artifacts import atomic_write
 from .forces import (ForceParams, decode_flat, encode_flat, init_params,
                      params_from_json, params_to_json)
-from .forcefield import (BLOCK_BYTES, FieldContext, _csc_matvecs, force_field_vjp,
+from .forcefield import (FieldContext, _block_rows, _csc_matvecs, force_field_vjp,
                          node_gain, prepare)
 from .graphs import NodeStatics, SignedGraph, compute_node_statics
 from .metrics import auc, f1_scores, predict, predict_prob
@@ -82,18 +77,13 @@ def _loss_terms(graph: SignedGraph, cfg: LossConfig):
     return np.flatnonzero(mask), weight, target
 
 
-def _block_rows(n_rows: int, k: int) -> int:
-    """Rows of k float64 values in a block of BLOCK_BYTES: at least 1, at most n_rows."""
-    return max(1, min(n_rows, BLOCK_BYTES // (8 * k)))
-
-
 def _streamed_loss(graph: SignedGraph, X: np.ndarray, cfg: LossConfig,
                    grad: np.ndarray | None = None) -> float:
-    """The loss at X, through the loss edges a block of BLOCK_BYTES of edge
-    vectors at a time; given `grad` (C-contiguous float64, X's shape), it also
-    adds the loss's gradient with respect to X into it.  Every per-edge value,
-    the sum and each node's gradient come out bitwise as over the whole edge
-    array at once."""
+    """The loss at X, through the loss edges a block of forcefield.BLOCK_BYTES
+    of edge vectors at a time; given `grad` (C-contiguous float64, X's shape),
+    it also adds the loss's gradient with respect to X into it.  Every per-edge
+    value, the sum and each node's gradient come out bitwise as over the whole
+    edge array at once."""
     edges, weight, target = _loss_terms(graph, cfg)
     u, v = graph.u[edges], graph.v[edges]
     m, k = edges.size, X.shape[1]
@@ -326,6 +316,10 @@ def train(graph: SignedGraph, statics: NodeStatics | None, cfg: TrainConfig,
         epoch_index = epoch if cfg.init_policy == "resample_each_epoch" else 0
         sim_cfg = replace(cfg.sim, seed=rng.derive_seed(cfg.seed, EPOCH_INIT_TAG,
                                                         epoch_index))
+        # the previous epoch's final state is released only once this returns:
+        # freed before, it would leave the whole tape free at the top of the
+        # heap, which glibc's malloc gives back to the system, and each epoch
+        # would fault its tape in again page by page
         try:
             value, grad, final = loss_and_grad(train_graph, train_statics, params,
                                                sim_cfg, cfg.loss, ctx=ctx)
@@ -335,7 +329,6 @@ def train(graph: SignedGraph, statics: NodeStatics | None, cfg: TrainConfig,
         grad = clip_gradient(grad, cfg.clip_lo, cfg.clip_hi)
         adam, params = adam_step(adam, params, grad, cfg.lr)
         auc_l, f1_macro = _validation_metrics(graph, val_edges, final.X, cfg.loss.mu)
-        del final   # so the next epoch's tape does not sit beside this epoch's state
         wall_ms = (time.perf_counter() - started) * 1000.0
         stats = EpochStats(epoch + 1, value, auc_l, f1_macro, wall_ms)
         history.append(stats)

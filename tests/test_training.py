@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphspring import (SignedGraph, SimConfig, compute_node_statics,
+from graphspring import (SignedGraph, SimConfig, compute_node_statics, forcefield,
                          init_params, load_checkpoint, save_checkpoint, training)
 from graphspring.forcefield import prepare
 from graphspring.forces import SpringParams
@@ -178,11 +178,11 @@ def traced_peak(call) -> int:
 def test_streamed_loss_matches_the_whole_array_oracle_bitwise(domain, encoding, k,
                                                               block_bytes, monkeypatch):
     if block_bytes is not None:
-        monkeypatch.setattr(training, "BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(forcefield, "BLOCK_BYTES", block_bytes)
     graph = random_graph(1500, seed=7, n_nodes=300)
     cfg = LossConfig(domain=domain, target_encoding=encoding)
     edges, _, _ = training._loss_terms(graph, cfg)
-    rows = training.BLOCK_BYTES // (8 * k)
+    rows = forcefield.BLOCK_BYTES // (8 * k)
     # several blocks, the last one short
     assert edges.size > rows and edges.size % rows != 0
     X = np.random.default_rng(k).normal(0, 1.5, (graph.n_nodes, k))
