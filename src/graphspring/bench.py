@@ -105,9 +105,7 @@ def timed_operations(n_nodes: int, n_edges: int, k: int) -> dict:
 
 def record(reps: int) -> dict:
     """Time the fixed run: each `<operation>_ms` is {"median", "iqr"} over `reps`
-    calls.  `other_ms` is the epoch less N_STEPS field calls and VJPs and one
-    loss; its IQR is the sum of theirs, a bound, as they are timed apart.
-    Memory: the position tape, tracemalloc's peak over one more (untimed,
+    calls.  Memory: the position tape, tracemalloc's peak over one more (untimed,
     warm-up) epoch and the minor page faults per timed epoch."""
     import resource  # Unix only, like the page-fault count it reads
 
@@ -123,10 +121,6 @@ def record(reps: int) -> dict:
     faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / reps
     # the epochs have run every operation, so the rest start warm
     timings.update((name, median_ms(fn, reps)) for name, fn in ops.items())
-    layers = [(N_STEPS, "force_field"), (N_STEPS, "force_field_vjp"), (1, "loss_with_grad")]
-    timings["other"] = (
-        timings["epoch"][0] - sum(n * timings[name][0] for n, name in layers),
-        timings["epoch"][1] + sum(n * timings[name][1] for n, name in layers))
     return {
         "graph": {"n_nodes": N_NODES, "n_edges": N_EDGES, "seed": GRAPH_SEED,
                   "model": MODEL, "k": K, "n_steps": N_STEPS},

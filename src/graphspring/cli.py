@@ -44,8 +44,7 @@ from .simulate import (SimConfig, SimulationDivergedError, init_state,
                        mean_abs_velocity, read_embeddings_binary,
                        read_embeddings_text, simulate, write_embeddings_binary,
                        write_embeddings_text)
-from .training import (INIT_POLICIES, LOSS_DOMAINS, TARGET_ENCODINGS, LossConfig,
-                       TrainConfig, check_resume, load_checkpoint, loss,
+from .training import (LossConfig, TrainConfig, check_resume, load_checkpoint, loss,
                        save_checkpoint, train, write_history_csv)
 
 # the library's defaults, each written once in its config class
@@ -62,9 +61,7 @@ SIM_DEFAULTS = {
 TRAIN_DEFAULTS = {
     **SIM_DEFAULTS, "model": _TRAIN.model_kind, "lr": _TRAIN.lr,
     "epochs": _TRAIN.epochs, "seed": _TRAIN.seed, "split_seed": None,
-    "val_fraction": _TRAIN.val_fraction, "init_policy": _TRAIN.init_policy,
-    "loss_domain": _LOSS.domain, "target_encoding": _LOSS.target_encoding,
-    "clip_lo": _TRAIN.clip_lo, "clip_hi": _TRAIN.clip_hi, "checkpoint_every": 0,
+    "val_fraction": _TRAIN.val_fraction, "checkpoint_every": 0,
 }
 
 EMBED_DEFAULTS = {**SIM_DEFAULTS, "p_hidden": None, "seed": _SIM.seed,
@@ -280,13 +277,10 @@ def cmd_train(args) -> int:
     config, inputs, out = _start(args, TRAIN_DEFAULTS)
     graph, _ = _split(_load_graph(inputs, config["format"]), config,
                       config["split_seed"])
-    loss_cfg = LossConfig(mu=config["mu"], domain=config["loss_domain"],
-                          target_encoding=config["target_encoding"])
     train_cfg = TrainConfig(
         epochs=config["epochs"], sim=_sim_config(config, config["seed"]),
-        loss=loss_cfg, model_kind=config["model"], lr=config["lr"],
-        clip_lo=config["clip_lo"], clip_hi=config["clip_hi"], seed=config["seed"],
-        init_policy=config["init_policy"], val_fraction=config["val_fraction"])
+        loss=LossConfig(mu=config["mu"]), model_kind=config["model"], lr=config["lr"],
+        seed=config["seed"], val_fraction=config["val_fraction"])
     resume = load_checkpoint(inputs["resume"]) if inputs["resume"] else None
     if resume is not None:
         check_resume(resume, train_cfg)
@@ -537,11 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="fit force parameters")
     trainp.add_argument("--model", choices=list(MODEL_KINDS), default=None)
     for name, typ in [("lr", float), ("epochs", int), ("val-fraction", float),
-                      ("clip-lo", float), ("clip-hi", float), ("checkpoint-every", int)]:
+                      ("checkpoint-every", int)]:
         trainp.add_argument(f"--{name}", type=typ, default=None)
-    for name, choices in [("init-policy", INIT_POLICIES), ("loss-domain", LOSS_DOMAINS),
-                          ("target-encoding", TARGET_ENCODINGS)]:
-        trainp.add_argument(f"--{name}", choices=list(choices), default=None)
     trainp.add_argument("--resume", type=str, default=None,
                         help="checkpoint file to continue from")
     trainp.set_defaults(fn=cmd_train)

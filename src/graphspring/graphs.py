@@ -446,7 +446,8 @@ def dump_graph(graph: SignedGraph) -> str:
 
 def parse_graph_dump(text: str) -> SignedGraph:
     """Inverse of dump_graph; n_nodes falls back to max id + 1 if no header.
-    A malformed line raises GraphFormatError naming its number."""
+    A malformed line, or a header after an edge line or after another header,
+    raises GraphFormatError naming its number."""
     n_nodes = None
     u, v, t, o = [], [], [], []
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -458,6 +459,9 @@ def parse_graph_dump(text: str) -> SignedGraph:
             if parts[:1] == ["n_nodes"]:
                 if len(parts) != 2 or not parts[1].isdecimal() or int(parts[1]) >= 2 ** 63:
                     raise GraphFormatError(f"line {lineno}: bad header, expected '# n_nodes N'")
+                if n_nodes is not None or u:
+                    raise GraphFormatError(f"line {lineno}: the '# n_nodes' header must come "
+                                           "once, before the first edge line")
                 n_nodes = int(parts[1])
             continue
         try:

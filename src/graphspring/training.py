@@ -37,44 +37,29 @@ from .simulate import (SimConfig, SimState, SimulationDivergedError, init_state,
 EPOCH_INIT_TAG = "epoch-init"
 VAL_TAG = "val-hide"
 
-# each setting's allowed values, the default first
-LOSS_DOMAINS = ("visible_only", "all_edges_oracle")
-TARGET_ENCODINGS = ("signed", "zero_one")
-INIT_POLICIES = ("resample_each_epoch", "fixed")
 # Adam's constants (Kingma & Ba, ICLR 2015), fixed by the method
 BETA1, BETA2, EPS_HAT = 0.9, 0.999, 1e-8
 
 @dataclass(frozen=True)
 class LossConfig:
     mu: float = 2.5
-    domain: str = LOSS_DOMAINS[0]
-    target_encoding: str = TARGET_ENCODINGS[0]
 
     def __post_init__(self):
         if self.mu <= 0:
             raise ValueError("mu must be positive")
-        if self.domain not in LOSS_DOMAINS:
-            raise ValueError(f"unknown loss domain {self.domain!r}")
-        if self.target_encoding not in TARGET_ENCODINGS:
-            raise ValueError(f"unknown target encoding {self.target_encoding!r}")
 
 
-def _loss_terms(graph: SignedGraph, cfg: LossConfig):
-    if cfg.domain == "visible_only":
-        mask = graph.observed_sign != 0
-        class_sign = graph.observed_sign[mask]
-    else:
-        mask = np.ones(graph.n_edges, dtype=bool)
-        class_sign = graph.true_sign[mask]
-    n_pos = int((class_sign == 1).sum())
-    n_neg = int((class_sign == -1).sum())
+def _loss_terms(graph: SignedGraph):
+    """The loss edges, the visible ones, with their class-balancing weights
+    and their +-1 signs as targets."""
+    edges = np.flatnonzero(graph.observed_sign)
+    target = graph.observed_sign[edges].astype(np.float64)
+    n_pos = int((target == 1).sum())
+    n_neg = target.size - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise ValueError("loss domain must contain both positive and negative edges")
-    weight = np.where(class_sign == 1, 1.0 / n_pos, 1.0 / n_neg)
-    target = graph.true_sign[mask].astype(np.float64)
-    if cfg.target_encoding == "zero_one":
-        target = (target + 1.0) / 2.0
-    return np.flatnonzero(mask), weight, target
+        raise ValueError("the visible edges must hold both positive and negative signs")
+    weight = np.where(target == 1, 1.0 / n_pos, 1.0 / n_neg)
+    return edges, weight, target
 
 
 def _streamed_loss(graph: SignedGraph, X: np.ndarray, cfg: LossConfig,
@@ -84,7 +69,7 @@ def _streamed_loss(graph: SignedGraph, X: np.ndarray, cfg: LossConfig,
     it also adds the loss's gradient with respect to X into it.  Every per-edge
     value, the sum and each node's gradient come out bitwise as over the whole
     edge array at once."""
-    edges, weight, target = _loss_terms(graph, cfg)
+    edges, weight, target = _loss_terms(graph)
     u, v = graph.u[edges], graph.v[edges]
     m, k = edges.size, X.shape[1]
     # take and the kernel index X and grad unchecked: check the endpoints here
@@ -142,21 +127,14 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
     model_kind: str = "spring-nn"
     lr: float = 0.03
-    clip_lo: float = -1.0
-    clip_hi: float = 1.0
     seed: int = 0
-    init_policy: str = INIT_POLICIES[0]
     val_fraction: float = 0.1
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
-        if self.init_policy not in INIT_POLICIES:
-            raise ValueError(f"unknown init policy {self.init_policy!r}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in [0, 1)")
-        if self.clip_lo >= self.clip_hi:
-            raise ValueError("clip_lo must be below clip_hi")
 
 
 def _add_scaled(out: np.ndarray, a: np.ndarray, factor: float,
@@ -211,11 +189,9 @@ def loss_and_grad(graph: SignedGraph, statics: NodeStatics, params: ForceParams,
     return value, grad, final
 
 
-def clip_gradient(g: np.ndarray, lo: float = -1.0, hi: float = 1.0) -> np.ndarray:
-    """Elementwise clamp of the gradient vector."""
-    if lo >= hi:
-        raise ValueError("lo must be below hi")
-    return np.clip(g, lo, hi)
+def clip_gradient(g: np.ndarray) -> np.ndarray:
+    """Elementwise clamp of the gradient vector to [-1, 1]."""
+    return np.clip(g, -1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -308,14 +284,12 @@ def train(graph: SignedGraph, statics: NodeStatics | None, cfg: TrainConfig,
     train_statics = compute_node_statics(train_graph) if (
         val_edges.size or statics is None) else statics
     ctx = prepare(train_graph, train_statics)
-    _loss_terms(train_graph, cfg.loss)  # validate the domain up front
+    _loss_terms(train_graph)  # check both signs are visible up front
 
     history: list[EpochStats] = []
     for epoch in range(done, cfg.epochs):
         started = time.perf_counter()
-        epoch_index = epoch if cfg.init_policy == "resample_each_epoch" else 0
-        sim_cfg = replace(cfg.sim, seed=rng.derive_seed(cfg.seed, EPOCH_INIT_TAG,
-                                                        epoch_index))
+        sim_cfg = replace(cfg.sim, seed=rng.derive_seed(cfg.seed, EPOCH_INIT_TAG, epoch))
         # the previous epoch's final state is released only once this returns:
         # freed before, it would leave the whole tape free at the top of the
         # heap, which glibc's malloc gives back to the system, and each epoch
@@ -326,7 +300,7 @@ def train(graph: SignedGraph, statics: NodeStatics | None, cfg: TrainConfig,
         except SimulationDivergedError as err:
             raise SimulationDivergedError(err.step, err.node, err.what,
                                           epoch + 1) from err
-        grad = clip_gradient(grad, cfg.clip_lo, cfg.clip_hi)
+        grad = clip_gradient(grad)
         adam, params = adam_step(adam, params, grad, cfg.lr)
         auc_l, f1_macro = _validation_metrics(graph, val_edges, final.X, cfg.loss.mu)
         wall_ms = (time.perf_counter() - started) * 1000.0

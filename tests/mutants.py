@@ -131,6 +131,13 @@ MUTANTS = [
      ["tests/test_graphs.py::test_loader_matches_the_line_by_line_oracle",
       "tests/test_graphs.py::test_loader_matches_the_oracle_on_lines_numpy_may_read_differently",
       "tests/test_graphs.py::test_ids_beyond_int64_name_the_line"]),
+    # the dump parser takes a second header, or one after an edge line
+    ("graphs.py", "                if n_nodes is not None or u:\n", "                if False:\n",
+     ["tests/test_cli.py::test_bad_graph_dump_line_exits_1_naming_the_line",
+      "tests/test_graphs.py::test_dump_header_after_an_edge_line_names_its_line"]),
+    # the dump parser takes a header after an edge line when none came before
+    ("graphs.py", "if n_nodes is not None or u:", "if n_nodes is not None:",
+     ["tests/test_graphs.py::test_dump_header_after_an_edge_line_names_its_line"]),
     # a resumed run trains a checkpoint of another model kind or a later epoch
     ("training.py", "if kind != cfg.model_kind or done > cfg.epochs:", "if False:",
      ["tests/test_cli.py::test_resume_that_contradicts_the_checkpoint_exits_1"]),

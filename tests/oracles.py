@@ -136,12 +136,22 @@ def to_undirected_by_unique(stage: EdgeStage) -> SignedGraph:
     return SignedGraph(stage.n_nodes, u, v, merged_sign, merged_sign.copy(), stage.raw_ids)
 
 
+def all_edges_loss_terms(graph: SignedGraph):
+    """`training._loss_terms` over every edge, hidden ones included, with the
+    true signs as targets and class weights: a loss that sees the signs a run
+    must predict, for tests that need targets of both signs on any edge."""
+    edges = np.arange(graph.n_edges)
+    target = graph.true_sign.astype(np.float64)
+    n_pos, n_neg = int((target == 1).sum()), int((target == -1).sum())
+    return edges, np.where(target == 1, 1.0 / n_pos, 1.0 / n_neg), target
+
+
 def loss_with_grad_whole(graph: SignedGraph, X: np.ndarray,
                          cfg: LossConfig) -> tuple[float, np.ndarray]:
     """The loss and its gradient wrt X over every loss edge at once: the edge
     vectors as one (m, k) array, and the gradient as one product with the
     (n, m) incidence, +1 at (v, e) and -1 at (u, e)."""
-    edges, weight, target = _loss_terms(graph, cfg)
+    edges, weight, target = _loss_terms(graph)
     u, v = graph.u[edges], graph.v[edges]
     diff = X[v] - X[u]
     dist = np.sqrt((diff * diff).sum(axis=1))

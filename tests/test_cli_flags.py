@@ -77,8 +77,6 @@ FLAG_SURFACE = {
     },
     "train": {
         "--checkpoint-every": ("checkpoint_every", int, None, None, False, "store"),
-        "--clip-hi": ("clip_hi", float, None, None, False, "store"),
-        "--clip-lo": ("clip_lo", float, None, None, False, "store"),
         "--config": ("config", str, None, None, False, "store"),
         "--damping": ("damping", float, None, None, False, "store"),
         "--dt": ("dt", float, None, None, False, "store"),
@@ -87,12 +85,8 @@ FLAG_SURFACE = {
         "--format": ("format", None, None, ["plain", "rating_csv"], False, "store"),
         "--from-manifest": ("from_manifest", str, None, None, False, "store"),
         "--graph": ("graph", None, None, None, False, "store"),
-        "--init-policy": ("init_policy", None, None, ["resample_each_epoch", "fixed"],
-                          False, "store"),
         "--input": ("input", None, None, None, False, "store"),
         "--k": ("k", int, None, None, False, "store"),
-        "--loss-domain": ("loss_domain", None, None, ["visible_only", "all_edges_oracle"],
-                          False, "store"),
         "--lr": ("lr", float, None, None, False, "store"),
         "--model": ("model", None, None, ["spring", "spring-nn"], False, "store"),
         "--mu": ("mu", float, None, None, False, "store"),
@@ -103,8 +97,6 @@ FLAG_SURFACE = {
         "--seed": ("seed", int, None, None, False, "store"),
         "--semi-implicit": ("semi_implicit", None, None, None, False, "store_true"),
         "--split-seed": ("split_seed", int, None, None, False, "store"),
-        "--target-encoding": ("target_encoding", None, None, ["signed", "zero_one"],
-                              False, "store"),
         "--val-fraction": ("val_fraction", float, None, None, False, "store"),
     },
 }

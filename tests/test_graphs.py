@@ -451,6 +451,11 @@ def test_dump_round_trip():
     assert dump_graph(back) == text
 
 
+def test_dump_header_after_an_edge_line_names_its_line():
+    with pytest.raises(GraphFormatError, match="line 2: the '# n_nodes' header"):
+        parse_graph_dump("0 5 1 1\n# n_nodes 3\n")
+
+
 def test_loader_deterministic_bitwise():
     lines = ["5,1,3,1", "1,5,-2,2", "2,5,10,3"]
     a = to_undirected(load_edge_list(lines, "rating_csv"))
