@@ -21,7 +21,7 @@ from .forces import init_params
 from .forcefield import force_field, force_field_vjp, node_gain, prepare
 from .graphs import SignedGraph, SplitSpec, compute_node_statics, hide_signs
 from .simulate import SimConfig, init_state, simulate
-from .training import LossConfig, loss_and_grad, loss_with_grad
+from .training import LossConfig, _taped_forward, loss_and_grad, loss_with_grad
 
 # the fixed run of every record: a BitcoinOTC-size graph, spring-nn, k = 64
 N_NODES, N_EDGES, GRAPH_SEED = 5881, 21492, 1
@@ -77,6 +77,18 @@ def median_ms(fn, repeats: int = 7) -> tuple[float, float]:
     return float(median), float(q3 - q1)
 
 
+def tape_bytes(n_nodes: int, n_edges: int, k: int) -> int:
+    """The bytes of the arrays an epoch keeps for its reverse sweep: the
+    segments of its tape and the final positions, which the loss reads."""
+    graph = synthetic_graph(n_nodes, n_edges, GRAPH_SEED)
+    statics = compute_node_statics(graph)
+    ctx = prepare(graph, statics)
+    sim = SimConfig(k=k, n_steps=N_STEPS, seed=0)
+    final, segments = _taped_forward(graph, statics, init_params(MODEL, 0), sim,
+                                     init_state(n_nodes, sim), ctx)
+    return final.X.nbytes + sum(seg.nbytes for seg in segments)
+
+
 def timed_operations(n_nodes: int, n_edges: int, k: int) -> dict:
     """The operations a record times, as calls without arguments at the same
     initial positions: `force_field`, its VJP (the loss gradient as cotangent),
@@ -105,8 +117,9 @@ def timed_operations(n_nodes: int, n_edges: int, k: int) -> dict:
 
 def record(reps: int) -> dict:
     """Time the fixed run: each `<operation>_ms` is {"median", "iqr"} over `reps`
-    calls.  Memory: the position tape, tracemalloc's peak over one more (untimed,
-    warm-up) epoch and the minor page faults per timed epoch."""
+    calls.  Memory: the bytes of the epoch's tape (`tape_bytes`), tracemalloc's
+    peak over one more (untimed, warm-up) epoch and the minor page faults per
+    timed epoch."""
     import resource  # Unix only, like the page-fault count it reads
 
     ops = timed_operations(N_NODES, N_EDGES, K)
@@ -127,7 +140,7 @@ def record(reps: int) -> dict:
         "reps": reps,
         **{f"{name}_ms": {"median": median, "iqr": iqr}
            for name, (median, iqr) in timings.items()},
-        "tape_bytes": (N_STEPS + 1) * N_NODES * K * 8,
+        "tape_bytes": tape_bytes(N_NODES, N_EDGES, K),
         "peak_traced_mb": peak / 2 ** 20,
         "minor_faults_per_epoch": faults,
         "env": {"python": platform.python_version(), "numpy": np.__version__,

@@ -109,17 +109,21 @@ def tie_break_unit(k: int, edge_index: int, step: int, seed: int = 0) -> np.ndar
 
 @dataclass(frozen=True)
 class SignGroup:
-    """The edges of one observed sign, with their position-independent features."""
+    """The edges of one observed sign, with their edge feature matrices."""
 
     edges: np.ndarray           # (m_s,) edge indices
     sign: int                   # the observed sign: 0, 1 or -1
-    static_fwd: np.ndarray      # (m_s, 6) forces.edge_statics seen from u
-    static_rev: np.ndarray      # (m_s, 6) and seen from v
+    features_fwd: np.ndarray    # (m_s, 7) forces.edge_statics seen from u; each
+    features_rev: np.ndarray    # call writes the lengths into column 0; from v
 
 
 @dataclass(frozen=True)
 class FieldContext:
-    """Edge endpoints, the Laplacian structure and the edge features."""
+    """Edge endpoints, the Laplacian structure and the edge features.
+
+    Every operator call writes its edge lengths into the groups' feature
+    matrices, so one thread uses a context at a time: `eval --threads` builds
+    one per seed."""
 
     n_nodes: int
     n_edges: int
@@ -127,8 +131,8 @@ class FieldContext:
     v: np.ndarray
     lap_indptr: np.ndarray      # CSR structure of the (n, n) graph Laplacian:
     lap_indices: np.ndarray     # both directions of every edge plus the diagonal
-    slots: np.ndarray           # (2m + n,) CSR slot of [(v, u) per edge;
-                                # (i, i) per node; (u, v) per edge]
+    order: np.ndarray           # (2m + n,) per CSR slot, its index in [(v, u)
+                                # per edge; (i, i) per node; (u, v) per edge]
     groups: tuple[SignGroup, ...]
     node_features: np.ndarray   # (n, 3) [deg_norm, neg_frac, pos_frac]
 
@@ -137,7 +141,7 @@ def prepare(graph: SignedGraph, statics: NodeStatics) -> FieldContext:
     """Build the reusable evaluation context for a (graph, statics) pair."""
     n, m = graph.n_nodes, graph.n_edges
     u, v = graph.u, graph.v
-    # each stored value names the slot its pair landed in; the pairs are
+    # each stored value names the pair that landed in its slot; the pairs are
     # distinct (u < v, sorted), and in this order every row's columns ascend,
     # so the conversion neither sums nor sorts
     nodes = np.arange(n)
@@ -145,8 +149,7 @@ def prepare(graph: SignedGraph, statics: NodeStatics) -> FieldContext:
         (np.arange(1.0, 2 * m + n + 1),
          (np.concatenate([v, nodes, u]), np.concatenate([u, nodes, v]))),
         shape=(n, n))
-    slots = np.empty(2 * m + n, dtype=np.int64)
-    slots[pattern.data.astype(np.int64) - 1] = np.arange(2 * m + n)
+    order = pattern.data.astype(np.int64) - 1
 
     if m > 0 and statics.p80 <= 0:
         raise ValueError("p80 must be positive for a graph with edges")
@@ -161,7 +164,7 @@ def prepare(graph: SignedGraph, statics: NodeStatics) -> FieldContext:
                                     edge_statics(node_features, v[e], u[e])))
     return FieldContext(
         n_nodes=n, n_edges=m, u=u, v=v,
-        lap_indptr=pattern.indptr, lap_indices=pattern.indices, slots=slots,
+        lap_indptr=pattern.indptr, lap_indices=pattern.indices, order=order,
         groups=tuple(groups), node_features=node_features)
 
 
@@ -176,9 +179,7 @@ def _values(ctx: FieldContext, at_uv: np.ndarray, at_vu: np.ndarray,
     """The stored values, in CSR slot order, of the (n, n) matrix on the prepared
     Laplacian structure with at_uv[e] at (u, v) and at_vu[e] at (v, u) for each
     edge e, and diag on the diagonal."""
-    data = np.empty(ctx.slots.size)
-    data[ctx.slots] = np.concatenate([at_vu, diag, at_uv])
-    return data
+    return np.take(np.concatenate([at_vu, diag, at_uv]), ctx.order)
 
 
 def _accumulate(out: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
@@ -278,7 +279,7 @@ def _magnitudes(ctx: FieldContext, model: ForceParams, dist: np.ndarray
     for grp in ctx.groups:
         e = grp.edges
         f_fwd[e], f_rev[e] = force_batch(model, grp.sign, dist[e],
-                                         grp.static_fwd, grp.static_rev)
+                                         grp.features_fwd, grp.features_rev)
     return f_fwd, f_rev
 
 
@@ -291,14 +292,14 @@ def _magnitudes_vjp(ctx: FieldContext, model: ForceParams, dist: np.ndarray,
     for grp in ctx.groups:
         e = grp.edges
         f_fwd[e], f_rev[e], ddist[e] = force_batch_vjp(
-            model, grp.sign, dist[e], grp.static_fwd, grp.static_rev,
+            model, grp.sign, dist[e], grp.features_fwd, grp.features_rev,
             up_fwd[e], up_rev[e], grad)
     return f_fwd, f_rev, grad, ddist
 
 
 def force_field(ctx: FieldContext, model: ForceParams, X: np.ndarray,
                 seed: int = 0, step: int = 0, *, out: np.ndarray | None = None,
-                gain: np.ndarray | None = None) -> np.ndarray:
+                gain: np.ndarray | None = None, on_values=None) -> np.ndarray:
     """Net force on every node from the spring model at positions X.
 
     Given `out` (C-contiguous float64, the shape of X, sharing no memory with
@@ -306,9 +307,17 @@ def force_field(ctx: FieldContext, model: ForceParams, X: np.ndarray,
     zeros.  `gain` defaults to `node_gain(ctx, model)`; with
     `node_gain(ctx, model, c)` the call adds c times the force.  Runs in
     O(edges * dims + nodes * dims) with a fixed, reproducible accumulation order.
+
+    `on_values(data)` receives the CSR values, on the prepared Laplacian
+    structure, whose product with X the call added into `out`:
+    `_accumulate(out0, ctx.lap_indptr, ctx.lap_indices, data, X)` adds bitwise
+    what the call did.  It receives None when the call added anything else:
+    the pushes of tie-broken edges, or nothing for a graph without edges.
     """
     X, _ = _checked(ctx, X, None, gain, out)
     if ctx.n_edges == 0:
+        if on_values is not None:
+            on_values(None)
         return np.zeros_like(X) if out is None else out
     g = node_gain(ctx, model) if gain is None else gain
     dist, tied, _, _ = _geometry(ctx, X)
@@ -330,6 +339,9 @@ def force_field(ctx: FieldContext, model: ForceParams, X: np.ndarray,
             u, v = ctx.u[edges], ctx.v[edges]
             np.add.at(out, u, (g[u] * f_fwd[edges])[:, None] * units)
             np.add.at(out, v, -(g[v] * f_rev[edges])[:, None] * units)
+            data = None
+    if on_values is not None:
+        on_values(data)
     return out
 
 
@@ -370,7 +382,9 @@ def force_field_vjp(ctx: FieldContext, model: ForceParams, X: np.ndarray,
     # weights and d of a tie-broken edge do not depend on X: its geometric
     # gradient is zero
     ddist -= up_fwd * c_fwd + up_rev * c_rev
-    t = ddist / scale
+    t = np.divide(ddist, scale, out=ddist)
+    # the products read none of these: free them before their values are built
+    del dist, scale, s_u, s_v, up_fwd, up_rev, f_fwd, f_rev
     if tied.any():
         c_fwd[tied] = c_rev[tied] = t[tied] = 0.0
     # d/dX = (A - D_A)^T diag(g) w - (T - D_T) X: g scales the columns of the
@@ -378,11 +392,11 @@ def force_field_vjp(ctx: FieldContext, model: ForceParams, X: np.ndarray,
     diag = -g * _rowsum(ctx, c_fwd, c_rev)
     c_rev *= g_v
     c_fwd *= g_u
-    data = _values(ctx, c_rev, c_fwd, diag)
     if out is None:
         out = np.zeros_like(X)
-    _accumulate(out, ctx.lap_indptr, ctx.lap_indices, data, w)
+    # no name holds a product's values, so they are freed before the next's
+    _accumulate(out, ctx.lap_indptr, ctx.lap_indices, _values(ctx, c_rev, c_fwd, diag), w)
     np.negative(t, out=t)
-    data = _values(ctx, t, t, -_rowsum(ctx, t, t))
-    _accumulate(out, ctx.lap_indptr, ctx.lap_indices, data, X)
+    _accumulate(out, ctx.lap_indptr, ctx.lap_indices, _values(ctx, t, t, -_rowsum(ctx, t, t)),
+                X)
     return out, grad_params

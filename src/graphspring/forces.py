@@ -14,9 +14,11 @@ the parameter files:
         where each MLP block is [W0 row-major, b0, W1, b1]
 
 A batch writes only its own sign's slots.  Edge features seen from end i of
-edge (i, j) are [dist, deg_i, deg_j, neg_i, neg_j, pos_i, pos_j], the last six
-from `edge_statics`; node gain features are [deg, neg_frac, pos_frac], with
-degrees normalized to min(1, deg / p80).
+edge (i, j) are [dist, deg_i, deg_j, neg_i, neg_j, pos_i, pos_j]: `edge_statics`
+fills the last six once, and each force batch writes the lengths into the
+first column of that same matrix, so a batch copies no static feature.  Node
+gain features are [deg, neg_frac, pos_frac], with degrees normalized to
+min(1, deg / p80).
 """
 
 from __future__ import annotations
@@ -152,22 +154,24 @@ MODEL_KINDS = (SpringParams.kind, NeuralSpringParams.kind)
 
 
 def edge_statics(node_features: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Static edge features [deg_a, deg_b, neg_a, neg_b, pos_a, pos_b] of the edges
-    (a, b) seen from a, column-major, from node feature rows [deg, neg, pos]."""
-    out = np.empty((a.size, 2 * NODE_FEATURE_DIM), order="F")
+    """The edge feature matrix of the edges (a, b) seen from a, column-major, so
+    the MLPs read each feature as one contiguous run: columns 1-6 hold the static
+    features [deg_a, deg_b, neg_a, neg_b, pos_a, pos_b] from node feature rows
+    [deg, neg, pos], and column 0 is left for the lengths, which every force
+    batch over these edges writes in place."""
+    out = np.empty((a.size, EDGE_FEATURE_DIM), order="F")
+    out[:, 0] = 0.0
     for j, column in enumerate(node_features.T.copy()):   # contiguous columns gather fast
-        out[:, 2 * j] = column[a]
-        out[:, 2 * j + 1] = column[b]
+        out[:, 1 + 2 * j] = column[a]
+        out[:, 2 + 2 * j] = column[b]
     return out
 
 
-def _features(dist: np.ndarray, static: np.ndarray) -> np.ndarray:
-    """Edge feature rows [dist, static...], column-major, so the MLPs read each
-    feature as one contiguous run."""
-    z = np.empty((dist.size, EDGE_FEATURE_DIM), order="F")
-    z[:, 0] = dist
-    z[:, 1:] = static
-    return z
+def _features(dist: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """`features`, an `edge_statics` matrix, with the lengths written into its
+    first column."""
+    features[:, 0] = dist
+    return features
 
 
 def spring_force_batch(p: SpringParams, sign: int, dist: np.ndarray) -> np.ndarray:
@@ -251,7 +255,8 @@ def force_batch(params: ForceParams, sign: int, dist: np.ndarray,
                 static_uv: np.ndarray, static_vu: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Magnitudes (f_uv, f_vu) toward u and toward v of a batch of edges of one
-    sign, from their lengths and their `edge_statics` seen from u and from v."""
+    sign, from their lengths and their `edge_statics` seen from u and from v,
+    whose first columns the neural model overwrites with the lengths."""
     if isinstance(params, SpringParams):
         f = spring_force_batch(params, sign, dist)
         return f, f

@@ -8,8 +8,12 @@ fix for stiff springs; the default matches the plain explicit ordering.
 The force field adds dt times the force straight into the damped velocities,
 so a step writes no n x k force array.
 
-`simulate` is the only time-stepping loop: embedding calls it directly, and
-training's forward pass calls it with an `on_step` hook that tapes positions.
+`euler_step` is that update, and `simulate` the only loop that evaluates the
+field: embedding calls it directly, and training's forward pass calls it with
+hooks that keep some states and the CSR values of some steps' fields.
+Training's reverse sweep replays the steps between kept states through the
+same `euler_step`, adding each kept step's force as one sparse product, so the
+replayed positions are bitwise the simulated ones.
 """
 
 from __future__ import annotations
@@ -90,31 +94,48 @@ def init_state(n_nodes: int, config: SimConfig) -> SimState:
     return SimState(X, np.zeros((n_nodes, config.k)), 0)
 
 
+def euler_step(X: np.ndarray, V: np.ndarray, config: SimConfig,
+               add_force=None) -> np.ndarray:
+    """One damped Euler step from positions X and velocities V: returns the new
+    positions, a new array, and leaves the new velocities in V.
+
+    `add_force(V)` adds dt times the force at X into V once V is damped.
+    Without it the step computes the new positions alone and leaves V as it
+    was, which only the explicit ordering, whose positions advance with the
+    old velocities, allows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not config.semi_implicit:
+            X1 = config.dt * V                  # the old velocities
+        if add_force is not None:
+            V *= 1.0 - config.damping
+            add_force(V)
+        if config.semi_implicit:
+            X1 = config.dt * V                  # the new ones
+        X1 += X
+    return X1
+
+
 def simulate(state: SimState, graph: SignedGraph, statics: NodeStatics,
              model: ForceParams, config: SimConfig, ctx: FieldContext | None = None,
-             on_step=None) -> SimState:
+             on_step=None, on_values=None) -> SimState:
     """Apply `config.n_steps` steps; `on_step(state)` is called after each.
 
     Each step allocates only its new position matrix.  The velocities live in
     one array, a copy of `state.V` updated in place: every state passed to
     `on_step` shares it, so a hook that keeps velocities must copy them.  The
     gain is evaluated once per call, and each step damps V and then adds
-    dt times the force straight into it.
+    dt times the force straight into it.  `on_values` goes to each step's
+    `force_field` call, before that step's `on_step`.
     """
     if ctx is None:
         ctx = prepare(graph, statics)
     V = state.V.copy()
     gain = node_gain(ctx, model, config.dt)
     for _ in range(config.n_steps):
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not config.semi_implicit:
-                X1 = config.dt * V                  # the old velocities
-            V *= 1.0 - config.damping
-            force_field(ctx, model, state.X, seed=config.seed, step=state.t_step,
-                        out=V, gain=gain)
-            if config.semi_implicit:
-                X1 = config.dt * V                  # the new ones
-            X1 += state.X
+        X1 = euler_step(state.X, V, config, lambda out: force_field(
+            ctx, model, state.X, seed=config.seed, step=state.t_step, out=out,
+            gain=gain, on_values=on_values))
         if not (np.isfinite(X1).all() and np.isfinite(V).all()):
             raise SimulationDivergedError(state.t_step + 1, worst_node(X1, V))
         state = SimState(X1, V, state.t_step + 1)

@@ -1,17 +1,26 @@
 """Loss, reverse-mode gradients through the unrolled simulation, and Adam.
 
-The forward pass is `simulate.simulate` with an `on_step` hook that records
-every intermediate position matrix (memory grows linearly with the step
-count); the backward pass walks the recorded states in reverse, applying the
-hand-derived vector-Jacobian products of the Euler update and of the force
-field, whose position gradient is added into the running one in place.
-Gradients are flat vectors aligned with `params.flatten()`.
+The forward pass is `simulate.simulate` with hooks that keep a tape in
+segments of SEGMENT = 3 steps: each keeps the positions and velocities at its
+first step and the CSR values that `force_field` multiplied the positions by
+at that step (at its first two under the semi-implicit ordering).  The
+backward pass walks the steps in reverse, applying the hand-derived
+vector-Jacobian products of the Euler update and of the force field, whose
+position gradient is added into the running one in place.  On reaching a
+segment it replays the positions in between through `simulate.euler_step`,
+one sparse product per kept step's force, bitwise the simulated ones.  Under
+the explicit ordering the last step's force reaches only V_T, which the loss
+does not read, so its VJP is skipped and its positions are not kept.  Where a
+step's values are not fewer floats than the positions a segment drops (a
+dense graph at small k), the tape keeps every position instead.  Gradients
+are flat vectors aligned with `params.flatten()`.
 
 The loss goes through its edges a block of forcefield.BLOCK_BYTES of edge
 vectors at a time, and adds its gradient into the (n, k) result with scipy's
 CSC kernel, a column block of the edge incidence at a time, bitwise equal to
-one product with the whole incidence.  So an epoch's peak memory is the
-(T+1) n k tape plus V, gX, gV, w and the VJP's per-edge scalars.
+one product with the whole incidence.  So an epoch's peak memory is the tape,
+about (2 ceil(T/3) + 1) n k + ceil(T/3) (2m + n) floats when it is segmented,
+plus V, gX, gV, w, the two replayed positions and the VJP's per-edge scalars.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ import csv
 import json
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -27,12 +37,12 @@ from . import rng
 from .artifacts import atomic_write
 from .forces import (ForceParams, decode_flat, encode_flat, init_params,
                      params_from_json, params_to_json)
-from .forcefield import (FieldContext, _block_rows, _csc_matvecs, force_field_vjp,
-                         node_gain, prepare)
+from .forcefield import (FieldContext, _accumulate, _block_rows, _csc_matvecs,
+                         force_field, force_field_vjp, node_gain, prepare)
 from .graphs import NodeStatics, SignedGraph, compute_node_statics
 from .metrics import auc, f1_scores, predict, predict_prob
-from .simulate import (SimConfig, SimState, SimulationDivergedError, init_state,
-                       simulate, worst_node)
+from .simulate import (SimConfig, SimState, SimulationDivergedError, euler_step,
+                       init_state, simulate, worst_node)
 
 EPOCH_INIT_TAG = "epoch-init"
 VAL_TAG = "val-hide"
@@ -146,6 +156,106 @@ def _add_scaled(out: np.ndarray, a: np.ndarray, factor: float,
         out[lo:lo + rows] += part
 
 
+# steps per tape segment, where segments pay (`_segment_length`)
+SEGMENT = 3
+
+
+@dataclass
+class _Segment:
+    """Steps start .. start + steps - 1 of the reverse sweep: the positions at
+    the first, and what the replay of the others needs, the velocities there
+    (a copy the replay advances in place) and one entry per step whose force
+    it adds: that step's CSR values, or None for a step whose field
+    `force_field` must evaluate again (tie-broken edges)."""
+    start: int
+    steps: int
+    X: np.ndarray
+    V: np.ndarray | None
+    values: list
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.X, self.V, *self.values) if a is not None)
+
+
+def _vjp_steps(sim_cfg: SimConfig) -> int:
+    """The reverse sweep takes the force-field VJP of steps 0 up to this.  Under
+    the explicit ordering the force of the last step reaches only V_T, which
+    the loss does not read: its cotangent is 0, and the sweep skips it."""
+    return sim_cfg.n_steps if sim_cfg.semi_implicit else max(sim_cfg.n_steps - 1, 0)
+
+
+def _segment_length(ctx: FieldContext, k: int, semi_implicit: bool) -> int:
+    """SEGMENT when the CSR values a segment keeps are fewer floats than the two
+    position matrices it drops, else 1: the plain position tape.  Its replay
+    adds the force of one step under the explicit ordering and of two under
+    the semi-implicit one."""
+    kept = (2 * ctx.n_edges + ctx.n_nodes) * (2 if semi_implicit else 1)
+    return SEGMENT if kept < ctx.n_nodes * k else 1
+
+
+def _taped_forward(graph: SignedGraph, statics: NodeStatics, params: ForceParams,
+                   sim_cfg: SimConfig, state: SimState, ctx: FieldContext
+                   ) -> tuple[SimState, list[_Segment]]:
+    """`simulate` from `state`, keeping the tape of the reverse sweep: the
+    segments that cover the steps whose VJP it takes, first step first."""
+    n_vjp = _vjp_steps(sim_cfg)
+    length = _segment_length(ctx, state.X.shape[1], sim_cfg.semi_implicit)
+    # the replay of a segment recomputes its positions after the first: the
+    # explicit ordering's last one advances with velocities that need no
+    # further force, so it keeps the values of one step fewer
+    semi = int(sim_cfg.semi_implicit)
+    segments: list[_Segment] = []
+    t = 0   # the step under way: the hooks get its start state, then its values
+
+    def keep_state(s: SimState) -> None:
+        if t < n_vjp and t % length == 0:
+            steps = min(length, n_vjp - t)
+            segments.append(_Segment(t, steps, s.X, s.V.copy() if steps > 1 else None, []))
+
+    def keep_values(data) -> None:
+        if segments and t - segments[-1].start < segments[-1].steps - 2 + semi:
+            segments[-1].values.append(data)
+
+    def next_state(s: SimState) -> None:
+        nonlocal t
+        t += 1
+        keep_state(s)
+
+    keep_state(state)
+    final = simulate(state, graph, statics, params, sim_cfg, ctx=ctx,
+                     on_step=next_state, on_values=keep_values)
+    return final, segments
+
+
+def _add_step_force(ctx: FieldContext, params: ForceParams, sim_cfg: SimConfig,
+                    X: np.ndarray, data: np.ndarray | None, step: int,
+                    out: np.ndarray) -> None:
+    """Add dt times the force of step `step` at X into out, as `simulate` did: one
+    product with the step's kept CSR values, or, where it kept None,
+    `force_field` again at the step's seed and absolute step."""
+    if data is None:
+        force_field(ctx, params, X, seed=sim_cfg.seed, step=step, out=out,
+                    gain=node_gain(ctx, params, sim_cfg.dt))
+    else:
+        _accumulate(out, ctx.lap_indptr, ctx.lap_indices, data, X)
+
+
+def _replay(seg: _Segment, ctx: FieldContext, params: ForceParams,
+            sim_cfg: SimConfig, t0: int) -> list[np.ndarray]:
+    """The positions at a segment's steps, first to last: its start positions,
+    then those `euler_step` recomputes from its start state, bitwise the
+    simulated ones."""
+    positions = [seg.X]
+    for j in range(seg.steps - 1):
+        X, add_force = positions[-1], None
+        if j < len(seg.values):
+            add_force = partial(_add_step_force, ctx, params, sim_cfg, X, seg.values[j],
+                                t0 + seg.start + j)
+        positions.append(euler_step(X, seg.V, sim_cfg, add_force))
+    return positions
+
+
 def loss_and_grad(graph: SignedGraph, statics: NodeStatics, params: ForceParams,
                   sim_cfg: SimConfig, loss_cfg: LossConfig,
                   state0: SimState | None = None,
@@ -153,17 +263,16 @@ def loss_and_grad(graph: SignedGraph, statics: NodeStatics, params: ForceParams,
                   ) -> tuple[float, np.ndarray, SimState]:
     """Loss of the simulated embedding and its gradient wrt the parameters.
 
-    Runs the forward simulation with a full per-step position tape, then the
-    reverse sweep through every Euler update and force evaluation.  The
-    initial state and the graph are held fixed.
+    Runs the forward simulation with a tape of segments (`_taped_forward`),
+    then the reverse sweep through every Euler update and force evaluation,
+    replaying each segment's positions as it reaches them.  The initial state
+    and the graph are held fixed.
     """
     if ctx is None:
         ctx = prepare(graph, statics)
     state = state0 if state0 is not None else init_state(graph.n_nodes, sim_cfg)
     t0 = state.t_step
-    tape = [state.X]
-    final = simulate(state, graph, statics, params, sim_cfg, ctx=ctx,
-                     on_step=lambda s: tape.append(s.X))
+    final, segments = _taped_forward(graph, statics, params, sim_cfg, state, ctx)
 
     value, gX = loss_with_grad(graph, final.X, loss_cfg)
     gV, w = np.zeros_like(gX), np.empty_like(gX)
@@ -172,6 +281,8 @@ def loss_and_grad(graph: SignedGraph, statics: NodeStatics, params: ForceParams,
     gain = node_gain(ctx, params)
     grad = np.zeros_like(params.flatten())
     dt, damp = sim_cfg.dt, sim_cfg.damping
+    n_vjp = _vjp_steps(sim_cfg)
+    positions: list[np.ndarray] = []
 
     # w = dt gV is the cotangent of the step's force; its VJP adds into gX
     for t in range(sim_cfg.n_steps - 1, -1, -1):
@@ -181,7 +292,11 @@ def loss_and_grad(graph: SignedGraph, statics: NodeStatics, params: ForceParams,
         gV *= 1.0 - damp
         if not sim_cfg.semi_implicit:
             _add_scaled(gV, gX, dt, buf)
-        _, dtheta = force_field_vjp(ctx, params, tape[t], w, seed=sim_cfg.seed,
+        if t >= n_vjp:
+            continue
+        if not positions:
+            positions = _replay(segments.pop(), ctx, params, sim_cfg, t0)
+        _, dtheta = force_field_vjp(ctx, params, positions.pop(), w, seed=sim_cfg.seed,
                                     step=t0 + t, out=gX, gain=gain)
         grad += dtheta
         if not np.isfinite(grad).all():

@@ -46,10 +46,8 @@ MUTANTS = [
     # the Euler update damps the velocities after adding the force, not before
     ("simulate.py",
      "            V *= 1.0 - config.damping\n"
-     "            force_field(ctx, model, state.X, seed=config.seed, step=state.t_step,\n"
-     "                        out=V, gain=gain)\n",
-     "            force_field(ctx, model, state.X, seed=config.seed, step=state.t_step,\n"
-     "                        out=V, gain=gain)\n"
+     "            add_force(V)\n",
+     "            add_force(V)\n"
      "            V *= 1.0 - config.damping\n",
      ["tests/test_simulate.py::test_one_step_is_the_damped_euler_update_of_the_public_force_field",
       "tests/test_acceptance.py::test_c05_two_body_oracle"]),
@@ -122,6 +120,22 @@ MUTANTS = [
     ("training.py", "_add_scaled(gV, gX, dt, buf)   # the adjoint of V1",
      "_add_scaled(gV, gX, 2 * dt, buf)   # the adjoint of V1",
      ["tests/test_training.py::test_semi_implicit_gradients_match_fd"]),
+    # the tape keeps the CSR values of step a + 1 of each segment, and the
+    # replay reads them for step a
+    ("training.py", "t - segments[-1].start < segments[-1].steps - 2 + semi",
+     "0 < t - segments[-1].start < segments[-1].steps - 1 + semi",
+     ["tests/test_training.py::test_segmented_tape_is_bitwise_the_full_tape"]),
+    # the semi-implicit sweep skips the VJP of the last step too
+    ("training.py",
+     "return sim_cfg.n_steps if sim_cfg.semi_implicit else max(sim_cfg.n_steps - 1, 0)",
+     "return max(sim_cfg.n_steps - 1, 0)",
+     ["tests/test_training.py::test_segmented_tape_is_bitwise_the_full_tape",
+      "tests/test_training.py::test_semi_implicit_gradients_match_fd"]),
+    # the tape segments where segments cost memory, and keeps every position
+    # where they save it
+    ("training.py", "return SEGMENT if kept < ctx.n_nodes * k else 1",
+     "return SEGMENT if kept >= ctx.n_nodes * k else 1",
+     ["tests/test_training.py::test_a_segmented_epoch_holds_its_segment_tape_and_a_few_node_arrays"]),
     # the bulk parser accepts a line break inside a line
     ("graphs.py", "            or ((byte == 10) & (after != 0)).any()\n", "",
      ["tests/test_graphs.py::test_loader_matches_the_line_by_line_oracle",

@@ -9,12 +9,14 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from graphspring.forcefield import EPS, tie_break_unit
+from graphspring.forcefield import (EPS, _block_rows, force_field_vjp, node_gain,
+                                    prepare, tie_break_unit)
 from graphspring.forces import MlpParams, NeuralSpringParams, SpringParams
 from graphspring import graphs
 from graphspring.graphs import EdgeStage, GraphFormatError, SignedGraph
 from graphspring.metrics import predict_prob
-from graphspring.training import LossConfig, _loss_terms
+from graphspring.simulate import init_state, simulate
+from graphspring.training import LossConfig, _add_scaled, _loss_terms, loss_with_grad
 
 
 def spring_force(p: SpringParams, observed_sign: int, dist: float) -> float:
@@ -167,3 +169,34 @@ def loss_with_grad_whole(graph: SignedGraph, X: np.ndarray,
                                (np.concatenate([v, u]), np.tile(np.arange(u.size), 2))),
                               shape=(X.shape[0], u.size))
     return value, incidence @ ddiff
+
+
+def loss_and_grad_full_tape(graph, statics, params, sim_cfg, loss_cfg,
+                            state0=None, ctx=None):
+    """`training.loss_and_grad` with the plain tape: every position matrix of
+    the forward pass kept, and a VJP at every step, the last one included."""
+    if ctx is None:
+        ctx = prepare(graph, statics)
+    state = state0 if state0 is not None else init_state(graph.n_nodes, sim_cfg)
+    t0 = state.t_step
+    tape = [state.X]
+    final = simulate(state, graph, statics, params, sim_cfg, ctx=ctx,
+                     on_step=lambda s: tape.append(s.X))
+
+    value, gX = loss_with_grad(graph, final.X, loss_cfg)
+    gV, w = np.zeros_like(gX), np.empty_like(gX)
+    buf = np.empty((_block_rows(*gX.shape), gX.shape[1]))
+    gain = node_gain(ctx, params)
+    grad = np.zeros_like(params.flatten())
+    dt, damp = sim_cfg.dt, sim_cfg.damping
+    for t in range(sim_cfg.n_steps - 1, -1, -1):
+        if sim_cfg.semi_implicit:
+            _add_scaled(gV, gX, dt, buf)
+        np.multiply(gV, dt, out=w)
+        gV *= 1.0 - damp
+        if not sim_cfg.semi_implicit:
+            _add_scaled(gV, gX, dt, buf)
+        _, dtheta = force_field_vjp(ctx, params, tape[t], w, seed=sim_cfg.seed,
+                                    step=t0 + t, out=gX, gain=gain)
+        grad += dtheta
+    return value, grad, final

@@ -15,7 +15,8 @@ from graphspring.training import (AdamState, Checkpoint, EpochStats, LossConfig,
                                   train, write_history_csv)
 
 from conftest import hidden_toy, statics_of
-from oracles import all_edges_loss_terms, loss_with_grad_whole
+from oracles import (all_edges_loss_terms, loss_and_grad_full_tape,
+                     loss_with_grad_whole)
 from test_forcefield import random_graph
 from test_forces import random_neural
 
@@ -231,6 +232,27 @@ def test_an_epoch_holds_its_tape_and_a_few_node_arrays(many_edges, kind):
     n, k = X.shape
     sim = SimConfig(k=k, n_steps=4, seed=1)
     tape = (sim.n_steps + 1) * n * k * 8
+    peak = traced_peak(lambda: loss_and_grad(graph, statics, init_params(kind, 3), sim,
+                                             LossConfig(), ctx=ctx))
+    assert peak <= tape + 6 * n * k * 8 + 40 * 8 * graph.n_edges
+
+
+@pytest.mark.parametrize("semi_implicit", [False, True])
+@pytest.mark.parametrize("kind", ["spring", "spring-nn"])
+def test_a_segmented_epoch_holds_its_segment_tape_and_a_few_node_arrays(
+        many_edges, kind, semi_implicit):
+    # each segment of 3 steps keeps X and V at its start and the CSR values
+    # of one step's field (two under the semi-implicit ordering); the full
+    # tape of 60 or 61 positions peaks about 8 (semi-implicit: 3) n x k
+    # arrays above this bound
+    graph, X = many_edges
+    statics = compute_node_statics(graph)
+    ctx = prepare(graph, statics)
+    n, k = X.shape
+    sim = SimConfig(k=k, n_steps=60, seed=1, semi_implicit=semi_implicit)
+    segments = -(-sim.n_steps // 3)
+    values = (2 if semi_implicit else 1) * (2 * graph.n_edges + n) * 8
+    tape = (2 * segments + 1) * n * k * 8 + segments * values
     peak = traced_peak(lambda: loss_and_grad(graph, statics, init_params(kind, 3), sim,
                                              LossConfig(), ctx=ctx))
     assert peak <= tape + 6 * n * k * 8 + 40 * 8 * graph.n_edges
@@ -511,10 +533,12 @@ def test_validation_metrics_recorded():
         assert row.wall_ms >= 0
 
 
-def test_tape_length_equals_steps(monkeypatch):
-    # memory of the backward pass is the per-step position tape: the forward
-    # pass (simulate) evaluates the field once per step, the reverse sweep
-    # takes one VJP per taped state, last step first
+@pytest.mark.parametrize("semi_implicit", [False, True])
+def test_tape_length_equals_steps(monkeypatch, semi_implicit):
+    # the forward pass (simulate) evaluates the field once per step, the
+    # reverse sweep takes one VJP per taped state, last step first; under the
+    # explicit ordering the last step's force reaches only V_T, which the loss
+    # does not read, so its VJP is skipped
     import importlib
     import graphspring.training as tr
     # the package re-exports the function `simulate` under the submodule's name
@@ -531,10 +555,47 @@ def test_tape_length_equals_steps(monkeypatch):
     monkeypatch.setattr(tr, "force_field_vjp", recording(reverse, tr.force_field_vjp))
     graph, _ = hidden_toy(seed=5)
     st = statics_of(graph)
-    loss_and_grad(graph, st, SpringParams(), SimConfig(k=2, n_steps=7, seed=1),
+    loss_and_grad(graph, st, SpringParams(),
+                  SimConfig(k=2, n_steps=7, seed=1, semi_implicit=semi_implicit),
                   LossConfig())
     assert forward == list(range(7))
-    assert reverse == list(range(6, -1, -1))
+    assert reverse == list(range(6 if semi_implicit else 5, -1, -1))
+
+
+@pytest.mark.parametrize("k", [2, 16])
+@pytest.mark.parametrize("semi_implicit", [False, True])
+@pytest.mark.parametrize("kind", ["spring", "spring-nn"])
+def test_segmented_tape_is_bitwise_the_full_tape(kind, semi_implicit, k):
+    # with 2m + n = 72 values a step, this graph keeps the plain tape at k = 2
+    # and segments of 3 steps at k = 16, under either ordering; 1 to 7 steps
+    # end the sweep on every remainder of a segment
+    from graphspring import SimState
+    graph, _ = hidden_toy(seed=4)
+    st = statics_of(graph)
+    ctx = prepare(graph, st)
+    assert training._segment_length(ctx, k, semi_implicit) == (3 if k == 16 else 1)
+    params = init_params(kind, seed=1)
+    # a non-positive edge whose ends coincide and move alike: its tie-break
+    # unit depends on the absolute step, and it is tie-broken at step 0 (and
+    # under the explicit ordering at step 1), whose force segment 0 replays
+    e = np.flatnonzero(graph.observed_sign != 1)[0]
+    rand = np.random.default_rng(8)
+    X0 = rand.uniform(-1, 1, (graph.n_nodes, k))
+    V0 = rand.normal(0, 0.5, (graph.n_nodes, k))
+    X0[graph.v[e]], V0[graph.v[e]] = X0[graph.u[e]], V0[graph.u[e]]
+    state0 = SimState(X0, V0, 5)
+    for n_steps in range(1, 8):
+        sim = SimConfig(k=k, n_steps=n_steps, seed=6, semi_implicit=semi_implicit)
+        value, grad, final = loss_and_grad(graph, st, params, sim, LossConfig(),
+                                           state0=state0, ctx=ctx)
+        want = loss_and_grad_full_tape(graph, st, params, sim, LossConfig(),
+                                       state0=state0, ctx=ctx)
+        assert value == want[0]
+        assert np.array_equal(grad, want[1])
+        assert np.array_equal(final.X, want[2].X) and np.array_equal(final.V, want[2].V)
+        _, segments = training._taped_forward(graph, st, params, sim, state0, ctx)
+        if segments and segments[0].values:
+            assert segments[0].values[0] is None   # the tie-broken step keeps no values
 
 
 def test_divergence_reports_epoch():
