@@ -21,7 +21,7 @@ from .forces import init_params
 from .forcefield import force_field, force_field_vjp, node_gain, prepare
 from .graphs import SignedGraph, SplitSpec, compute_node_statics, hide_signs
 from .simulate import SimConfig, init_state, simulate
-from .training import LossConfig, _taped_forward, loss_and_grad, loss_with_grad
+from .training import LossConfig, _segment_length, loss_and_grad, loss_with_grad
 
 # the fixed run of every record: a BitcoinOTC-size graph, spring-nn, k = 64
 N_NODES, N_EDGES, GRAPH_SEED = 5881, 21492, 1
@@ -77,16 +77,18 @@ def median_ms(fn, repeats: int = 7) -> tuple[float, float]:
     return float(median), float(q3 - q1)
 
 
-def tape_bytes(n_nodes: int, n_edges: int, k: int) -> int:
-    """The bytes of the arrays an epoch keeps for its reverse sweep: the
-    segments of its tape and the final positions, which the loss reads."""
-    graph = synthetic_graph(n_nodes, n_edges, GRAPH_SEED)
-    statics = compute_node_statics(graph)
-    ctx = prepare(graph, statics)
-    sim = SimConfig(k=k, n_steps=N_STEPS, seed=0)
-    final, segments = _taped_forward(graph, statics, init_params(MODEL, 0), sim,
-                                     init_state(n_nodes, sim), ctx)
-    return final.X.nbytes + sum(seg.nbytes for seg in segments)
+def tape_bytes(n_nodes: int, n_edges: int, k: int, n_steps: int) -> int:
+    """The bytes of the arrays an explicit-ordering epoch keeps for its reverse
+    sweep when no step has tie-broken edges: the final positions, which the
+    loss reads, and per segment of `training._segment_length` steps the
+    positions at its first step, a copy of the velocities there if it has more,
+    and the CSR values (2m + n floats) of its first step if it has three."""
+    length = _segment_length(n_nodes, n_edges, k, semi_implicit=False)
+    floats = n_nodes * k
+    for start in range(0, n_steps, length):
+        steps = min(length, n_steps - start)
+        floats += n_nodes * k * (1 + (steps > 1)) + (steps > 2) * (2 * n_edges + n_nodes)
+    return floats * 8
 
 
 def timed_operations(n_nodes: int, n_edges: int, k: int) -> dict:
@@ -140,7 +142,7 @@ def record(reps: int) -> dict:
         "reps": reps,
         **{f"{name}_ms": {"median": median, "iqr": iqr}
            for name, (median, iqr) in timings.items()},
-        "tape_bytes": tape_bytes(N_NODES, N_EDGES, K),
+        "tape_bytes": tape_bytes(N_NODES, N_EDGES, K, N_STEPS),
         "peak_traced_mb": peak / 2 ** 20,
         "minor_faults_per_epoch": faults,
         "env": {"python": platform.python_version(), "numpy": np.__version__,

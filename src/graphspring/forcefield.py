@@ -246,20 +246,22 @@ def _geometry(ctx: FieldContext, X: np.ndarray, w: np.ndarray | None = None):
     at_u, at_v = np.empty((rows, k)), np.empty((rows, k))
     dist = np.empty(m)
     s_u, s_v = (None, None) if w is None else (np.empty(m), np.empty(m))
-    # mode="clip" lets take write into `out` unbuffered; the indices are in range
+    # mode="clip" lets take write into `out` unbuffered; the indices are in range.
+    # The method skips np.take's Python wrapper, a microsecond on each of the
+    # call's 2 (VJP: 4) takes per block
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, m, rows):
             hi = min(lo + rows, m)
             u, v = ctx.u[lo:hi], ctx.v[lo:hi]
             gathered, diff = at_u[:hi - lo], at_v[:hi - lo]
-            np.take(X, u, axis=0, out=gathered, mode="clip")
-            np.take(X, v, axis=0, out=diff, mode="clip")
+            X.take(u, axis=0, out=gathered, mode="clip")
+            X.take(v, axis=0, out=diff, mode="clip")
             np.subtract(diff, gathered, out=diff)
             np.einsum("ij,ij->i", diff, diff, out=dist[lo:hi])
             if w is not None:
-                np.take(w, u, axis=0, out=gathered, mode="clip")
+                w.take(u, axis=0, out=gathered, mode="clip")
                 np.einsum("ij,ij->i", gathered, diff, out=s_u[lo:hi])
-                np.take(w, v, axis=0, out=gathered, mode="clip")
+                w.take(v, axis=0, out=gathered, mode="clip")
                 np.einsum("ij,ij->i", gathered, diff, out=s_v[lo:hi])
         np.sqrt(dist, out=dist)
     return dist, dist < EPS, s_u, s_v

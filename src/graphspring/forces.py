@@ -255,8 +255,9 @@ def force_batch(params: ForceParams, sign: int, dist: np.ndarray,
                 static_uv: np.ndarray, static_vu: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Magnitudes (f_uv, f_vu) toward u and toward v of a batch of edges of one
-    sign, from their lengths and their `edge_statics` seen from u and from v,
-    whose first columns the neural model overwrites with the lengths."""
+    sign, from their lengths and their `edge_statics` seen from u and from v.
+    The neural model writes the lengths into column 0 of static_uv and
+    static_vu in place, so two threads must not pass the same matrices at once."""
     if isinstance(params, SpringParams):
         f = spring_force_batch(params, sign, dist)
         return f, f
@@ -272,7 +273,9 @@ def force_batch_vjp(params: ForceParams, sign: int, dist: np.ndarray,
     """One pass over a batch of one sign: (f_uv, f_vu as `force_batch` gives them,
     dL/ddist) for the upstream dL/df_uv and dL/df_vu.  The gradient wrt the
     sign's own parameters goes into their slots of the flat vector `grad`,
-    which must hold zeros there; no other sign touches them."""
+    which must hold zeros there; no other sign touches them.  Like
+    `force_batch`, the neural model overwrites column 0 of static_uv and
+    static_vu with the lengths."""
     if isinstance(params, SpringParams):
         return spring_force_batch_vjp(params, sign, dist, up_uv + up_vu, grad)
     net, slots = _force_net(params, sign)

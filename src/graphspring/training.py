@@ -8,12 +8,10 @@ backward pass walks the steps in reverse, applying the hand-derived
 vector-Jacobian products of the Euler update and of the force field, whose
 position gradient is added into the running one in place.  On reaching a
 segment it replays the positions in between through `simulate.euler_step`,
-one sparse product per kept step's force, bitwise the simulated ones.  Under
-the explicit ordering the last step's force reaches only V_T, which the loss
-does not read, so its VJP is skipped and its positions are not kept.  Where a
-step's values are not fewer floats than the positions a segment drops (a
-dense graph at small k), the tape keeps every position instead.  Gradients
-are flat vectors aligned with `params.flatten()`.
+one sparse product per kept step's force, bitwise the simulated ones.  Where
+a segment's values are not fewer floats than the positions it saves (a dense
+graph at small k), the tape keeps every position instead.  Gradients are flat
+vectors aligned with `params.flatten()`.
 
 The loss goes through its edges a block of forcefield.BLOCK_BYTES of edge
 vectors at a time, and adds its gradient into the (n, k) result with scipy's
@@ -173,34 +171,25 @@ class _Segment:
     V: np.ndarray | None
     values: list
 
-    @property
-    def nbytes(self) -> int:
-        return sum(a.nbytes for a in (self.X, self.V, *self.values) if a is not None)
 
-
-def _vjp_steps(sim_cfg: SimConfig) -> int:
-    """The reverse sweep takes the force-field VJP of steps 0 up to this.  Under
-    the explicit ordering the force of the last step reaches only V_T, which
-    the loss does not read: its cotangent is 0, and the sweep skips it."""
-    return sim_cfg.n_steps if sim_cfg.semi_implicit else max(sim_cfg.n_steps - 1, 0)
-
-
-def _segment_length(ctx: FieldContext, k: int, semi_implicit: bool) -> int:
-    """SEGMENT when the CSR values a segment keeps are fewer floats than the two
-    position matrices it drops, else 1: the plain position tape.  Its replay
-    adds the force of one step under the explicit ordering and of two under
-    the semi-implicit one."""
-    kept = (2 * ctx.n_edges + ctx.n_nodes) * (2 if semi_implicit else 1)
-    return SEGMENT if kept < ctx.n_nodes * k else 1
+def _segment_length(n_nodes: int, n_edges: int, k: int, semi_implicit: bool) -> int:
+    """SEGMENT when segments save memory, else 1: the plain position tape.  A
+    segment of three steps drops two position matrices but keeps a copy of
+    the velocities, so it saves one n x k matrix less the CSR values its
+    replay reads: those of one step (2m + n floats) under the explicit
+    ordering and of two under the semi-implicit one."""
+    kept = (2 * n_edges + n_nodes) * (2 if semi_implicit else 1)
+    return SEGMENT if kept < n_nodes * k else 1
 
 
 def _taped_forward(graph: SignedGraph, statics: NodeStatics, params: ForceParams,
                    sim_cfg: SimConfig, state: SimState, ctx: FieldContext
                    ) -> tuple[SimState, list[_Segment]]:
     """`simulate` from `state`, keeping the tape of the reverse sweep: the
-    segments that cover the steps whose VJP it takes, first step first."""
-    n_vjp = _vjp_steps(sim_cfg)
-    length = _segment_length(ctx, state.X.shape[1], sim_cfg.semi_implicit)
+    segments of every step, first step first."""
+    n_steps = sim_cfg.n_steps
+    length = _segment_length(ctx.n_nodes, ctx.n_edges, state.X.shape[1],
+                             sim_cfg.semi_implicit)
     # the replay of a segment recomputes its positions after the first: the
     # explicit ordering's last one advances with velocities that need no
     # further force, so it keeps the values of one step fewer
@@ -209,8 +198,8 @@ def _taped_forward(graph: SignedGraph, statics: NodeStatics, params: ForceParams
     t = 0   # the step under way: the hooks get its start state, then its values
 
     def keep_state(s: SimState) -> None:
-        if t < n_vjp and t % length == 0:
-            steps = min(length, n_vjp - t)
+        if t < n_steps and t % length == 0:
+            steps = min(length, n_steps - t)
             segments.append(_Segment(t, steps, s.X, s.V.copy() if steps > 1 else None, []))
 
     def keep_values(data) -> None:
@@ -281,7 +270,6 @@ def loss_and_grad(graph: SignedGraph, statics: NodeStatics, params: ForceParams,
     gain = node_gain(ctx, params)
     grad = np.zeros_like(params.flatten())
     dt, damp = sim_cfg.dt, sim_cfg.damping
-    n_vjp = _vjp_steps(sim_cfg)
     positions: list[np.ndarray] = []
 
     # w = dt gV is the cotangent of the step's force; its VJP adds into gX
@@ -292,8 +280,6 @@ def loss_and_grad(graph: SignedGraph, statics: NodeStatics, params: ForceParams,
         gV *= 1.0 - damp
         if not sim_cfg.semi_implicit:
             _add_scaled(gV, gX, dt, buf)
-        if t >= n_vjp:
-            continue
         if not positions:
             positions = _replay(segments.pop(), ctx, params, sim_cfg, t0)
         _, dtheta = force_field_vjp(ctx, params, positions.pop(), w, seed=sim_cfg.seed,

@@ -125,17 +125,14 @@ MUTANTS = [
     ("training.py", "t - segments[-1].start < segments[-1].steps - 2 + semi",
      "0 < t - segments[-1].start < segments[-1].steps - 1 + semi",
      ["tests/test_training.py::test_segmented_tape_is_bitwise_the_full_tape"]),
-    # the semi-implicit sweep skips the VJP of the last step too
-    ("training.py",
-     "return sim_cfg.n_steps if sim_cfg.semi_implicit else max(sim_cfg.n_steps - 1, 0)",
-     "return max(sim_cfg.n_steps - 1, 0)",
-     ["tests/test_training.py::test_segmented_tape_is_bitwise_the_full_tape",
-      "tests/test_training.py::test_semi_implicit_gradients_match_fd"]),
     # the tape segments where segments cost memory, and keeps every position
     # where they save it
-    ("training.py", "return SEGMENT if kept < ctx.n_nodes * k else 1",
-     "return SEGMENT if kept >= ctx.n_nodes * k else 1",
+    ("training.py", "return SEGMENT if kept < n_nodes * k else 1",
+     "return SEGMENT if kept >= n_nodes * k else 1",
      ["tests/test_training.py::test_a_segmented_epoch_holds_its_segment_tape_and_a_few_node_arrays"]),
+    # bench's tape counts the values of a segment of two steps, which keeps none
+    ("bench.py", "(steps > 2) * (2 * n_edges + n_nodes)", "(steps > 1) * (2 * n_edges + n_nodes)",
+     ["tests/test_training.py::test_bench_tape_bytes_are_the_arrays_the_tape_keeps"]),
     # the bulk parser accepts a line break inside a line
     ("graphs.py", "            or ((byte == 10) & (after != 0)).any()\n", "",
      ["tests/test_graphs.py::test_loader_matches_the_line_by_line_oracle",

@@ -174,7 +174,7 @@ def loss_with_grad_whole(graph: SignedGraph, X: np.ndarray,
 def loss_and_grad_full_tape(graph, statics, params, sim_cfg, loss_cfg,
                             state0=None, ctx=None):
     """`training.loss_and_grad` with the plain tape: every position matrix of
-    the forward pass kept, and a VJP at every step, the last one included."""
+    the forward pass kept."""
     if ctx is None:
         ctx = prepare(graph, statics)
     state = state0 if state0 is not None else init_state(graph.n_nodes, sim_cfg)

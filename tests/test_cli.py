@@ -806,9 +806,7 @@ def test_bench_writes_the_record_beside_its_manifest(tmp_path, monkeypatch, caps
         "peak_traced_mb", "minor_faults_per_epoch", "env"])
     assert record["graph"] == {"n_nodes": 60, "n_edges": 200, "seed": 1,
                                "model": "spring-nn", "k": 3, "n_steps": 4}
-    # at k = 3 this graph keeps the plain tape: X_0 to X_2 for the VJPs of
-    # steps 0 to 2, and the final X_4
-    assert record["reps"] == 2 and record["tape_bytes"] == 4 * 60 * 3 * 8
+    assert record["reps"] == 2 and record["tape_bytes"] == 5 * 60 * 3 * 8
     for name in timed:
         assert sorted(record[f"{name}_ms"]) == ["iqr", "median"]
         assert record[f"{name}_ms"]["iqr"] >= 0

@@ -374,6 +374,24 @@ def test_coincident_nodes_no_nan_and_deterministic():
     assert not np.array_equal(F1, F3)
 
 
+def test_interleaved_calls_on_two_contexts_of_one_graph_are_deterministic():
+    # every neural call writes its lengths into its context's feature
+    # matrices: calls at other positions, on the same context or on another
+    # built from the same graph, leave each result as a fresh context gives it
+    graph, statics, X, w, params = small_instance(3, "spring-nn", 4)
+    Y = X + np.random.default_rng(5).normal(0, 1.0, X.shape)
+
+    def calls(ctx, P):
+        F = force_field(ctx, params, P, seed=2, step=1)
+        return (F, *force_field_vjp(ctx, params, P, w, seed=2, step=1))
+
+    want = {id(P): calls(prepare(graph, statics), P) for P in (X, Y)}
+    a, b = prepare(graph, statics), prepare(graph, statics)
+    for ctx, P in [(a, X), (b, Y), (a, Y), (b, X), (a, X), (a, Y)]:
+        for got, expect in zip(calls(ctx, P), want[id(P)]):
+            assert np.array_equal(got, expect)
+
+
 def test_tie_break_unit_is_unit():
     for e in range(5):
         r = tie_break_unit(6, e, step=3, seed=1)

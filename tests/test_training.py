@@ -243,8 +243,7 @@ def test_a_segmented_epoch_holds_its_segment_tape_and_a_few_node_arrays(
         many_edges, kind, semi_implicit):
     # each segment of 3 steps keeps X and V at its start and the CSR values
     # of one step's field (two under the semi-implicit ordering); the full
-    # tape of 60 or 61 positions peaks about 8 (semi-implicit: 3) n x k
-    # arrays above this bound
+    # tape of 61 positions would not fit this bound
     graph, X = many_edges
     statics = compute_node_statics(graph)
     ctx = prepare(graph, statics)
@@ -256,6 +255,27 @@ def test_a_segmented_epoch_holds_its_segment_tape_and_a_few_node_arrays(
     peak = traced_peak(lambda: loss_and_grad(graph, statics, init_params(kind, 3), sim,
                                              LossConfig(), ctx=ctx))
     assert peak <= tape + 6 * n * k * 8 + 40 * 8 * graph.n_edges
+
+
+@pytest.mark.parametrize("k", [2, 16])
+def test_bench_tape_bytes_are_the_arrays_the_tape_keeps(k):
+    # bench reports the tape from the graph's sizes alone; at k = 2 this
+    # graph keeps the plain tape, at k = 16 segments of 3 steps, and 1 to 7
+    # steps end on every remainder of a segment
+    from graphspring import bench
+    from graphspring.simulate import init_state
+    graph, _ = hidden_toy(seed=4)
+    st = statics_of(graph)
+    ctx = prepare(graph, st)
+    for n_steps in range(1, 8):
+        sim = SimConfig(k=k, n_steps=n_steps, seed=6)
+        final, segments = training._taped_forward(graph, st, init_params("spring-nn", 1),
+                                                  sim, init_state(graph.n_nodes, sim), ctx)
+        kept = [final.X] + [a for seg in segments for a in (seg.X, seg.V, *seg.values)
+                            if a is not None]
+        assert len(segments) == (n_steps if k == 2 else -(-n_steps // 3))
+        assert bench.tape_bytes(graph.n_nodes, graph.n_edges, k, n_steps) == \
+            sum(a.nbytes for a in kept)
 
 
 # --- gradients through the simulation ------------------------------------------
@@ -533,12 +553,10 @@ def test_validation_metrics_recorded():
         assert row.wall_ms >= 0
 
 
-@pytest.mark.parametrize("semi_implicit", [False, True])
-def test_tape_length_equals_steps(monkeypatch, semi_implicit):
-    # the forward pass (simulate) evaluates the field once per step, the
-    # reverse sweep takes one VJP per taped state, last step first; under the
-    # explicit ordering the last step's force reaches only V_T, which the loss
-    # does not read, so its VJP is skipped
+def test_tape_length_equals_steps(monkeypatch):
+    # memory of the backward pass is the per-step position tape: the forward
+    # pass (simulate) evaluates the field once per step, the reverse sweep
+    # takes one VJP per taped state, last step first
     import importlib
     import graphspring.training as tr
     # the package re-exports the function `simulate` under the submodule's name
@@ -555,11 +573,10 @@ def test_tape_length_equals_steps(monkeypatch, semi_implicit):
     monkeypatch.setattr(tr, "force_field_vjp", recording(reverse, tr.force_field_vjp))
     graph, _ = hidden_toy(seed=5)
     st = statics_of(graph)
-    loss_and_grad(graph, st, SpringParams(),
-                  SimConfig(k=2, n_steps=7, seed=1, semi_implicit=semi_implicit),
+    loss_and_grad(graph, st, SpringParams(), SimConfig(k=2, n_steps=7, seed=1),
                   LossConfig())
     assert forward == list(range(7))
-    assert reverse == list(range(6 if semi_implicit else 5, -1, -1))
+    assert reverse == list(range(6, -1, -1))
 
 
 @pytest.mark.parametrize("k", [2, 16])
@@ -573,7 +590,8 @@ def test_segmented_tape_is_bitwise_the_full_tape(kind, semi_implicit, k):
     graph, _ = hidden_toy(seed=4)
     st = statics_of(graph)
     ctx = prepare(graph, st)
-    assert training._segment_length(ctx, k, semi_implicit) == (3 if k == 16 else 1)
+    assert training._segment_length(ctx.n_nodes, ctx.n_edges, k, semi_implicit) == (
+        3 if k == 16 else 1)
     params = init_params(kind, seed=1)
     # a non-positive edge whose ends coincide and move alike: its tie-break
     # unit depends on the absolute step, and it is tie-broken at step 0 (and
