@@ -14,9 +14,8 @@ from .forcefield import FieldContext, force_field, prepare
 from .graphs import (EdgeStage, GraphFormatError, NodeStatics, SignedGraph,
                      SplitSpec, compute_node_statics, dump_graph, hide_signs,
                      load_edge_list, parse_graph_dump, to_undirected)
-from .metrics import (MetricsReport, PredictionSet, auc, calibrate_on_visible,
-                      evaluate, f1_scores, fit_distance_calibration, predict,
-                      predict_prob, rank_auc)
+from .metrics import (MetricsReport, PredictionSet, auc, evaluate, f1_scores,
+                      predict, predict_prob, rank_auc)
 from .simulate import (SimConfig, SimState, SimulationDivergedError, init_state,
                        read_embeddings_binary, read_embeddings_text, simulate,
                        write_embeddings_binary, write_embeddings_text)

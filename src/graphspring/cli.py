@@ -38,8 +38,7 @@ from .forces import MODEL_KINDS, params_from_json, params_to_json
 from .forcefield import prepare
 from .graphs import (FORMATS, SignedGraph, SplitSpec, compute_node_statics, dump_graph,
                      hide_signs, load_edge_list, parse_graph_dump, to_undirected)
-from .metrics import (aggregate_reports, aggregate_table, calibrate_on_visible,
-                      evaluate)
+from .metrics import aggregate_reports, aggregate_table, evaluate
 from .simulate import (SimConfig, SimulationDivergedError, init_state,
                        mean_abs_velocity, read_embeddings_binary,
                        read_embeddings_text, simulate, write_embeddings_binary,
@@ -54,8 +53,7 @@ _SIM, _LOSS = _TRAIN.sim, _TRAIN.loss
 # the settings that train, embed and eval share
 SIM_DEFAULTS = {
     "k": _SIM.k, "dt": _SIM.dt, "damping": _SIM.damping, "n_steps": _SIM.n_steps,
-    "mu": _LOSS.mu, "p_hidden": 0.2, "exact_split": False,
-    "semi_implicit": _SIM.semi_implicit,
+    "mu": _LOSS.mu, "p_hidden": 0.2, "semi_implicit": _SIM.semi_implicit,
 }
 
 TRAIN_DEFAULTS = {
@@ -67,7 +65,7 @@ TRAIN_DEFAULTS = {
 EMBED_DEFAULTS = {**SIM_DEFAULTS, "p_hidden": None, "seed": _SIM.seed,
                   "split_seed": None, "binary": False}
 
-EVAL_DEFAULTS = {**SIM_DEFAULTS, "seeds": "0", "threads": 1, "calibrate": False}
+EVAL_DEFAULTS = {**SIM_DEFAULTS, "seeds": "0", "threads": 1}
 
 BENCH_DEFAULTS = {"reps": 7}
 
@@ -217,7 +215,7 @@ def _split(graph: SignedGraph, config: dict, seed: int) -> tuple[SignedGraph, np
     hidden = graph.hidden_edges()
     if hidden.size or config["p_hidden"] is None:
         return graph, hidden
-    return hide_signs(graph, SplitSpec(config["p_hidden"], seed, config["exact_split"]))
+    return hide_signs(graph, SplitSpec(config["p_hidden"], seed))
 
 
 def _load_params(path: str):
@@ -260,12 +258,10 @@ def cmd_split(args) -> int:
     graph = _load_graph(vars(args), args.format)
     seed = args.seed if args.seed is not None else 0
     split_seed = args.split_seed if args.split_seed is not None else seed
-    hidden_graph, hidden = hide_signs(
-        graph, SplitSpec(args.p_hidden, split_seed, args.exact_split))
+    hidden_graph, hidden = hide_signs(graph, SplitSpec(args.p_hidden, split_seed))
     out.mkdir(parents=True, exist_ok=True)
     _write_text(out / "graph_split.txt", dump_graph(hidden_graph))
-    config = {"p_hidden": args.p_hidden, "split_seed": split_seed,
-              "exact_split": args.exact_split}
+    config = {"p_hidden": args.p_hidden, "split_seed": split_seed}
     _write_manifest(out, "split", config,
                     {"input": args.input, "graph": args.graph},
                     {"graph_split": out / "graph_split.txt"})
@@ -327,20 +323,20 @@ def cmd_embed(args) -> int:
     if inputs["hidden_edges"]:
         graph = _hide_listed(graph, inputs["hidden_edges"])
 
+    sim = _sim_config(config, config["seed"])
+    loss_cfg = LossConfig(mu=config["mu"]) if args.trace else None
     emb_name = "embeddings.bin" if config["binary"] else "embeddings.txt"
     artifacts = {"embeddings": out / emb_name, "meta": out / "embed_meta.json"}
     _write_manifest(out, "embed", config, inputs, artifacts)
 
     statics = compute_node_statics(graph)
     ctx = prepare(graph, statics)
-    sim = _sim_config(config, config["seed"])
     state = init_state(graph.n_nodes, sim)
 
     on_step = None
     if args.trace:
         # the trace is recorded during the one simulation, so solver_ms
         # includes its cost
-        loss_cfg = LossConfig(mu=config["mu"])
         trace_rows = []
 
         def on_step(s):
@@ -408,19 +404,17 @@ def _hide_listed(graph: SignedGraph, path: str) -> SignedGraph:
     return graph.with_observed(observed)
 
 
-def _eval_one(graph: SignedGraph, params, config: dict, seed: int,
+def _eval_one(graph: SignedGraph, params, config: dict, sim: SimConfig,
               config_hash: str):
-    hidden_graph, hidden = _split(graph, config, seed)
+    """One seeded run of eval --params: `sim.seed` draws the split and the start."""
+    hidden_graph, hidden = _split(graph, config, sim.seed)
     if hidden.size == 0:
         raise ValueError("no hidden edges to evaluate")
     statics = compute_node_statics(hidden_graph)
-    sim = _sim_config(config, seed)
     state = init_state(hidden_graph.n_nodes, sim)
     final = simulate(state, hidden_graph, statics, params, sim)
-    calibration = calibrate_on_visible(hidden_graph, final.X) \
-        if config["calibrate"] else None
-    return evaluate(hidden_graph, hidden, final.X, config["mu"], seed=seed,
-                    config_hash=config_hash, calibration=calibration)
+    return evaluate(hidden_graph, hidden, final.X, config["mu"], seed=sim.seed,
+                    config_hash=config_hash)
 
 
 def cmd_eval(args) -> int:
@@ -437,20 +431,20 @@ def cmd_eval(args) -> int:
             raise ValueError(f"embedding file {emb_path} has {X.shape[0]} rows, "
                              f"graph has {graph.n_nodes} nodes")
         _write_manifest(out, "eval", config, inputs, {"report": out / "report.json"})
-        calibration = calibrate_on_visible(graph, X) if config["calibrate"] else None
         report = evaluate(graph, graph.hidden_edges(), X, config["mu"], seed=None,
-                          config_hash=chash, calibration=calibration)
+                          config_hash=chash)
         _write_text(out / "report.json", report.to_json())
         table = report.to_table()
     else:
         params = _load_params(inputs["params"])
         seeds = [int(tok) for tok in config["seeds"].split(",") if tok != ""]
+        sims = [_sim_config(config, s) for s in seeds]
         _write_manifest(out, "eval", config, inputs,
                         {"reports": out / "report_<seed>.json",
                          "aggregate": out / "aggregate.json"})
         with concurrent.futures.ThreadPoolExecutor(max(1, config["threads"])) as pool:
             reports = list(pool.map(
-                lambda s: _eval_one(graph, params, config, s, chash), seeds))
+                lambda sim: _eval_one(graph, params, config, sim, chash), sims))
         for s, report in zip(seeds, reports):
             _write_text(out / f"report_{s}.json", report.to_json())
         agg = aggregate_reports(reports)
@@ -506,8 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
         *[(f"--{name}", dict(type=typ, default=None))
           for name, typ in [("k", int), ("dt", float), ("damping", float),
                             ("n-steps", int), ("mu", float), ("p-hidden", float)]],
-        *[(f"--{name}", dict(action="store_true", default=None))
-          for name in ("exact-split", "semi-implicit")])
+        ("--semi-implicit", dict(action="store_true", default=None)))
     common = [seeded, output, configured]
 
     ingest = sub.add_parser("ingest", allow_abbrev=False, parents=[output],
@@ -523,7 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     split.add_argument("--graph")
     split.add_argument("--format", choices=list(FORMATS), default="plain")
     split.add_argument("--p-hidden", type=float, required=True)
-    split.add_argument("--exact-split", action="store_true")
     split.set_defaults(fn=cmd_split)
 
     trainp = sub.add_parser("train", allow_abbrev=False,
@@ -558,9 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
     evalp.add_argument("--params")
     evalp.add_argument("--seeds", type=str, default=None,
                        help="comma-separated seeds for multi-run aggregation")
-    evalp.add_argument("--calibrate", action="store_true", default=None,
-                       help="fit the distance classifier on visible edges "
-                            "instead of the fixed threshold")
     evalp.set_defaults(fn=cmd_eval)
 
     benchp = sub.add_parser("bench", allow_abbrev=False, parents=[output, configured],

@@ -96,17 +96,6 @@ def _block_rows(n_rows: int, k: int) -> int:
     return max(1, min(n_rows, BLOCK_BYTES // (8 * k)))
 
 
-def tie_break_unit(k: int, edge_index: int, step: int, seed: int = 0) -> np.ndarray:
-    """Deterministic pseudo-random unit vector for coincident endpoints."""
-    raw = rng.uniform_sym(seed, f"{TIE_TAG}:{step}", edge_index * k + np.arange(k))
-    norm = np.sqrt((raw ** 2).sum())
-    if norm == 0.0:  # unreachable in practice; uniform draws are never all zero
-        raw = np.zeros(k)
-        raw[0] = 1.0
-        norm = 1.0
-    return raw / norm
-
-
 @dataclass(frozen=True)
 class SignGroup:
     """The edges of one observed sign, with their edge feature matrices."""
@@ -269,9 +258,14 @@ def _geometry(ctx: FieldContext, X: np.ndarray, w: np.ndarray | None = None):
 
 def _tie_units(tied: np.ndarray, k: int, seed: int, step: int
                ) -> tuple[np.ndarray, np.ndarray]:
-    """The tie-broken edges and their unit directions, one row each."""
+    """The tie-broken edges and their unit directions, one row each.
+
+    Edge e's row is draws e*k .. e*k + k-1 of the (seed, "tiebreak:<step>")
+    stream, normalized.  Every draw is an odd multiple of 2**-53, so no row is 0.
+    """
     edges = np.flatnonzero(tied)
-    return edges, np.array([tie_break_unit(k, int(e), step, seed) for e in edges])
+    raw = rng.uniform_sym(seed, f"{TIE_TAG}:{step}", edges[:, None] * k + np.arange(k))
+    return edges, raw / np.sqrt((raw ** 2).sum(axis=1, keepdims=True))
 
 
 def _magnitudes(ctx: FieldContext, model: ForceParams, dist: np.ndarray

@@ -101,15 +101,10 @@ class SignedGraph:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Reproducible sign-hiding policy.
-
-    `exact` hides exactly ceil(p_hidden * n_edges) edges (the ones with the
-    smallest stream draws) instead of an independent Bernoulli per edge.
-    """
+    """Reproducible sign-hiding policy: each edge is hidden by its own draw."""
 
     p_hidden: float
     seed: int
-    exact: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.p_hidden <= 1.0:
@@ -390,9 +385,8 @@ def hide_signs(graph: SignedGraph, spec: SplitSpec) -> tuple[SignedGraph, np.nda
     """Zero out observed signs of a reproducible random subset of edges.
 
     Each edge's draw is uniform01(seed, "hide", edge index); an edge is hidden
-    when its draw < p_hidden (or, with `exact`, when its draw ranks among the
-    ceil(p_hidden * m) smallest).  Hidden edges keep their true sign and stay
-    in the adjacency.
+    when its draw < p_hidden.  Hidden edges keep their true sign and stay in
+    the adjacency.
     """
     if (graph.observed_sign != graph.true_sign).any():
         raise ValueError("hide_signs expects a graph whose signs are not yet hidden")
@@ -400,11 +394,7 @@ def hide_signs(graph: SignedGraph, spec: SplitSpec) -> tuple[SignedGraph, np.nda
     if m == 0:
         return graph, np.zeros(0, dtype=np.int64)
     draws = rng.uniform01(spec.seed, HIDE_TAG, np.arange(m))
-    if spec.exact:
-        n_hide = math.ceil(spec.p_hidden * m)
-        hidden = np.sort(np.argsort(draws, kind="stable")[:n_hide]).astype(np.int64)
-    else:
-        hidden = np.flatnonzero(draws < spec.p_hidden).astype(np.int64)
+    hidden = np.flatnonzero(draws < spec.p_hidden).astype(np.int64)
     observed = graph.true_sign.copy()
     observed[hidden] = 0
     return graph.with_observed(observed), hidden

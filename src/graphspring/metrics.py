@@ -13,8 +13,6 @@ from .graphs import SignedGraph
 # the reported metrics in table order: (column heading, MetricsReport field)
 METRICS = (("F1-MI", "f1_micro"), ("F1-MA", "f1_macro"), ("F1-WT", "f1_weighted"),
            ("F1-BI", "f1_binary"), ("AUC-P", "auc_p"), ("AUC-L", "auc_l"))
-# the iteration cap of `fit_distance_calibration`'s Newton solve
-CALIBRATION_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -62,59 +60,20 @@ def edge_distances(graph: SignedGraph, edges: np.ndarray, X: np.ndarray) -> np.n
     return np.sqrt(((X[v] - X[u]) ** 2).sum(axis=1))
 
 
-def fit_distance_calibration(dist: np.ndarray, positive: np.ndarray) -> tuple[float, float]:
-    """Logistic regression of the positive-sign indicator on edge distance.
-
-    Returns (slope, intercept) for prob = sigmoid(slope * dist + intercept);
-    the built-in rule prob = sigmoid(mu - dist) is the special case
-    (-1, mu).  Fitted by Newton iteration with a small ridge; separable data
-    saturates instead of diverging thanks to the iteration cap.
-    """
-    dist = np.asarray(dist, dtype=np.float64)
-    y = np.asarray(positive, dtype=np.float64)
-    if dist.size == 0 or y.min() == y.max():
-        raise ValueError("calibration needs visible edges of both signs")
-    design = np.column_stack([dist, np.ones_like(dist)])
-    w = np.zeros(2)
-    for _ in range(CALIBRATION_MAX_ITER):
-        p = expit(design @ w)
-        gradient = design.T @ (y - p)
-        curvature = p * (1.0 - p)
-        hessian = (design * curvature[:, None]).T @ design + 1e-9 * np.eye(2)
-        step = np.linalg.solve(hessian, gradient)
-        w += step
-        if np.abs(step).max() < 1e-10:
-            break
-    return float(w[0]), float(w[1])
-
-
 def predict(graph: SignedGraph, hidden_set: np.ndarray, X: np.ndarray,
-            mu: float, calibration: tuple[float, float] | None = None
-            ) -> PredictionSet:
+            mu: float) -> PredictionSet:
     """Logistic sign prediction for hidden edges; prob >= 0.5 maps to +1.
 
-    By default the probability is sigmoid(mu - dist); a fitted (slope,
-    intercept) pair replaces that fixed rule.
+    The probability is sigmoid(mu - dist), the rule the training loss scores.
     """
     hidden_set = np.asarray(hidden_set, dtype=np.int64)
     if hidden_set.size == 0:
         raise ValueError("hidden set is empty, nothing to predict")
     dist = edge_distances(graph, hidden_set, X)
-    if calibration is None:
-        prob = predict_prob(dist, mu)
-    else:
-        slope, intercept = calibration
-        prob = expit(slope * dist + intercept)
+    prob = predict_prob(dist, mu)
     pred = np.where(prob >= 0.5, 1, -1).astype(np.int8)
     return PredictionSet(graph.u[hidden_set], graph.v[hidden_set],
                          graph.true_sign[hidden_set], prob, pred)
-
-
-def calibrate_on_visible(graph: SignedGraph, X: np.ndarray) -> tuple[float, float]:
-    """Fit the distance classifier on the visible (observed-sign) edges."""
-    visible = np.flatnonzero(graph.observed_sign != 0)
-    dist = edge_distances(graph, visible, X)
-    return fit_distance_calibration(dist, graph.observed_sign[visible] == 1)
 
 
 def confusion(truths: np.ndarray, preds: np.ndarray) -> tuple[int, int, int, int]:
@@ -193,10 +152,9 @@ def auc(pred: PredictionSet, mode: str) -> float:
 
 
 def evaluate(graph: SignedGraph, hidden_set: np.ndarray, X: np.ndarray, mu: float,
-             seed: int | None = None, config_hash: str = "",
-             calibration: tuple[float, float] | None = None) -> MetricsReport:
+             seed: int | None = None, config_hash: str = "") -> MetricsReport:
     """Full metric report for the hidden edges of a graph."""
-    pred = predict(graph, hidden_set, X, mu, calibration)
+    pred = predict(graph, hidden_set, X, mu)
     micro, macro, weighted, binary = f1_scores(pred.true_sign, pred.pred_sign)
     tp, fp, tn, fn = confusion(pred.true_sign, pred.pred_sign)
     return MetricsReport(

@@ -12,13 +12,14 @@ final state of `simulate` for both models, both orderings, k in {8, 64}, with
 and without coincident endpoints (on the first, a middle and the last edge,
 starting at t_step 3), and the per-epoch loss, auc_l and f1_macro and the
 `params.json` bytes of a 3-epoch `train` for both models.  Then, in a temporary
-directory on the synthetic graph's dump, it runs the command-line `train` (both
-models), `embed` (text, binary and with `--hidden-edges`) and `eval` (with
-`--params` over two seeds, and with `--embeddings`), and digests the bytes of
-every artifact they write, leaving out the wall-clock columns; of each
-`manifest.json`, which holds temporary paths, it digests the `config` dict
-(sorted keys) and prints the `config_hash`.  The file name keeps pytest from
-collecting it.
+directory, it runs the command-line `ingest` (on an edge list of the synthetic
+graph), `split` (on the graph's dump with every sign shown), and on the graph's
+dump `train` (both models), `embed` (text, binary and with `--hidden-edges`)
+and `eval` (with `--params` over two seeds, and with `--embeddings`), and
+digests the bytes of every artifact they write, leaving out the wall-clock
+columns; of each `manifest.json`, which holds temporary paths, it digests the
+`config` dict (sorted keys) and prints the `config_hash`.  The file name keeps
+pytest from collecting it.
 """
 
 from __future__ import annotations
@@ -94,6 +95,10 @@ def artifact_digest(path: Path) -> str:
 def cli_runs(tmp: Path, graph):
     """(name, argv) of the command-line runs, each writing to tmp / name."""
     dump, full, hide = tmp / "graph.txt", tmp / "full.txt", tmp / "hide.txt"
+    edges = tmp / "edges.txt"
+    # each edge from its higher node to its lower one, for ingest to merge back
+    edges.write_text("".join(f"{v} {u} {s}\n" for u, v, s in
+                             zip(graph.u, graph.v, graph.true_sign)))
     dump.write_text(dump_graph(graph))
     # eval --params hides signs itself, so it reads the graph with all signs shown
     full.write_text(dump_graph(graph.with_observed(graph.true_sign)))
@@ -101,6 +106,8 @@ def cli_runs(tmp: Path, graph):
     steps = ["--k", 8, "--n-steps", N_STEPS]
     sim = ["--graph", dump, *steps]
     params = tmp / "train-spring-nn" / "params.json"
+    yield "ingest", ["ingest", "--input", edges]
+    yield "split", ["split", "--graph", full, "--p-hidden", 0.2, "--split-seed", 5]
     for kind in ("spring", "spring-nn"):
         yield f"train-{kind}", ["train", *sim, "--model", kind, "--epochs", 3, "--seed", 3]
     embed = ["embed", "--params", params, *sim, "--seed", 4]

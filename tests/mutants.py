@@ -168,6 +168,9 @@ MUTANTS = [
     # the loss gradient divides by the length of a zero-length edge
     ("training.py", "live = dist > 0", "live = dist >= 0",
      ["tests/test_training.py::test_streamed_loss_matches_the_whole_array_oracle_bitwise"]),
+    # the batched tie-break draws edge e's units at e + j*k, not e*k + j
+    ("forcefield.py", "edges[:, None] * k + np.arange(k)", "edges[:, None] + np.arange(k) * k",
+     ["tests/test_forcefield.py::test_tie_units_are_the_per_edge_units_bitwise"]),
 ]
 
 

@@ -9,10 +9,10 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from graphspring.forcefield import (EPS, _block_rows, force_field_vjp, node_gain,
-                                    prepare, tie_break_unit)
+from graphspring.forcefield import (EPS, TIE_TAG, _block_rows, force_field_vjp,
+                                    node_gain, prepare)
 from graphspring.forces import MlpParams, NeuralSpringParams, SpringParams
-from graphspring import graphs
+from graphspring import graphs, rng
 from graphspring.graphs import EdgeStage, GraphFormatError, SignedGraph
 from graphspring.metrics import predict_prob
 from graphspring.simulate import init_state, simulate
@@ -66,6 +66,17 @@ def pair_distance(x_i: np.ndarray, x_j: np.ndarray) -> float:
     if x_i.shape != x_j.shape:
         raise ValueError("vectors must have equal length")
     return float(np.sqrt(((x_i - x_j) ** 2).sum()))
+
+
+def tie_break_unit(k: int, edge_index: int, step: int, seed: int = 0) -> np.ndarray:
+    """The tie-break unit vector of one edge with coincident endpoints."""
+    raw = rng.uniform_sym(seed, f"{TIE_TAG}:{step}", edge_index * k + np.arange(k))
+    norm = np.sqrt((raw ** 2).sum())
+    if norm == 0.0:  # never taken: no uniform draw is 0
+        raw = np.zeros(k)
+        raw[0] = 1.0
+        norm = 1.0
+    return raw / norm
 
 
 def edge_force(f_val: float, x_i: np.ndarray, x_j: np.ndarray, eps: float = EPS,

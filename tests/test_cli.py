@@ -98,16 +98,6 @@ def test_split_hides_edges(toy_csv, tmp_path):
     assert 0 < hidden.size < graph.n_edges
 
 
-def test_exact_split_flag(toy_csv, tmp_path):
-    out = tmp_path / "spx"
-    assert run_cli("split", "--input", toy_csv, "--format", "rating_csv",
-                   "--p-hidden", "0.25", "--split-seed", "5", "--exact-split",
-                   "--out", out) == 0
-    graph = parse_graph_dump((out / "graph_split.txt").read_text())
-    import math
-    assert graph.hidden_edges().size == math.ceil(0.25 * graph.n_edges)
-
-
 def test_train_writes_artifacts_and_defaults(toy_csv, tmp_path):
     out = tmp_path / "tr"
     assert run_cli("train", "--input", toy_csv, "--format", "rating_csv",
@@ -197,22 +187,6 @@ def test_eval_multi_seed_aggregate(toy_csv, tmp_path):
     assert agg["auc_l_std"] >= 0.0
     table = (out / "table.txt").read_text()
     assert "F1-MI" in table and "±" in table
-
-
-def test_eval_calibrate_flag(toy_csv, tmp_path):
-    train_out = tmp_path / "trc"
-    run_cli("train", "--input", toy_csv, "--format", "rating_csv",
-            "--model", "spring", "--k", "4", "--epochs", "1",
-            "--n-steps", "5", "--seed", "1", "--out", train_out)
-    out = tmp_path / "evc"
-    assert run_cli("eval", "--params", train_out / "params.json",
-                   "--input", toy_csv, "--format", "rating_csv",
-                   "--k", "4", "--n-steps", "5", "--p-hidden", "0.3",
-                   "--seeds", "1", "--calibrate", "--out", out) == 0
-    report = json.loads((out / "report_1.json").read_text())
-    assert 0.0 <= report["f1_macro"] <= 1.0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["calibrate"] is True
 
 
 def test_eval_embeddings_mode(toy_csv, tmp_path):
@@ -680,7 +654,7 @@ def test_flags_a_command_does_not_read_are_usage_errors(argv, tmp_path, monkeypa
 @pytest.mark.parametrize("key, value", [
     ("raw_degree_features", True), ("loss_domain", "visible_only"),
     ("target_encoding", "signed"), ("init_policy", "resample_each_epoch"),
-    ("clip_lo", -1.0), ("clip_hi", 1.0)])
+    ("clip_lo", -1.0), ("clip_hi", 1.0), ("exact_split", False)])
 def test_raw_degree_features_key_is_rejected(key, value, toy_csv, tmp_path, capsys):
     config = tmp_path / "conf.json"
     config.write_text(json.dumps({key: value}))
@@ -701,6 +675,49 @@ def test_raw_degree_features_key_is_rejected(key, value, toy_csv, tmp_path, caps
     assert run_cli("train", "--from-manifest", stale, "--out", tmp_path / "m2") == 1
     assert key in capsys.readouterr().err
     assert not (tmp_path / "m2").exists()
+
+
+# a setting eval once had: a config file or manifest that names it is refused
+def test_calibrate_key_is_rejected(toy_csv, tmp_path, capsys):
+    params = tmp_path / "p.json"
+    params.write_text(params_to_json(init_params("spring", 0)))
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"calibrate": False}))
+    assert run_cli("eval", "--params", params, "--input", toy_csv,
+                   "--format", "rating_csv", "--config", config,
+                   "--out", tmp_path / "c") == 1
+    assert "calibrate" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+    first = tmp_path / "m1"
+    assert run_cli("eval", "--params", params, "--input", toy_csv,
+                   "--format", "rating_csv", "--k", "3", "--n-steps", "2",
+                   "--out", first) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    manifest["config"]["calibrate"] = False
+    stale = tmp_path / "stale.json"
+    stale.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run_cli("eval", "--from-manifest", stale, "--out", tmp_path / "m2") == 1
+    assert "calibrate" in capsys.readouterr().err
+    assert not (tmp_path / "m2").exists()
+
+
+# simulation settings are checked before the manifest is written
+@pytest.mark.parametrize("argv", [
+    *[[command, flag, value] for command in ("embed", "eval")
+      for flag, value in (("--k", "0"), ("--dt", "-1"), ("--damping", "1.5"))],
+    ["embed", "--mu", "0", "--trace", "trace.csv"],
+], ids=lambda argv: " ".join(argv[:3]))
+def test_bad_simulation_setting_exits_1_before_writing(argv, toy_csv, tmp_path,
+                                                       monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    params = tmp_path / "p.json"
+    params.write_text(params_to_json(init_params("spring", 0)))
+    assert run_cli(*argv, "--params", params, "--input", toy_csv,
+                   "--format", "rating_csv", "--out", "out") == 1
+    assert f"{argv[1][2:]} must" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.json"]
 
 
 def test_embed_trace_runs_one_simulation_and_keeps_the_embeddings(

@@ -7,6 +7,8 @@ table on purpose.
 """
 
 import argparse
+import re
+from pathlib import Path
 
 from graphspring.cli import build_parser
 
@@ -22,7 +24,6 @@ FLAG_SURFACE = {
         "--config": ("config", str, None, None, False, "store"),
         "--damping": ("damping", float, None, None, False, "store"),
         "--dt": ("dt", float, None, None, False, "store"),
-        "--exact-split": ("exact_split", None, None, None, False, "store_true"),
         "--format": ("format", None, None, ["plain", "rating_csv"], False, "store"),
         "--from-manifest": ("from_manifest", str, None, None, False, "store"),
         "--graph": ("graph", None, None, None, False, "store"),
@@ -40,12 +41,10 @@ FLAG_SURFACE = {
         "--trace": ("trace", str, None, None, False, "store"),
     },
     "eval": {
-        "--calibrate": ("calibrate", None, None, None, False, "store_true"),
         "--config": ("config", str, None, None, False, "store"),
         "--damping": ("damping", float, None, None, False, "store"),
         "--dt": ("dt", float, None, None, False, "store"),
         "--embeddings": ("embeddings", None, None, None, False, "store"),
-        "--exact-split": ("exact_split", None, None, None, False, "store_true"),
         "--format": ("format", None, None, ["plain", "rating_csv"], False, "store"),
         "--from-manifest": ("from_manifest", str, None, None, False, "store"),
         "--graph": ("graph", None, None, None, False, "store"),
@@ -66,7 +65,6 @@ FLAG_SURFACE = {
         "--out": ("out", str, None, None, False, "store"),
     },
     "split": {
-        "--exact-split": ("exact_split", None, False, None, False, "store_true"),
         "--format": ("format", None, "plain", ["plain", "rating_csv"], False, "store"),
         "--graph": ("graph", None, None, None, False, "store"),
         "--input": ("input", None, None, None, False, "store"),
@@ -81,7 +79,6 @@ FLAG_SURFACE = {
         "--damping": ("damping", float, None, None, False, "store"),
         "--dt": ("dt", float, None, None, False, "store"),
         "--epochs": ("epochs", int, None, None, False, "store"),
-        "--exact-split": ("exact_split", None, None, None, False, "store_true"),
         "--format": ("format", None, None, ["plain", "rating_csv"], False, "store"),
         "--from-manifest": ("from_manifest", str, None, None, False, "store"),
         "--graph": ("graph", None, None, None, False, "store"),
@@ -102,16 +99,30 @@ FLAG_SURFACE = {
 }
 
 
+def subcommands(parser: argparse.ArgumentParser) -> dict:
+    return next(action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
 def flag_surface(parser: argparse.ArgumentParser) -> dict:
-    subparsers = next(action for action in parser._actions
-                      if isinstance(action, argparse._SubParsersAction))
     actions = {argparse._StoreAction: "store", argparse._StoreTrueAction: "store_true"}
     return {
         name: {" ".join(a.option_strings): (a.dest, a.type, a.default, a.choices,
                                             a.required, actions[type(a)])
                for a in command._actions if a.option_strings and a.dest != "help"}
-        for name, command in subparsers.choices.items()}
+        for name, command in subcommands(parser).items()}
 
 
 def test_every_subcommand_keeps_its_flags():
     assert flag_surface(build_parser()) == FLAG_SURFACE
+
+
+def test_readme_names_only_flags_the_cli_has():
+    """Every --flag README names is an option of some subcommand, except
+    --epoch, its example of a prefix that is not expanded."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*",
+                           readme.read_text(encoding="utf-8")))
+    flags = {flag for command in subcommands(build_parser()).values()
+             for action in command._actions for flag in action.option_strings}
+    assert named - flags == {"--epoch"}

@@ -13,14 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphspring import SignedGraph, compute_node_statics, forcefield
-from graphspring.forcefield import (EPS, force_field, force_field_vjp, prepare,
-                                    tie_break_unit)
+from graphspring.forcefield import EPS, force_field, force_field_vjp, prepare
 from graphspring.forces import (MlpParams, SpringParams, gain_batch, gain_batch_vjp,
                                 init_params)
 
 from conftest import hidden_toy
 from oracles import (edge_force, neural_force, neural_gain, pair_distance,
-                     spring_force, spring_gain)
+                     spring_force, spring_gain, tie_break_unit)
 from test_forces import random_neural
 
 
@@ -396,6 +395,18 @@ def test_tie_break_unit_is_unit():
     for e in range(5):
         r = tie_break_unit(6, e, step=3, seed=1)
         assert np.linalg.norm(r) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 3, 64, 65])
+def test_tie_units_are_the_per_edge_units_bitwise(k):
+    """The batched tie-break units equal the per-edge oracle's, bit for bit."""
+    tied = np.zeros(3_000_001, dtype=bool)
+    tied[[0, 1, 7, 1000, 3_000_000]] = True
+    for seed, step in [(0, 0), (1, 3), (2**63 + 5, 119)]:
+        edges, units = forcefield._tie_units(tied, k, seed, step)
+        assert edges.tolist() == [0, 1, 7, 1000, 3_000_000]
+        want = np.array([tie_break_unit(k, int(e), step, seed) for e in edges])
+        assert units.shape == (5, k) and np.array_equal(units, want)
 
 
 # --- blocked streaming against the whole-array oracle -------------------------------

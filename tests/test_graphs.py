@@ -1,6 +1,5 @@
 import gzip
 import io
-import math
 import tracemalloc
 from unittest import mock
 
@@ -343,13 +342,6 @@ def test_hide_is_reproducible():
     assert np.array_equal(h1, h2)
     _, h3 = hide_signs(g, SplitSpec(0.3, seed=13))
     assert not np.array_equal(h1, h3)
-
-
-def test_exact_split_count():
-    g = toy_graph(n_edges=30)
-    for p in (0.2, 0.33, 0.5):
-        _, hidden = hide_signs(g, SplitSpec(p, seed=3, exact=True))
-        assert hidden.size == math.ceil(p * g.n_edges)
 
 
 def test_hide_requires_clean_graph():

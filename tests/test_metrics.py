@@ -265,56 +265,3 @@ def test_aggregate_reports_statistics():
     assert agg["f1_micro_mean"] == report.f1_micro
     assert agg["f1_micro_std"] == 0.0
 
-
-# --- calibrated decision rule ------------------------------------------------
-
-
-def test_calibration_recovers_generating_rule():
-    from graphspring import fit_distance_calibration
-    from graphspring.training import predict_prob
-    rand = np.random.default_rng(4)
-    dist = rand.uniform(0, 6, 20000)
-    labels = rand.random(20000) < predict_prob(dist, 2.5)
-    slope, intercept = fit_distance_calibration(dist, labels)
-    assert slope == pytest.approx(-1.0, abs=0.05)
-    assert intercept == pytest.approx(2.5, abs=0.1)
-
-
-def test_calibration_fixes_misspecified_threshold():
-    from graphspring import calibrate_on_visible
-    # positives sit at distance ~8, negatives at ~12: the fixed mu=2.5 rule
-    # calls everything negative, a fitted boundary separates them
-    rand = np.random.default_rng(5)
-    n_vis, n_hid = 200, 100
-    m = n_vis + n_hid
-    u = np.arange(m, dtype=np.int64) * 2
-    v = u + 1
-    true = np.where(rand.random(m) < 0.5, 1, -1).astype(np.int8)
-    observed = true.copy()
-    observed[n_vis:] = 0
-    g = SignedGraph(2 * m, u, v, true, observed)
-    X = np.zeros((2 * m, 1))
-    X[v, 0] = np.where(true == 1, rand.normal(8.0, 0.5, m),
-                       rand.normal(12.0, 0.5, m))
-    hidden = np.arange(n_vis, m)
-    fixed = evaluate(g, hidden, X, 2.5)
-    fitted = evaluate(g, hidden, X, 2.5,
-                      calibration=calibrate_on_visible(g, X))
-    assert fixed.f1_macro < 0.5
-    assert fitted.f1_macro > 0.95
-
-
-def test_calibration_requires_both_classes():
-    from graphspring import fit_distance_calibration
-    with pytest.raises(ValueError):
-        fit_distance_calibration(np.array([1.0, 2.0]), np.array([True, True]))
-
-
-def test_calibration_deterministic():
-    from graphspring import fit_distance_calibration
-    rand = np.random.default_rng(6)
-    dist = rand.uniform(0, 5, 500)
-    labels = dist < 2.0
-    a = fit_distance_calibration(dist, labels)
-    b = fit_distance_calibration(dist, labels)
-    assert a == b
