@@ -21,7 +21,8 @@ from .forces import init_params
 from .forcefield import force_field, force_field_vjp, node_gain, prepare
 from .graphs import SignedGraph, SplitSpec, compute_node_statics, hide_signs
 from .simulate import SimConfig, init_state, simulate
-from .training import LossConfig, _segment_length, loss_and_grad, loss_with_grad
+from .training import (LossConfig, _segment_length, loss_and_grad, loss_with_grad,
+                       tape_floats)
 
 # the fixed run of every record: a BitcoinOTC-size graph, spring-nn, k = 64
 N_NODES, N_EDGES, GRAPH_SEED = 5881, 21492, 1
@@ -78,17 +79,11 @@ def median_ms(fn, repeats: int = 7) -> tuple[float, float]:
 
 
 def tape_bytes(n_nodes: int, n_edges: int, k: int, n_steps: int) -> int:
-    """The bytes of the arrays an explicit-ordering epoch keeps for its reverse
-    sweep when no step has tie-broken edges: the final positions, which the
-    loss reads, and per segment of `training._segment_length` steps the
-    positions at its first step, a copy of the velocities there if it has more,
-    and the CSR values (2m + n floats) of its first step if it has three."""
-    length = _segment_length(n_nodes, n_edges, k, semi_implicit=False)
-    floats = n_nodes * k
-    for start in range(0, n_steps, length):
-        steps = min(length, n_steps - start)
-        floats += n_nodes * k * (1 + (steps > 1)) + (steps > 2) * (2 * n_edges + n_nodes)
-    return floats * 8
+    """The bytes an explicit-ordering epoch holds for its reverse sweep
+    (`training.tape_floats` at `training._segment_length`'s length), the
+    replayed positions of the segment being swept among them."""
+    length = _segment_length(n_nodes, n_edges, k, n_steps, semi_implicit=False)
+    return tape_floats(n_nodes, n_edges, k, n_steps, length, semi_implicit=False) * 8
 
 
 def timed_operations(n_nodes: int, n_edges: int, k: int) -> dict:

@@ -405,7 +405,7 @@ def _hide_listed(graph: SignedGraph, path: str) -> SignedGraph:
 
 
 def _eval_one(graph: SignedGraph, params, config: dict, sim: SimConfig,
-              config_hash: str):
+              loss_cfg: LossConfig, config_hash: str):
     """One seeded run of eval --params: `sim.seed` draws the split and the start."""
     hidden_graph, hidden = _split(graph, config, sim.seed)
     if hidden.size == 0:
@@ -413,7 +413,7 @@ def _eval_one(graph: SignedGraph, params, config: dict, sim: SimConfig,
     statics = compute_node_statics(hidden_graph)
     state = init_state(hidden_graph.n_nodes, sim)
     final = simulate(state, hidden_graph, statics, params, sim)
-    return evaluate(hidden_graph, hidden, final.X, config["mu"], seed=sim.seed,
+    return evaluate(hidden_graph, hidden, final.X, loss_cfg.mu, seed=sim.seed,
                     config_hash=config_hash)
 
 
@@ -421,6 +421,7 @@ def cmd_eval(args) -> int:
     config, inputs, out = _start(args, EVAL_DEFAULTS)
     if not (inputs["embeddings"] or inputs["params"]):
         raise ValueError("eval needs either --embeddings or --params")
+    loss_cfg = LossConfig(mu=config["mu"])   # checks mu before anything is written
     chash = _config_hash(config)
     graph = _load_graph(inputs, config["format"])
     if inputs["embeddings"]:
@@ -431,20 +432,22 @@ def cmd_eval(args) -> int:
             raise ValueError(f"embedding file {emb_path} has {X.shape[0]} rows, "
                              f"graph has {graph.n_nodes} nodes")
         _write_manifest(out, "eval", config, inputs, {"report": out / "report.json"})
-        report = evaluate(graph, graph.hidden_edges(), X, config["mu"], seed=None,
+        report = evaluate(graph, graph.hidden_edges(), X, loss_cfg.mu, seed=None,
                           config_hash=chash)
         _write_text(out / "report.json", report.to_json())
         table = report.to_table()
     else:
         params = _load_params(inputs["params"])
         seeds = [int(tok) for tok in config["seeds"].split(",") if tok != ""]
+        if not seeds:
+            raise ValueError(f"seeds must list at least one seed, not {config['seeds']!r}")
         sims = [_sim_config(config, s) for s in seeds]
         _write_manifest(out, "eval", config, inputs,
                         {"reports": out / "report_<seed>.json",
                          "aggregate": out / "aggregate.json"})
         with concurrent.futures.ThreadPoolExecutor(max(1, config["threads"])) as pool:
             reports = list(pool.map(
-                lambda sim: _eval_one(graph, params, config, sim, chash), sims))
+                lambda sim: _eval_one(graph, params, config, sim, loss_cfg, chash), sims))
         for s, report in zip(seeds, reports):
             _write_text(out / f"report_{s}.json", report.to_json())
         agg = aggregate_reports(reports)

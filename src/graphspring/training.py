@@ -1,24 +1,26 @@
 """Loss, reverse-mode gradients through the unrolled simulation, and Adam.
 
 The forward pass is `simulate.simulate` with hooks that keep a tape in
-segments of SEGMENT = 3 steps: each keeps the positions and velocities at its
-first step and the CSR values that `force_field` multiplied the positions by
-at that step (at its first two under the semi-implicit ordering).  The
+segments of L steps: each keeps the positions and velocities at its first
+step and the CSR values that `force_field` multiplied the positions by at
+its first L - 2 steps (L - 1 under the semi-implicit ordering).  The
 backward pass walks the steps in reverse, applying the hand-derived
 vector-Jacobian products of the Euler update and of the force field, whose
 position gradient is added into the running one in place.  On reaching a
 segment it replays the positions in between through `simulate.euler_step`,
-one sparse product per kept step's force, bitwise the simulated ones.  Where
-a segment's values are not fewer floats than the positions it saves (a dense
-graph at small k), the tape keeps every position instead.  Gradients are flat
-vectors aligned with `params.flatten()`.
+one sparse product per kept step's force, bitwise the simulated ones.  L is
+the length whose tape holds the fewest floats (`tape_floats`,
+`_segment_length`): about 15 steps at BitcoinOTC size, k = 64 and 120 steps,
+and 1, the plain tape of every position, where a step's CSR values are not
+fewer floats than its positions (a dense graph at small k).  Gradients are
+flat vectors aligned with `params.flatten()`.
 
 The loss goes through its edges a block of forcefield.BLOCK_BYTES of edge
 vectors at a time, and adds its gradient into the (n, k) result with scipy's
 CSC kernel, a column block of the edge incidence at a time, bitwise equal to
-one product with the whole incidence.  So an epoch's peak memory is the tape,
-about (2 ceil(T/3) + 1) n k + ceil(T/3) (2m + n) floats when it is segmented,
-plus V, gX, gV, w, the two replayed positions and the VJP's per-edge scalars.
+one product with the whole incidence.  So an epoch's peak memory is
+`tape_floats`, which counts the positions the sweep replays, plus V, gX, gV,
+w and the VJP's per-edge scalars.
 """
 
 from __future__ import annotations
@@ -154,10 +156,6 @@ def _add_scaled(out: np.ndarray, a: np.ndarray, factor: float,
         out[lo:lo + rows] += part
 
 
-# steps per tape segment, where segments pay (`_segment_length`)
-SEGMENT = 3
-
-
 @dataclass
 class _Segment:
     """Steps start .. start + steps - 1 of the reverse sweep: the positions at
@@ -172,14 +170,35 @@ class _Segment:
     values: list
 
 
-def _segment_length(n_nodes: int, n_edges: int, k: int, semi_implicit: bool) -> int:
-    """SEGMENT when segments save memory, else 1: the plain position tape.  A
-    segment of three steps drops two position matrices but keeps a copy of
-    the velocities, so it saves one n x k matrix less the CSR values its
-    replay reads: those of one step (2m + n floats) under the explicit
-    ordering and of two under the semi-implicit one."""
-    kept = (2 * n_edges + n_nodes) * (2 if semi_implicit else 1)
-    return SEGMENT if kept < n_nodes * k else 1
+def tape_floats(n_nodes: int, n_edges: int, k: int, n_steps: int, length: int,
+                semi_implicit: bool) -> int:
+    """The floats an epoch of `n_steps` steps holds for its reverse sweep in
+    segments of `length` steps, when no step has tie-broken edges: the final
+    positions, which the loss reads; per segment the positions at its first
+    step, a copy of the velocities there if it has more, and the CSR values
+    (2m + n floats) of each step whose force its replay adds, steps - 2 of
+    them (steps - 1 under the semi-implicit ordering); and the positions after
+    the first that the sweep replays of its largest segment."""
+    def segment(steps: int) -> int:
+        return (n_nodes * k * (1 + (steps > 1))
+                + max(0, steps - 2 + semi_implicit) * (2 * n_edges + n_nodes))
+
+    full, rest = divmod(n_steps, length)
+    window = max(0, min(length, n_steps) - 1)
+    return n_nodes * k * (1 + window) + full * segment(length) + (rest > 0) * segment(rest)
+
+
+def _segment_length(n_nodes: int, n_edges: int, k: int, n_steps: int,
+                    semi_implicit: bool) -> int:
+    """The segment length in 1 .. n_steps whose tape holds the fewest floats
+    (`tape_floats`), the shorter on a tie; 1 is the plain position tape.
+    Longer segments keep fewer start states but replay more positions, and
+    each replayed step keeps its CSR values, so the least is near
+    sqrt(2 T (1 - (2m + n) / (n k))) steps, and at 1 where a step's values
+    are not fewer floats than its positions."""
+    return min(range(1, max(n_steps, 1) + 1),
+               key=lambda length: tape_floats(n_nodes, n_edges, k, n_steps, length,
+                                              semi_implicit))
 
 
 def _taped_forward(graph: SignedGraph, statics: NodeStatics, params: ForceParams,
@@ -188,7 +207,7 @@ def _taped_forward(graph: SignedGraph, statics: NodeStatics, params: ForceParams
     """`simulate` from `state`, keeping the tape of the reverse sweep: the
     segments of every step, first step first."""
     n_steps = sim_cfg.n_steps
-    length = _segment_length(ctx.n_nodes, ctx.n_edges, state.X.shape[1],
+    length = _segment_length(ctx.n_nodes, ctx.n_edges, state.X.shape[1], n_steps,
                              sim_cfg.semi_implicit)
     # the replay of a segment recomputes its positions after the first: the
     # explicit ordering's last one advances with velocities that need no

@@ -125,14 +125,15 @@ MUTANTS = [
     ("training.py", "t - segments[-1].start < segments[-1].steps - 2 + semi",
      "0 < t - segments[-1].start < segments[-1].steps - 1 + semi",
      ["tests/test_training.py::test_segmented_tape_is_bitwise_the_full_tape"]),
-    # the tape segments where segments cost memory, and keeps every position
-    # where they save it
-    ("training.py", "return SEGMENT if kept < n_nodes * k else 1",
-     "return SEGMENT if kept >= n_nodes * k else 1",
-     ["tests/test_training.py::test_a_segmented_epoch_holds_its_segment_tape_and_a_few_node_arrays"]),
-    # bench's tape counts the values of a segment of two steps, which keeps none
-    ("bench.py", "(steps > 2) * (2 * n_edges + n_nodes)", "(steps > 1) * (2 * n_edges + n_nodes)",
+    # the tape's count leaves out the positions the sweep replays
+    ("training.py", "window = max(0, min(length, n_steps) - 1)", "window = 0",
      ["tests/test_training.py::test_bench_tape_bytes_are_the_arrays_the_tape_keeps"]),
+    # the count keeps the explicit ordering's values under the semi-implicit one
+    ("training.py", "max(0, steps - 2 + semi_implicit)", "max(0, steps - 2)",
+     ["tests/test_training.py::test_bench_tape_bytes_are_the_arrays_the_tape_keeps"]),
+    # the rule never picks the plain tape
+    ("training.py", "min(range(1, max(n_steps, 1) + 1),", "min(range(2, max(n_steps, 1) + 1),",
+     ["tests/test_training.py::test_the_segment_length_is_the_argmin_of_the_count"]),
     # the bulk parser accepts a line break inside a line
     ("graphs.py", "            or ((byte == 10) & (after != 0)).any()\n", "",
      ["tests/test_graphs.py::test_loader_matches_the_line_by_line_oracle",

@@ -720,6 +720,30 @@ def test_bad_simulation_setting_exits_1_before_writing(argv, toy_csv, tmp_path,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["p.json"]
 
 
+@pytest.mark.parametrize("source, flag, bad, good", [
+    *[pytest.param(source, "--mu", mu, "2.5", id=f"{source[2:]} mu {mu}")
+      for source in ("--params", "--embeddings") for mu in ("0", "-1")],
+    pytest.param("--params", "--seeds", ",", "1", id="params seeds ,"),
+])
+def test_bad_eval_setting_exits_1_before_writing(source, flag, bad, good, tmp_path,
+                                                  monkeypatch, capsys):
+    # eval scores with the mu that LossConfig checks, on either path, and
+    # reads its seed list before it writes the manifest
+    graph, _ = hidden_toy()
+    (tmp_path / "graph.txt").write_text(dump_graph(graph))
+    (tmp_path / "p.json").write_text(params_to_json(init_params("spring", 0)))
+    write_embeddings_text(tmp_path / "emb.txt",
+                          np.random.default_rng(1).normal(0, 1, (graph.n_nodes, 3)))
+    inputs = {"--params": ["--params", "p.json", "--k", "3", "--n-steps", "4"],
+              "--embeddings": ["--embeddings", "emb.txt"]}[source]
+    monkeypatch.chdir(tmp_path)
+    argv = ["eval", *inputs, "--graph", "graph.txt", flag]
+    assert run_cli(*argv, bad, "--out", "bad") == 1
+    assert f"{flag[2:]} must" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+    assert run_cli(*argv, good, "--out", "good") == 0
+
+
 def test_embed_trace_runs_one_simulation_and_keeps_the_embeddings(
         toy_csv, tmp_path, monkeypatch):
     import graphspring.cli as cli

@@ -241,41 +241,79 @@ def test_an_epoch_holds_its_tape_and_a_few_node_arrays(many_edges, kind):
 @pytest.mark.parametrize("kind", ["spring", "spring-nn"])
 def test_a_segmented_epoch_holds_its_segment_tape_and_a_few_node_arrays(
         many_edges, kind, semi_implicit):
-    # each segment of 3 steps keeps X and V at its start and the CSR values
-    # of one step's field (two under the semi-implicit ordering); the full
-    # tape of 61 positions would not fit this bound
+    # the rule picks segments of 10 steps under either ordering here; the
+    # count holds their start states, the CSR values of the steps they replay
+    # and the positions of the segment being swept, and the full tape of 61
+    # positions would not fit this bound
     graph, X = many_edges
     statics = compute_node_statics(graph)
     ctx = prepare(graph, statics)
     n, k = X.shape
     sim = SimConfig(k=k, n_steps=60, seed=1, semi_implicit=semi_implicit)
-    segments = -(-sim.n_steps // 3)
-    values = (2 if semi_implicit else 1) * (2 * graph.n_edges + n) * 8
-    tape = (2 * segments + 1) * n * k * 8 + segments * values
+    length = training._segment_length(n, graph.n_edges, k, sim.n_steps, semi_implicit)
+    assert length > 1
+    tape = training.tape_floats(n, graph.n_edges, k, sim.n_steps, length, semi_implicit) * 8
     peak = traced_peak(lambda: loss_and_grad(graph, statics, init_params(kind, 3), sim,
                                              LossConfig(), ctx=ctx))
     assert peak <= tape + 6 * n * k * 8 + 40 * 8 * graph.n_edges
 
 
-@pytest.mark.parametrize("k", [2, 16])
-def test_bench_tape_bytes_are_the_arrays_the_tape_keeps(k):
-    # bench reports the tape from the graph's sizes alone; at k = 2 this
-    # graph keeps the plain tape, at k = 16 segments of 3 steps, and 1 to 7
-    # steps end on every remainder of a segment
-    from graphspring import bench
+def held_for_the_sweep(graph, st, params, sim, ctx):
+    """The bytes of the arrays `loss_and_grad` holds for its reverse sweep:
+    what `_taped_forward` keeps, and the replayed positions of its largest
+    segment."""
     from graphspring.simulate import init_state
+    final, segments = training._taped_forward(graph, st, params, sim,
+                                              init_state(graph.n_nodes, sim), ctx)
+    kept = [final.X] + [a for seg in segments for a in (seg.X, seg.V, *seg.values)
+                        if a is not None]
+    window = max((sum(X.nbytes for X in training._replay(seg, ctx, params, sim, 0)[1:])
+                  for seg in segments), default=0)
+    return sum(a.nbytes for a in kept) + window, segments
+
+
+@pytest.mark.parametrize("k", [2, 16])
+def test_bench_tape_bytes_are_the_arrays_the_tape_keeps(k, monkeypatch):
+    # the count from the graph's sizes alone is what the tape holds at every
+    # length, forced, and under either ordering; 1 to 7 steps end on every
+    # remainder of a segment.  bench counts the explicit ordering at the
+    # rule's length, which is 1 at k = 2 and above 1 at k = 16 for 20 and 40 steps
+    from graphspring import bench
     graph, _ = hidden_toy(seed=4)
     st = statics_of(graph)
     ctx = prepare(graph, st)
-    for n_steps in range(1, 8):
+    n, m = graph.n_nodes, graph.n_edges
+    params = init_params("spring-nn", 1)
+    for n_steps in (*range(1, 8), 20, 40):
         sim = SimConfig(k=k, n_steps=n_steps, seed=6)
-        final, segments = training._taped_forward(graph, st, init_params("spring-nn", 1),
-                                                  sim, init_state(graph.n_nodes, sim), ctx)
-        kept = [final.X] + [a for seg in segments for a in (seg.X, seg.V, *seg.values)
-                            if a is not None]
-        assert len(segments) == (n_steps if k == 2 else -(-n_steps // 3))
-        assert bench.tape_bytes(graph.n_nodes, graph.n_edges, k, n_steps) == \
-            sum(a.nbytes for a in kept)
+        held, segments = held_for_the_sweep(graph, st, params, sim, ctx)
+        assert bench.tape_bytes(n, m, k, n_steps) == held
+        if n_steps >= 20:
+            assert (len(segments) < n_steps) == (k == 16)
+    for semi_implicit in (False, True):
+        for n_steps in range(1, 8):
+            sim = SimConfig(k=k, n_steps=n_steps, seed=6, semi_implicit=semi_implicit)
+            for length in range(1, n_steps + 2):
+                monkeypatch.setattr(training, "_segment_length", lambda *args: length)
+                held, segments = held_for_the_sweep(graph, st, params, sim, ctx)
+                assert len(segments) == -(-n_steps // length)
+                assert training.tape_floats(n, m, k, n_steps, length,
+                                            semi_implicit) * 8 == held
+
+
+@pytest.mark.parametrize("n_nodes, n_edges, k, n_steps, semi_implicit, want", [
+    (5881, 21492, 64, 120, False, 15),   # graphspring bench's graph
+    (10000, 100000, 8, 120, True, 1),    # perfbench's train-dense-spring8-semi
+    (4, 6, 8, 30, False, 5),             # tied with 6
+])
+def test_the_segment_length_is_the_argmin_of_the_count(n_nodes, n_edges, k, n_steps,
+                                                        semi_implicit, want):
+    length = training._segment_length(n_nodes, n_edges, k, n_steps, semi_implicit)
+    assert length == want
+    count = [training.tape_floats(n_nodes, n_edges, k, n_steps, L, semi_implicit)
+             for L in range(1, n_steps + 1)]
+    # the least count, and the shortest length on a tie
+    assert count[length - 1] == min(count) < min(count[:length - 1], default=np.inf)
 
 
 # --- gradients through the simulation ------------------------------------------
@@ -582,16 +620,14 @@ def test_tape_length_equals_steps(monkeypatch):
 @pytest.mark.parametrize("k", [2, 16])
 @pytest.mark.parametrize("semi_implicit", [False, True])
 @pytest.mark.parametrize("kind", ["spring", "spring-nn"])
-def test_segmented_tape_is_bitwise_the_full_tape(kind, semi_implicit, k):
-    # with 2m + n = 72 values a step, this graph keeps the plain tape at k = 2
-    # and segments of 3 steps at k = 16, under either ordering; 1 to 7 steps
-    # end the sweep on every remainder of a segment
+def test_segmented_tape_is_bitwise_the_full_tape(kind, semi_implicit, k, monkeypatch):
+    # every segment length from the plain tape (1) to one segment longer than
+    # the run, forced; 1 to 7 steps end the sweep on every remainder of a
+    # segment
     from graphspring import SimState
     graph, _ = hidden_toy(seed=4)
     st = statics_of(graph)
     ctx = prepare(graph, st)
-    assert training._segment_length(ctx.n_nodes, ctx.n_edges, k, semi_implicit) == (
-        3 if k == 16 else 1)
     params = init_params(kind, seed=1)
     # a non-positive edge whose ends coincide and move alike: its tie-break
     # unit depends on the absolute step, and it is tie-broken at step 0 (and
@@ -604,16 +640,20 @@ def test_segmented_tape_is_bitwise_the_full_tape(kind, semi_implicit, k):
     state0 = SimState(X0, V0, 5)
     for n_steps in range(1, 8):
         sim = SimConfig(k=k, n_steps=n_steps, seed=6, semi_implicit=semi_implicit)
-        value, grad, final = loss_and_grad(graph, st, params, sim, LossConfig(),
-                                           state0=state0, ctx=ctx)
         want = loss_and_grad_full_tape(graph, st, params, sim, LossConfig(),
                                        state0=state0, ctx=ctx)
-        assert value == want[0]
-        assert np.array_equal(grad, want[1])
-        assert np.array_equal(final.X, want[2].X) and np.array_equal(final.V, want[2].V)
-        _, segments = training._taped_forward(graph, st, params, sim, state0, ctx)
-        if segments and segments[0].values:
-            assert segments[0].values[0] is None   # the tie-broken step keeps no values
+        for length in range(1, n_steps + 2):
+            monkeypatch.setattr(training, "_segment_length", lambda *args: length)
+            value, grad, final = loss_and_grad(graph, st, params, sim, LossConfig(),
+                                               state0=state0, ctx=ctx)
+            assert value == want[0]
+            assert np.array_equal(grad, want[1])
+            assert np.array_equal(final.X, want[2].X) and np.array_equal(final.V, want[2].V)
+            _, segments = training._taped_forward(graph, st, params, sim, state0, ctx)
+            assert [seg.steps for seg in segments] == [
+                min(length, n_steps - start) for start in range(0, n_steps, length)]
+            if segments and segments[0].values:
+                assert segments[0].values[0] is None   # the tie-broken step keeps no values
 
 
 def test_divergence_reports_epoch():
