@@ -37,7 +37,8 @@ not the m x k edge vectors.
 
 `force_field_vjp` is the exact reverse-mode counterpart: given the gradient
 w of a scalar objective with respect to the returned force matrix, it
-recomputes the edge geometry from the same positions and returns the
+recomputes the edge geometry from the same positions, less the lengths when
+the caller passes those that `force_field` handed out, and returns the
 gradients with respect to positions and the flat parameter vector.  With
 s the per-edge products of w with the edge vector and t = (dL/dd) / d (0 on
 tie-broken edges), the position gradient is
@@ -193,17 +194,24 @@ def node_gain(ctx: FieldContext, model: ForceParams, factor: float = 1.0) -> np.
 
 
 def _checked(ctx: FieldContext, X: np.ndarray, w: np.ndarray | None,
-             gain: np.ndarray | None, out: np.ndarray | None):
+             gain: np.ndarray | None, out: np.ndarray | None,
+             lengths: np.ndarray | None = None):
     """X and w as C-contiguous float64 arrays, once the operators' preconditions
     hold: X is (n, k), w (if given) has its shape, the gain (if given) is (n,),
-    and `out` (if given) is a C-contiguous float64 array of X's shape sharing
-    no memory with X or w.  Raises ValueError naming the shapes."""
+    the lengths (if given) are a float64 array of shape (m,), and `out` (if
+    given) is a C-contiguous float64 array of X's shape sharing no memory with
+    X or w.  Raises ValueError naming the shapes."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != ctx.n_nodes:
         raise ValueError(f"X has shape {X.shape}, expected ({ctx.n_nodes}, k) "
                          f"for a graph of {ctx.n_nodes} nodes")
     if gain is not None and np.shape(gain) != (ctx.n_nodes,):
         raise ValueError(f"gain has shape {np.shape(gain)}, expected ({ctx.n_nodes},)")
+    if lengths is not None and np.shape(lengths) != (ctx.n_edges,):
+        raise ValueError(f"lengths have shape {np.shape(lengths)}, expected ({ctx.n_edges},)")
+    if lengths is not None and getattr(lengths, "dtype", None) != np.float64:
+        raise ValueError(f"lengths are {getattr(lengths, 'dtype', type(lengths).__name__)}, "
+                         f"expected a float64 array")
     if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.float64
                                 and out.flags.c_contiguous and out.shape == X.shape):
         got = (f"{out.dtype} of shape {out.shape}, C-contiguous {out.flags.c_contiguous}"
@@ -220,10 +228,13 @@ def _checked(ctx: FieldContext, X: np.ndarray, w: np.ndarray | None,
     return X, w
 
 
-def _geometry(ctx: FieldContext, X: np.ndarray, w: np.ndarray | None = None):
+def _geometry(ctx: FieldContext, X: np.ndarray, w: np.ndarray | None = None,
+              dist: np.ndarray | None = None):
     """Per undirected edge: the length d of X[v] - X[u], the coincidence mask
     d < EPS and, for a cotangent w, the products s_u = w[u] . (X[v] - X[u]) and
-    s_v = w[v] . (X[v] - X[u]) (None without w).
+    s_v = w[v] . (X[v] - X[u]) (None without w).  Given `dist`, the lengths at
+    X as an earlier call computed them, it returns that array and computes
+    only the products.
 
     The edge vectors are formed a block of edges at a time in two reused
     buffers of BLOCK_BYTES each; every row comes out exactly as it would over
@@ -233,7 +244,9 @@ def _geometry(ctx: FieldContext, X: np.ndarray, w: np.ndarray | None = None):
     m, k = ctx.n_edges, X.shape[1]
     rows = _block_rows(m, k)
     at_u, at_v = np.empty((rows, k)), np.empty((rows, k))
-    dist = np.empty(m)
+    known = dist is not None
+    if not known:
+        dist = np.empty(m)
     s_u, s_v = (None, None) if w is None else (np.empty(m), np.empty(m))
     # mode="clip" lets take write into `out` unbuffered; the indices are in range.
     # The method skips np.take's Python wrapper, a microsecond on each of the
@@ -246,13 +259,15 @@ def _geometry(ctx: FieldContext, X: np.ndarray, w: np.ndarray | None = None):
             X.take(u, axis=0, out=gathered, mode="clip")
             X.take(v, axis=0, out=diff, mode="clip")
             np.subtract(diff, gathered, out=diff)
-            np.einsum("ij,ij->i", diff, diff, out=dist[lo:hi])
+            if not known:
+                np.einsum("ij,ij->i", diff, diff, out=dist[lo:hi])
             if w is not None:
                 w.take(u, axis=0, out=gathered, mode="clip")
                 np.einsum("ij,ij->i", gathered, diff, out=s_u[lo:hi])
                 w.take(v, axis=0, out=gathered, mode="clip")
                 np.einsum("ij,ij->i", gathered, diff, out=s_v[lo:hi])
-        np.sqrt(dist, out=dist)
+        if not known:
+            np.sqrt(dist, out=dist)
     return dist, dist < EPS, s_u, s_v
 
 
@@ -293,9 +308,31 @@ def _magnitudes_vjp(ctx: FieldContext, model: ForceParams, dist: np.ndarray,
     return f_fwd, f_rev, grad, ddist
 
 
+def _field_values(ctx: FieldContext, model: ForceParams, dist: np.ndarray,
+                  tied: np.ndarray, g: np.ndarray):
+    """The CSR values, on the prepared Laplacian structure, of the field with
+    gain g at edge lengths `dist` and tie mask `tied`: the weights f/d, 0 on a
+    tie-broken edge, scaled by the gain of their row, and -g times the row sums
+    on the diagonal.  Also the magnitudes (f_uv, f_vu) of the tie-broken edges,
+    in edge order, or None when no edge is tied."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        f_fwd, f_rev = _magnitudes(ctx, model, dist)
+        ties = (f_fwd[tied], f_rev[tied]) if tied.any() else None
+        c_fwd = np.divide(f_fwd, dist, out=f_fwd)
+        c_rev = np.divide(f_rev, dist, out=f_rev)
+        if ties is not None:
+            c_fwd[tied] = c_rev[tied] = 0.0
+        # the force on node i is g_i times row i of (A - diag(A 1)) X; the
+        # gain is folded into the weights in place, with no m-length temporaries
+        diag = -g * _rowsum(ctx, c_fwd, c_rev)
+        c_fwd *= g[ctx.u]
+        c_rev *= g[ctx.v]
+    return _values(ctx, c_fwd, c_rev, diag), ties
+
+
 def force_field(ctx: FieldContext, model: ForceParams, X: np.ndarray,
                 seed: int = 0, step: int = 0, *, out: np.ndarray | None = None,
-                gain: np.ndarray | None = None, on_values=None) -> np.ndarray:
+                gain: np.ndarray | None = None, on_lengths=None) -> np.ndarray:
     """Net force on every node from the spring model at positions X.
 
     Given `out` (C-contiguous float64, the shape of X, sharing no memory with
@@ -304,60 +341,55 @@ def force_field(ctx: FieldContext, model: ForceParams, X: np.ndarray,
     `node_gain(ctx, model, c)` the call adds c times the force.  Runs in
     O(edges * dims + nodes * dims) with a fixed, reproducible accumulation order.
 
-    `on_values(data)` receives the CSR values, on the prepared Laplacian
-    structure, whose product with X the call added into `out`:
-    `_accumulate(out0, ctx.lap_indptr, ctx.lap_indices, data, X)` adds bitwise
-    what the call did.  It receives None when the call added anything else:
+    `on_lengths(dist)` receives the (m,) edge lengths at X when the call added
+    one sparse product alone: `_field_values(ctx, model, dist, dist < EPS,
+    gain)` rebuilds its CSR values bitwise, and `force_field_vjp` at X takes
+    them as `lengths`.  It receives None when the call added anything else:
     the pushes of tie-broken edges, or nothing for a graph without edges.
     """
     X, _ = _checked(ctx, X, None, gain, out)
     if ctx.n_edges == 0:
-        if on_values is not None:
-            on_values(None)
+        if on_lengths is not None:
+            on_lengths(None)
         return np.zeros_like(X) if out is None else out
     g = node_gain(ctx, model) if gain is None else gain
     dist, tied, _, _ = _geometry(ctx, X)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        f_fwd, f_rev = _magnitudes(ctx, model, dist)
-        c_fwd = np.where(tied, 0.0, f_fwd / dist)
-        c_rev = np.where(tied, 0.0, f_rev / dist)
-        # the force on node i is g_i times row i of (A - diag(A 1)) X; the
-        # gain is folded into the weights in place, with no m-length temporaries
-        diag = -g * _rowsum(ctx, c_fwd, c_rev)
-        c_fwd *= g[ctx.u]
-        c_rev *= g[ctx.v]
-        data = _values(ctx, c_fwd, c_rev, diag)
-        if out is None:
-            out = np.zeros_like(X)
-        _accumulate(out, ctx.lap_indptr, ctx.lap_indices, data, X)
-        if tied.any():
-            edges, units = _tie_units(tied, X.shape[1], seed, step)
-            u, v = ctx.u[edges], ctx.v[edges]
-            np.add.at(out, u, (g[u] * f_fwd[edges])[:, None] * units)
-            np.add.at(out, v, -(g[v] * f_rev[edges])[:, None] * units)
-            data = None
-    if on_values is not None:
-        on_values(data)
+    data, ties = _field_values(ctx, model, dist, tied, g)
+    if out is None:
+        out = np.zeros_like(X)
+    _accumulate(out, ctx.lap_indptr, ctx.lap_indices, data, X)
+    if ties is not None:
+        tie_fwd, tie_rev = ties
+        edges, units = _tie_units(tied, X.shape[1], seed, step)
+        u, v = ctx.u[edges], ctx.v[edges]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.at(out, u, (g[u] * tie_fwd)[:, None] * units)
+            np.add.at(out, v, -(g[v] * tie_rev)[:, None] * units)
+    if on_lengths is not None:
+        on_lengths(dist if ties is None else None)
     return out
 
 
 def force_field_vjp(ctx: FieldContext, model: ForceParams, X: np.ndarray,
                     w: np.ndarray, seed: int = 0, step: int = 0, *,
-                    out: np.ndarray | None = None, gain: np.ndarray | None = None
+                    out: np.ndarray | None = None, gain: np.ndarray | None = None,
+                    lengths: np.ndarray | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients (d/dX, d/dparams) of sum(w * force_field(X)) for cotangent w.
 
     Given `out` (C-contiguous float64, the shape of X, sharing no memory with X
     or w), adds d/dX to it in place and returns it; otherwise adds it to zeros.
     `gain` is `node_gain(ctx, model)`, which a caller making many calls
-    evaluates once.
+    evaluates once.  `lengths` are the (m,) edge lengths at X as `force_field`
+    computed them (its `on_lengths`); given them, the call does not compute
+    them again, and its result is bitwise the same.
     """
-    X, w = _checked(ctx, X, w, gain, out)
+    X, w = _checked(ctx, X, w, gain, out, lengths)
     if ctx.n_edges == 0:
         return (np.zeros_like(X) if out is None else out,
                 np.zeros(model.flatten().shape[0]))
     g = node_gain(ctx, model) if gain is None else gain
-    dist, tied, s_u, s_v = _geometry(ctx, X, w)
+    dist, tied, s_u, s_v = _geometry(ctx, X, w, lengths)
     # a tie-broken edge acts as an edge of length 1 along its tie-break unit
     scale = dist
     if tied.any():

@@ -10,10 +10,11 @@ so a step writes no n x k force array.
 
 `euler_step` is that update, and `simulate` the only loop that evaluates the
 field: embedding calls it directly, and training's forward pass calls it with
-hooks that keep some states and the CSR values of some steps' fields.
+hooks that keep some states and the edge lengths of some steps' fields.
 Training's reverse sweep replays the steps between kept states through the
-same `euler_step`, adding each kept step's force as one sparse product, so the
-replayed positions are bitwise the simulated ones.
+same `euler_step`, adding each kept step's force as one sparse product whose
+values it rebuilds from those lengths, so the replayed positions are bitwise
+the simulated ones.
 """
 
 from __future__ import annotations
@@ -118,15 +119,17 @@ def euler_step(X: np.ndarray, V: np.ndarray, config: SimConfig,
 
 def simulate(state: SimState, graph: SignedGraph, statics: NodeStatics,
              model: ForceParams, config: SimConfig, ctx: FieldContext | None = None,
-             on_step=None, on_values=None) -> SimState:
+             on_step=None, on_lengths=None) -> SimState:
     """Apply `config.n_steps` steps; `on_step(state)` is called after each.
 
     Each step allocates only its new position matrix.  The velocities live in
     one array, a copy of `state.V` updated in place: every state passed to
     `on_step` shares it, so a hook that keeps velocities must copy them.  The
     gain is evaluated once per call, and each step damps V and then adds
-    dt times the force straight into it.  `on_values` goes to each step's
-    `force_field` call, before that step's `on_step`.
+    dt times the force straight into it.  `on_lengths` goes to each step's
+    `force_field` call, before that step's `on_step`.  A step whose state sums
+    to a finite number is finite; only one that does not is checked entry by
+    entry.
     """
     if ctx is None:
         ctx = prepare(graph, statics)
@@ -135,8 +138,12 @@ def simulate(state: SimState, graph: SignedGraph, statics: NodeStatics,
     for _ in range(config.n_steps):
         X1 = euler_step(state.X, V, config, lambda out: force_field(
             ctx, model, state.X, seed=config.seed, step=state.t_step, out=out,
-            gain=gain, on_values=on_values))
-        if not (np.isfinite(X1).all() and np.isfinite(V).all()):
+            gain=gain, on_lengths=on_lengths))
+        # a sum of finite terms may overflow, but one with a non-finite term
+        # is never finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(X1.sum() + V.sum())
+        if not finite and not (np.isfinite(X1).all() and np.isfinite(V).all()):
             raise SimulationDivergedError(state.t_step + 1, worst_node(X1, V))
         state = SimState(X1, V, state.t_step + 1)
         if on_step is not None:

@@ -2,16 +2,18 @@
 
 The forward pass is `simulate.simulate` with hooks that keep a tape in
 segments of L steps: each keeps the positions and velocities at its first
-step and the CSR values that `force_field` multiplied the positions by at
-its first L - 2 steps (L - 1 under the semi-implicit ordering).  The
-backward pass walks the steps in reverse, applying the hand-derived
-vector-Jacobian products of the Euler update and of the force field, whose
-position gradient is added into the running one in place.  On reaching a
-segment it replays the positions in between through `simulate.euler_step`,
-one sparse product per kept step's force, bitwise the simulated ones.  L is
-the length whose tape holds the fewest floats (`tape_floats`,
+step and the m edge lengths that `force_field` computed at its first L - 2
+steps (L - 1 under the semi-implicit ordering).  The backward pass walks the
+steps in reverse, applying the hand-derived vector-Jacobian products of the
+Euler update and of the force field, whose position gradient is added into
+the running one in place.  On reaching a segment it replays the positions in
+between through `simulate.euler_step`, one sparse product per kept step's
+force, with the CSR values rebuilt from that step's lengths
+(`forcefield._field_values`), bitwise the simulated ones; the VJPs of those
+steps read the same lengths instead of computing them again.  L is the
+length whose tape holds the fewest floats (`tape_floats`,
 `_segment_length`): about 15 steps at BitcoinOTC size, k = 64 and 120 steps,
-and 1, the plain tape of every position, where a step's CSR values are not
+and 1, the plain tape of every position, where a step's lengths are not
 fewer floats than its positions (a dense graph at small k).  Gradients are
 flat vectors aligned with `params.flatten()`.
 
@@ -37,8 +39,9 @@ from . import rng
 from .artifacts import atomic_write
 from .forces import (ForceParams, decode_flat, encode_flat, init_params,
                      params_from_json, params_to_json)
-from .forcefield import (FieldContext, _accumulate, _block_rows, _csc_matvecs,
-                         force_field, force_field_vjp, node_gain, prepare)
+from .forcefield import (EPS, FieldContext, _accumulate, _block_rows, _csc_matvecs,
+                         _field_values, force_field, force_field_vjp, node_gain,
+                         prepare)
 from .graphs import NodeStatics, SignedGraph, compute_node_statics
 from .metrics import auc, f1_scores, predict, predict_prob
 from .simulate import (SimConfig, SimState, SimulationDivergedError, euler_step,
@@ -161,13 +164,13 @@ class _Segment:
     """Steps start .. start + steps - 1 of the reverse sweep: the positions at
     the first, and what the replay of the others needs, the velocities there
     (a copy the replay advances in place) and one entry per step whose force
-    it adds: that step's CSR values, or None for a step whose field
+    it adds: that step's edge lengths, or None for a step whose field
     `force_field` must evaluate again (tie-broken edges)."""
     start: int
     steps: int
     X: np.ndarray
     V: np.ndarray | None
-    values: list
+    lengths: list
 
 
 def tape_floats(n_nodes: int, n_edges: int, k: int, n_steps: int, length: int,
@@ -175,13 +178,13 @@ def tape_floats(n_nodes: int, n_edges: int, k: int, n_steps: int, length: int,
     """The floats an epoch of `n_steps` steps holds for its reverse sweep in
     segments of `length` steps, when no step has tie-broken edges: the final
     positions, which the loss reads; per segment the positions at its first
-    step, a copy of the velocities there if it has more, and the CSR values
-    (2m + n floats) of each step whose force its replay adds, steps - 2 of
-    them (steps - 1 under the semi-implicit ordering); and the positions after
-    the first that the sweep replays of its largest segment."""
+    step, a copy of the velocities there if it has more, and the m edge
+    lengths of each step whose force its replay adds, steps - 2 of them
+    (steps - 1 under the semi-implicit ordering); and the positions after the
+    first that the sweep replays of its largest segment."""
     def segment(steps: int) -> int:
         return (n_nodes * k * (1 + (steps > 1))
-                + max(0, steps - 2 + semi_implicit) * (2 * n_edges + n_nodes))
+                + max(0, steps - 2 + semi_implicit) * n_edges)
 
     full, rest = divmod(n_steps, length)
     window = max(0, min(length, n_steps) - 1)
@@ -193,9 +196,9 @@ def _segment_length(n_nodes: int, n_edges: int, k: int, n_steps: int,
     """The segment length in 1 .. n_steps whose tape holds the fewest floats
     (`tape_floats`), the shorter on a tie; 1 is the plain position tape.
     Longer segments keep fewer start states but replay more positions, and
-    each replayed step keeps its CSR values, so the least is near
-    sqrt(2 T (1 - (2m + n) / (n k))) steps, and at 1 where a step's values
-    are not fewer floats than its positions."""
+    each replayed step keeps its edge lengths, so the least is near
+    sqrt(2 T (1 - m / (n k))) steps, and at 1 where a step's lengths are not
+    fewer floats than its positions."""
     return min(range(1, max(n_steps, 1) + 1),
                key=lambda length: tape_floats(n_nodes, n_edges, k, n_steps, length,
                                               semi_implicit))
@@ -211,19 +214,19 @@ def _taped_forward(graph: SignedGraph, statics: NodeStatics, params: ForceParams
                              sim_cfg.semi_implicit)
     # the replay of a segment recomputes its positions after the first: the
     # explicit ordering's last one advances with velocities that need no
-    # further force, so it keeps the values of one step fewer
+    # further force, so it keeps the lengths of one step fewer
     semi = int(sim_cfg.semi_implicit)
     segments: list[_Segment] = []
-    t = 0   # the step under way: the hooks get its start state, then its values
+    t = 0   # the step under way: the hooks get its start state, then its lengths
 
     def keep_state(s: SimState) -> None:
         if t < n_steps and t % length == 0:
             steps = min(length, n_steps - t)
             segments.append(_Segment(t, steps, s.X, s.V.copy() if steps > 1 else None, []))
 
-    def keep_values(data) -> None:
+    def keep_lengths(dist) -> None:
         if segments and t - segments[-1].start < segments[-1].steps - 2 + semi:
-            segments[-1].values.append(data)
+            segments[-1].lengths.append(dist)
 
     def next_state(s: SimState) -> None:
         nonlocal t
@@ -232,36 +235,39 @@ def _taped_forward(graph: SignedGraph, statics: NodeStatics, params: ForceParams
 
     keep_state(state)
     final = simulate(state, graph, statics, params, sim_cfg, ctx=ctx,
-                     on_step=next_state, on_values=keep_values)
+                     on_step=next_state, on_lengths=keep_lengths)
     return final, segments
 
 
-def _add_step_force(ctx: FieldContext, params: ForceParams, sim_cfg: SimConfig,
-                    X: np.ndarray, data: np.ndarray | None, step: int,
-                    out: np.ndarray) -> None:
-    """Add dt times the force of step `step` at X into out, as `simulate` did: one
-    product with the step's kept CSR values, or, where it kept None,
-    `force_field` again at the step's seed and absolute step."""
-    if data is None:
-        force_field(ctx, params, X, seed=sim_cfg.seed, step=step, out=out,
-                    gain=node_gain(ctx, params, sim_cfg.dt))
+def _add_step_force(ctx: FieldContext, params: ForceParams, seed: int,
+                    dt_gain: np.ndarray, X: np.ndarray, lengths: np.ndarray | None,
+                    step: int, out: np.ndarray) -> None:
+    """Add dt times the force of step `step` at X into out, as `simulate` did,
+    with `dt_gain` the gain times dt: one product with the CSR values rebuilt
+    from the step's kept lengths, or, where it kept None, `force_field` again
+    at the step's seed and absolute step."""
+    if lengths is None:
+        force_field(ctx, params, X, seed=seed, step=step, out=out, gain=dt_gain)
     else:
+        data, _ = _field_values(ctx, params, lengths, lengths < EPS, dt_gain)
         _accumulate(out, ctx.lap_indptr, ctx.lap_indices, data, X)
 
 
 def _replay(seg: _Segment, ctx: FieldContext, params: ForceParams,
-            sim_cfg: SimConfig, t0: int) -> list[np.ndarray]:
-    """The positions at a segment's steps, first to last: its start positions,
-    then those `euler_step` recomputes from its start state, bitwise the
-    simulated ones."""
+            sim_cfg: SimConfig, t0: int, dt_gain: np.ndarray
+            ) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """A segment's steps, first to last, each as its positions and the lengths
+    the tape kept for it (None where it kept none).  The positions are its
+    start positions, then those `euler_step` recomputes from its start state,
+    bitwise the simulated ones."""
     positions = [seg.X]
     for j in range(seg.steps - 1):
         X, add_force = positions[-1], None
-        if j < len(seg.values):
-            add_force = partial(_add_step_force, ctx, params, sim_cfg, X, seg.values[j],
-                                t0 + seg.start + j)
+        if j < len(seg.lengths):
+            add_force = partial(_add_step_force, ctx, params, sim_cfg.seed, dt_gain, X,
+                                seg.lengths[j], t0 + seg.start + j)
         positions.append(euler_step(X, seg.V, sim_cfg, add_force))
-    return positions
+    return list(zip(positions, seg.lengths + [None] * (seg.steps - len(seg.lengths))))
 
 
 def loss_and_grad(graph: SignedGraph, statics: NodeStatics, params: ForceParams,
@@ -273,8 +279,9 @@ def loss_and_grad(graph: SignedGraph, statics: NodeStatics, params: ForceParams,
 
     Runs the forward simulation with a tape of segments (`_taped_forward`),
     then the reverse sweep through every Euler update and force evaluation,
-    replaying each segment's positions as it reaches them.  The initial state
-    and the graph are held fixed.
+    replaying each segment's positions as it reaches them; a step's VJP reads
+    the lengths the tape kept for it.  The initial state and the graph are
+    held fixed.
     """
     if ctx is None:
         ctx = prepare(graph, statics)
@@ -286,10 +293,10 @@ def loss_and_grad(graph: SignedGraph, statics: NodeStatics, params: ForceParams,
     gV, w = np.zeros_like(gX), np.empty_like(gX)
     # gV += dt gX goes through this block of rows, not a whole (n, k) temporary
     buf = np.empty((_block_rows(*gX.shape), gX.shape[1]))
-    gain = node_gain(ctx, params)
-    grad = np.zeros_like(params.flatten())
     dt, damp = sim_cfg.dt, sim_cfg.damping
-    positions: list[np.ndarray] = []
+    gain, dt_gain = node_gain(ctx, params), node_gain(ctx, params, dt)
+    grad = np.zeros_like(params.flatten())
+    window: list[tuple[np.ndarray, np.ndarray | None]] = []
 
     # w = dt gV is the cotangent of the step's force; its VJP adds into gX
     for t in range(sim_cfg.n_steps - 1, -1, -1):
@@ -299,10 +306,12 @@ def loss_and_grad(graph: SignedGraph, statics: NodeStatics, params: ForceParams,
         gV *= 1.0 - damp
         if not sim_cfg.semi_implicit:
             _add_scaled(gV, gX, dt, buf)
-        if not positions:
-            positions = _replay(segments.pop(), ctx, params, sim_cfg, t0)
-        _, dtheta = force_field_vjp(ctx, params, positions.pop(), w, seed=sim_cfg.seed,
-                                    step=t0 + t, out=gX, gain=gain)
+        if not window:
+            window = _replay(segments.pop(), ctx, params, sim_cfg, t0, dt_gain)
+        X, lengths = window.pop()
+        _, dtheta = force_field_vjp(ctx, params, X, w, seed=sim_cfg.seed, step=t0 + t,
+                                    out=gX, gain=gain, lengths=lengths)
+        del X, lengths   # held on, they would outlive the next segment's replay
         grad += dtheta
         if not np.isfinite(grad).all():
             raise SimulationDivergedError(t0 + t, worst_node(gX, gV), "gradient")

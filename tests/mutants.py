@@ -80,8 +80,8 @@ MUTANTS = [
      "grad[3] = np.dot(upstream, dist - p.l_neu)",
      ["tests/test_forces.py::test_batch_vjp_matches_central_differences"]),
     # a tie-broken edge pushes its u end with the reverse magnitude
-    ("forcefield.py", "np.add.at(out, u, (g[u] * f_fwd[edges])[:, None] * units)",
-     "np.add.at(out, u, (g[u] * f_rev[edges])[:, None] * units)",
+    ("forcefield.py", "np.add.at(out, u, (g[u] * tie_fwd)[:, None] * units)",
+     "np.add.at(out, u, (g[u] * tie_rev)[:, None] * units)",
      ["tests/test_forcefield.py::test_coincident_nodes_no_nan_and_deterministic",
       "tests/test_forcefield.py::test_tie_correction_matches_brute_force",
       "tests/test_forcefield.py::test_vjp_property_coincident_endpoints"]),
@@ -120,11 +120,33 @@ MUTANTS = [
     ("training.py", "_add_scaled(gV, gX, dt, buf)   # the adjoint of V1",
      "_add_scaled(gV, gX, 2 * dt, buf)   # the adjoint of V1",
      ["tests/test_training.py::test_semi_implicit_gradients_match_fd"]),
-    # the tape keeps the CSR values of step a + 1 of each segment, and the
+    # the tape keeps the lengths of step a + 1 of each segment, and the
     # replay reads them for step a
     ("training.py", "t - segments[-1].start < segments[-1].steps - 2 + semi",
      "0 < t - segments[-1].start < segments[-1].steps - 1 + semi",
      ["tests/test_training.py::test_segmented_tape_is_bitwise_the_full_tape"]),
+    # the replay rebuilds each step's values from the next kept step's lengths
+    ("training.py", "seg.lengths[j], t0 + seg.start + j)",
+     "seg.lengths[(j + 1) % len(seg.lengths)], t0 + seg.start + j)",
+     ["tests/test_training.py::test_segmented_tape_is_bitwise_the_full_tape"]),
+    # the sweep hands each VJP the lengths of another step of its segment
+    ("training.py", "seg.lengths + [None] * (seg.steps - len(seg.lengths))",
+     "[None] * (seg.steps - len(seg.lengths)) + seg.lengths",
+     ["tests/test_training.py::test_segmented_tape_is_bitwise_the_full_tape"]),
+    # the count keeps a replayed step's 2m + n CSR values, not its m lengths
+    ("training.py", "max(0, steps - 2 + semi_implicit) * n_edges)",
+     "max(0, steps - 2 + semi_implicit) * (2 * n_edges + n_nodes))",
+     ["tests/test_training.py::test_bench_tape_bytes_are_the_arrays_the_tape_keeps"]),
+    # the VJP takes lengths of another shape
+    ("forcefield.py", "if lengths is not None and np.shape(lengths) != (ctx.n_edges,):",
+     "if False:",
+     ["tests/test_forcefield.py::test_vjp_refuses_lengths_of_another_shape"]),
+    # a step whose state sums to a non-finite number diverges, though every
+    # entry is finite
+    ("simulate.py",
+     "if not finite and not (np.isfinite(X1).all() and np.isfinite(V).all()):",
+     "if not finite:",
+     ["tests/test_simulate.py::test_a_finite_state_whose_sum_overflows_does_not_diverge"]),
     # the tape's count leaves out the positions the sweep replays
     ("training.py", "window = max(0, min(length, n_steps) - 1)", "window = 0",
      ["tests/test_training.py::test_bench_tape_bytes_are_the_arrays_the_tape_keeps"]),

@@ -372,30 +372,33 @@ def test_c08_metric_oracle_equivalence():
 # --- 9. complexity scaling -------------------------------------------------------------------
 
 
-def measure_isolated(n_nodes: int, n_edges: int, k: int, trials: int = 5) -> float:
-    """Median over fresh-interpreter runs of the bench's median force-field time
-    (9 calls after one warm-up) on its synthetic graph."""
+def measure_isolated(configs: list[tuple[int, int, int]], trials: int = 5) -> list[float]:
+    """Per configuration (n_nodes, n_edges, k), the median over fresh-interpreter
+    runs of the bench's median force-field time (9 calls after one warm-up) on
+    its synthetic graph.  The runs take the configurations in turn, trial by
+    trial, so a drift in the host's speed reaches each of them alike rather
+    than the ratios between them."""
     import subprocess
     import sys
 
     code = ("from graphspring import bench; "
-            f"ff = bench.timed_operations({n_nodes}, {n_edges}, {k})['force_field']; "
+            "ff = bench.timed_operations({}, {}, {})['force_field']; "
             "ff(); print(bench.median_ms(ff, 9)[0])")
-    samples = []
+    samples = [[] for _ in configs]
     for _ in range(trials):
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True)
-        samples.append(float(out.stdout))
-    return float(np.median(samples))
+        for config, times in zip(configs, samples):
+            out = subprocess.run([sys.executable, "-c", code.format(*config)],
+                                 capture_output=True, text=True, check=True)
+            times.append(float(out.stdout))
+    return [float(np.median(times)) for times in samples]
 
 
 def test_c09_complexity_scaling():
-    # each configuration runs in its own interpreter: a shared heap can park
-    # one configuration's buffers in a persistently slow layout, which says
+    # each run is its own interpreter: a shared heap can park one
+    # configuration's buffers in a persistently slow layout, which says
     # nothing about how the cost scales in M and k
-    t_base = measure_isolated(600, 4000, 16)
-    t_2m = measure_isolated(600, 8000, 16)
-    t_2k = measure_isolated(600, 4000, 32)
+    t_base, t_2m, t_2k = measure_isolated([(600, 4000, 16), (600, 8000, 16),
+                                           (600, 4000, 32)])
     ratio_m = t_2m / t_base
     ratio_k = t_2k / t_base
     detail = (f"M: {t_base:.1f}ms -> {t_2m:.1f}ms (x{ratio_m:.2f}); "

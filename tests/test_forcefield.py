@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -667,6 +668,43 @@ def test_vjp_property_coincident_endpoints(seed, kind, k):
     ctx = prepare(graph, statics)
     _, dtheta = force_field_vjp(ctx, params, X, w, seed=seed, step=3)
     assert_fd_close(dtheta, central_params(ctx, params, X, w, seed=seed, step=3))
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from(["spring", "spring-nn"]),
+       st.integers(1, 4), st.booleans())
+@settings(max_examples=20, deadline=None)
+def test_vjp_given_the_lengths_is_bitwise_the_vjp_without(seed, kind, k, tied):
+    # training's reverse sweep hands a step's VJP the lengths that its forward
+    # call handed out; a call with tie-broken edges hands out None, so the
+    # tied case takes the lengths from the field's own geometry
+    graph, statics, X, w, params = small_instance(seed, kind, k)
+    if tied:
+        X = make_coincident(graph, X, np.random.default_rng(seed))
+    ctx = prepare(graph, statics)
+    kept = []
+    force_field(ctx, params, X, seed=seed, step=3, on_lengths=kept.append)
+    lengths = forcefield._geometry(ctx, X)[0]
+    assert len(kept) == 1
+    assert kept[0] is None if tied else np.array_equal(kept[0], lengths)
+    want = force_field_vjp(ctx, params, X, w, seed=seed, step=3)
+    got = force_field_vjp(ctx, params, X, w, seed=seed, step=3, lengths=lengths.copy())
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("shape", [(599,), (601,), (600, 1)])
+def test_vjp_refuses_lengths_of_another_shape(shape):
+    ctx, model, X, w = checked_case()
+    assert ctx.n_edges == 600
+    with pytest.raises(ValueError, match=rf"lengths have shape {re.escape(str(shape))}, "
+                                         r"expected \(600,\)"):
+        force_field_vjp(ctx, model, X, w, lengths=np.ones(shape))
+
+
+def test_vjp_refuses_lengths_that_are_not_float64():
+    ctx, model, X, w = checked_case()
+    for lengths, got in [(np.ones(600, np.float32), "float32"), ([1.0] * 600, "list")]:
+        with pytest.raises(ValueError, match=f"lengths are {got}, expected a float64 array"):
+            force_field_vjp(ctx, model, X, w, lengths=lengths)
 
 
 @given(st.integers(0, 10 ** 6), st.integers(1, 4))

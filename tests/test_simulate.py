@@ -302,6 +302,25 @@ def test_divergence_names_the_first_non_finite_node():
     assert err.value.node == 2
 
 
+def test_a_finite_state_whose_sum_overflows_does_not_diverge():
+    # each step first checks that the state sums to a finite number, and the
+    # four positions of 1e308 overflow that sum: only a non-finite entry, which
+    # the entry by entry check finds, is a divergence, and the overflow of the
+    # sum warns of nothing
+    import warnings
+    graph = two_body_graph(observed=0)
+    params = SpringParams(a_neu=1.0, l_neu=1.0, beta=0.0)
+    cfg = SimConfig(k=2, dt=0.01, damping=0.05, n_steps=3, seed=0)
+    state = SimState(np.full((2, 2), 1e308), np.zeros((2, 2)), 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        final = simulate(state, graph, statics_of(graph), params, cfg)
+    assert final.t_step == 3
+    assert np.isfinite(final.X).all() and np.isfinite(final.V).all()
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(final.X.sum())
+
+
 def test_worst_node_is_the_fastest_when_all_finite():
     X = np.zeros((3, 2))
     V = np.array([[1.0, 0.0], [0.0, -3.0], [2.0, 2.0]])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from graphspring import (SignedGraph, SimConfig, compute_node_statics, forcefield,
                          init_params, load_checkpoint, save_checkpoint, training)
-from graphspring.forcefield import prepare
+from graphspring.forcefield import node_gain, prepare
 from graphspring.forces import SpringParams
 from graphspring.training import (AdamState, Checkpoint, EpochStats, LossConfig,
                                   TrainConfig, adam_step, clip_gradient, loss,
@@ -242,7 +242,7 @@ def test_an_epoch_holds_its_tape_and_a_few_node_arrays(many_edges, kind):
 def test_a_segmented_epoch_holds_its_segment_tape_and_a_few_node_arrays(
         many_edges, kind, semi_implicit):
     # the rule picks segments of 10 steps under either ordering here; the
-    # count holds their start states, the CSR values of the steps they replay
+    # count holds their start states, the edge lengths of the steps they replay
     # and the positions of the segment being swept, and the full tape of 61
     # positions would not fit this bound
     graph, X = many_edges
@@ -265,9 +265,11 @@ def held_for_the_sweep(graph, st, params, sim, ctx):
     from graphspring.simulate import init_state
     final, segments = training._taped_forward(graph, st, params, sim,
                                               init_state(graph.n_nodes, sim), ctx)
-    kept = [final.X] + [a for seg in segments for a in (seg.X, seg.V, *seg.values)
+    kept = [final.X] + [a for seg in segments for a in (seg.X, seg.V, *seg.lengths)
                         if a is not None]
-    window = max((sum(X.nbytes for X in training._replay(seg, ctx, params, sim, 0)[1:])
+    dt_gain = node_gain(ctx, params, sim.dt)
+    window = max((sum(X.nbytes for X, _ in training._replay(seg, ctx, params, sim, 0,
+                                                            dt_gain)[1:])
                   for seg in segments), default=0)
     return sum(a.nbytes for a in kept) + window, segments
 
@@ -304,7 +306,7 @@ def test_bench_tape_bytes_are_the_arrays_the_tape_keeps(k, monkeypatch):
 @pytest.mark.parametrize("n_nodes, n_edges, k, n_steps, semi_implicit, want", [
     (5881, 21492, 64, 120, False, 15),   # graphspring bench's graph
     (10000, 100000, 8, 120, True, 1),    # perfbench's train-dense-spring8-semi
-    (4, 6, 8, 30, False, 5),             # tied with 6
+    (4, 8, 4, 30, False, 5),             # tied with 6
 ])
 def test_the_segment_length_is_the_argmin_of_the_count(n_nodes, n_edges, k, n_steps,
                                                         semi_implicit, want):
@@ -652,8 +654,8 @@ def test_segmented_tape_is_bitwise_the_full_tape(kind, semi_implicit, k, monkeyp
             _, segments = training._taped_forward(graph, st, params, sim, state0, ctx)
             assert [seg.steps for seg in segments] == [
                 min(length, n_steps - start) for start in range(0, n_steps, length)]
-            if segments and segments[0].values:
-                assert segments[0].values[0] is None   # the tie-broken step keeps no values
+            if segments and segments[0].lengths:
+                assert segments[0].lengths[0] is None   # the tie-broken step keeps no lengths
 
 
 def test_divergence_reports_epoch():
