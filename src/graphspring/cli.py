@@ -277,6 +277,9 @@ def cmd_train(args) -> int:
         epochs=config["epochs"], sim=_sim_config(config, config["seed"]),
         loss=LossConfig(mu=config["mu"]), model_kind=config["model"], lr=config["lr"],
         seed=config["seed"], val_fraction=config["val_fraction"])
+    every = config["checkpoint_every"]
+    if every < 0:
+        raise ValueError(f"checkpoint_every must be nonnegative, not {every}")
     resume = load_checkpoint(inputs["resume"]) if inputs["resume"] else None
     if resume is not None:
         check_resume(resume, train_cfg)
@@ -284,7 +287,6 @@ def cmd_train(args) -> int:
     artifacts = {"params": out / "params.json", "history": out / "history.csv"}
     _write_manifest(out, "train", config, inputs, artifacts)
 
-    every = config["checkpoint_every"]
     last_good = resume
 
     def on_epoch(ckpt, stats):
@@ -404,12 +406,9 @@ def _hide_listed(graph: SignedGraph, path: str) -> SignedGraph:
     return graph.with_observed(observed)
 
 
-def _eval_one(graph: SignedGraph, params, config: dict, sim: SimConfig,
+def _eval_one(hidden_graph: SignedGraph, hidden: np.ndarray, params, sim: SimConfig,
               loss_cfg: LossConfig, config_hash: str):
-    """One seeded run of eval --params: `sim.seed` draws the split and the start."""
-    hidden_graph, hidden = _split(graph, config, sim.seed)
-    if hidden.size == 0:
-        raise ValueError("no hidden edges to evaluate")
+    """One seeded run of eval --params on the split `sim.seed` drew."""
     statics = compute_node_statics(hidden_graph)
     state = init_state(hidden_graph.n_nodes, sim)
     final = simulate(state, hidden_graph, statics, params, sim)
@@ -441,13 +440,21 @@ def cmd_eval(args) -> int:
         seeds = [int(tok) for tok in config["seeds"].split(",") if tok != ""]
         if not seeds:
             raise ValueError(f"seeds must list at least one seed, not {config['seeds']!r}")
+        if config["threads"] < 1:
+            raise ValueError(f"threads must be at least 1, not {config['threads']}")
         sims = [_sim_config(config, s) for s in seeds]
+        splits = [_split(graph, config, s) for s in seeds]
+        for s, (_, hidden) in zip(seeds, splits):
+            if hidden.size == 0:
+                raise ValueError(f"no hidden edges to evaluate: p_hidden "
+                                 f"{config['p_hidden']} hides none at seed {s}")
         _write_manifest(out, "eval", config, inputs,
                         {"reports": out / "report_<seed>.json",
                          "aggregate": out / "aggregate.json"})
-        with concurrent.futures.ThreadPoolExecutor(max(1, config["threads"])) as pool:
+        with concurrent.futures.ThreadPoolExecutor(config["threads"]) as pool:
             reports = list(pool.map(
-                lambda sim: _eval_one(graph, params, config, sim, loss_cfg, chash), sims))
+                lambda sim, split: _eval_one(*split, params, sim, loss_cfg, chash),
+                sims, splits))
         for s, report in zip(seeds, reports):
             _write_text(out / f"report_{s}.json", report.to_json())
         agg = aggregate_reports(reports)

@@ -22,7 +22,9 @@ the integrator passes dt times the gain and adds dt F into its velocities.
 An edge whose endpoints are closer than EPS has weight 0 in A and instead
 pushes its endpoints along a seeded tie-break unit vector.
 
-Both operators check their arguments (`_checked`) before any work.  The CSR
+Both operators check their arguments (`_checked`) before any work, and take
+the edge lengths that `force_field` handed out (`lengths=`) instead of
+computing them again, with bitwise the same result.  The CSR
 kernel is scipy's private `csr_matvecs`, resolved when the module loads
 beside `csc_matvecs`, which the loss gradient uses: a scipy without either
 fails the import.
@@ -37,8 +39,7 @@ not the m x k edge vectors.
 
 `force_field_vjp` is the exact reverse-mode counterpart: given the gradient
 w of a scalar objective with respect to the returned force matrix, it
-recomputes the edge geometry from the same positions, less the lengths when
-the caller passes those that `force_field` handed out, and returns the
+recomputes the edge geometry from the same positions and returns the
 gradients with respect to positions and the flat parameter vector.  With
 s the per-edge products of w with the edge vector and t = (dL/dd) / d (0 on
 tie-broken edges), the position gradient is
@@ -308,13 +309,29 @@ def _magnitudes_vjp(ctx: FieldContext, model: ForceParams, dist: np.ndarray,
     return f_fwd, f_rev, grad, ddist
 
 
-def _field_values(ctx: FieldContext, model: ForceParams, dist: np.ndarray,
-                  tied: np.ndarray, g: np.ndarray):
-    """The CSR values, on the prepared Laplacian structure, of the field with
-    gain g at edge lengths `dist` and tie mask `tied`: the weights f/d, 0 on a
-    tie-broken edge, scaled by the gain of their row, and -g times the row sums
-    on the diagonal.  Also the magnitudes (f_uv, f_vu) of the tie-broken edges,
-    in edge order, or None when no edge is tied."""
+def force_field(ctx: FieldContext, model: ForceParams, X: np.ndarray,
+                seed: int = 0, step: int = 0, *, out: np.ndarray | None = None,
+                gain: np.ndarray | None = None, on_lengths=None,
+                lengths: np.ndarray | None = None) -> np.ndarray:
+    """Net force on every node from the spring model at positions X.
+
+    Given `out` (C-contiguous float64, the shape of X, sharing no memory with
+    it), adds the force to it in place and returns it; otherwise adds it to
+    zeros.  `gain` defaults to `node_gain(ctx, model)`; with
+    `node_gain(ctx, model, c)` the call adds c times the force.  Runs in
+    O(edges * dims + nodes * dims) with a fixed, reproducible accumulation order.
+
+    `on_lengths(dist)` receives the (m,) edge lengths the call used, which
+    both operators at X take as `lengths` and do not compute again.
+    """
+    X, _ = _checked(ctx, X, None, gain, out, lengths)
+    if ctx.n_edges == 0:
+        if on_lengths is not None:
+            on_lengths(np.zeros(0))
+        return np.zeros_like(X) if out is None else out
+    g = node_gain(ctx, model) if gain is None else gain
+    dist = _geometry(ctx, X)[0] if lengths is None else lengths
+    tied = dist < EPS
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         f_fwd, f_rev = _magnitudes(ctx, model, dist)
         ties = (f_fwd[tied], f_rev[tied]) if tied.any() else None
@@ -327,37 +344,9 @@ def _field_values(ctx: FieldContext, model: ForceParams, dist: np.ndarray,
         diag = -g * _rowsum(ctx, c_fwd, c_rev)
         c_fwd *= g[ctx.u]
         c_rev *= g[ctx.v]
-    return _values(ctx, c_fwd, c_rev, diag), ties
-
-
-def force_field(ctx: FieldContext, model: ForceParams, X: np.ndarray,
-                seed: int = 0, step: int = 0, *, out: np.ndarray | None = None,
-                gain: np.ndarray | None = None, on_lengths=None) -> np.ndarray:
-    """Net force on every node from the spring model at positions X.
-
-    Given `out` (C-contiguous float64, the shape of X, sharing no memory with
-    it), adds the force to it in place and returns it; otherwise adds it to
-    zeros.  `gain` defaults to `node_gain(ctx, model)`; with
-    `node_gain(ctx, model, c)` the call adds c times the force.  Runs in
-    O(edges * dims + nodes * dims) with a fixed, reproducible accumulation order.
-
-    `on_lengths(dist)` receives the (m,) edge lengths at X when the call added
-    one sparse product alone: `_field_values(ctx, model, dist, dist < EPS,
-    gain)` rebuilds its CSR values bitwise, and `force_field_vjp` at X takes
-    them as `lengths`.  It receives None when the call added anything else:
-    the pushes of tie-broken edges, or nothing for a graph without edges.
-    """
-    X, _ = _checked(ctx, X, None, gain, out)
-    if ctx.n_edges == 0:
-        if on_lengths is not None:
-            on_lengths(None)
-        return np.zeros_like(X) if out is None else out
-    g = node_gain(ctx, model) if gain is None else gain
-    dist, tied, _, _ = _geometry(ctx, X)
-    data, ties = _field_values(ctx, model, dist, tied, g)
     if out is None:
         out = np.zeros_like(X)
-    _accumulate(out, ctx.lap_indptr, ctx.lap_indices, data, X)
+    _accumulate(out, ctx.lap_indptr, ctx.lap_indices, _values(ctx, c_fwd, c_rev, diag), X)
     if ties is not None:
         tie_fwd, tie_rev = ties
         edges, units = _tie_units(tied, X.shape[1], seed, step)
@@ -366,7 +355,7 @@ def force_field(ctx: FieldContext, model: ForceParams, X: np.ndarray,
             np.add.at(out, u, (g[u] * tie_fwd)[:, None] * units)
             np.add.at(out, v, -(g[v] * tie_rev)[:, None] * units)
     if on_lengths is not None:
-        on_lengths(dist if ties is None else None)
+        on_lengths(dist)
     return out
 
 
@@ -380,9 +369,7 @@ def force_field_vjp(ctx: FieldContext, model: ForceParams, X: np.ndarray,
     Given `out` (C-contiguous float64, the shape of X, sharing no memory with X
     or w), adds d/dX to it in place and returns it; otherwise adds it to zeros.
     `gain` is `node_gain(ctx, model)`, which a caller making many calls
-    evaluates once.  `lengths` are the (m,) edge lengths at X as `force_field`
-    computed them (its `on_lengths`); given them, the call does not compute
-    them again, and its result is bitwise the same.
+    evaluates once.  `lengths` are as in `force_field`.
     """
     X, w = _checked(ctx, X, w, gain, out, lengths)
     if ctx.n_edges == 0:

@@ -8,13 +8,13 @@ fix for stiff springs; the default matches the plain explicit ordering.
 The force field adds dt times the force straight into the damped velocities,
 so a step writes no n x k force array.
 
-`euler_step` is that update, and `simulate` the only loop that evaluates the
-field: embedding calls it directly, and training's forward pass calls it with
+`euler_step` is that update, and `simulate` the only loop that runs it
+forward: embedding calls it directly, and training's forward pass calls it with
 hooks that keep some states and the edge lengths of some steps' fields.
 Training's reverse sweep replays the steps between kept states through the
-same `euler_step`, adding each kept step's force as one sparse product whose
-values it rebuilds from those lengths, so the replayed positions are bitwise
-the simulated ones.
+same `euler_step`, adding each kept step's force with the same `force_field`
+given those lengths, so the replayed positions are bitwise the simulated
+ones.
 """
 
 from __future__ import annotations

@@ -7,15 +7,15 @@ steps (L - 1 under the semi-implicit ordering).  The backward pass walks the
 steps in reverse, applying the hand-derived vector-Jacobian products of the
 Euler update and of the force field, whose position gradient is added into
 the running one in place.  On reaching a segment it replays the positions in
-between through `simulate.euler_step`, one sparse product per kept step's
-force, with the CSR values rebuilt from that step's lengths
-(`forcefield._field_values`), bitwise the simulated ones; the VJPs of those
-steps read the same lengths instead of computing them again.  L is the
-length whose tape holds the fewest floats (`tape_floats`,
-`_segment_length`): about 15 steps at BitcoinOTC size, k = 64 and 120 steps,
-and 1, the plain tape of every position, where a step's lengths are not
-fewer floats than its positions (a dense graph at small k).  Gradients are
-flat vectors aligned with `params.flatten()`.
+between through `simulate.euler_step`, adding each kept step's force with
+`force_field` at that step's lengths, bitwise the simulated ones; the VJPs
+of those steps read the same lengths instead of computing them again.  So
+every force an epoch adds goes through `force_field`.  L is the length whose
+tape holds the fewest floats (`tape_floats`, `_segment_length`): about 15
+steps at BitcoinOTC size, k = 64 and 120 steps, and 1, the plain tape of
+every position, where a step's lengths are not fewer floats than its
+positions (a dense graph at small k).  Gradients are flat vectors aligned
+with `params.flatten()`.
 
 The loss goes through its edges a block of forcefield.BLOCK_BYTES of edge
 vectors at a time, and adds its gradient into the (n, k) result with scipy's
@@ -31,7 +31,6 @@ import csv
 import json
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -39,9 +38,8 @@ from . import rng
 from .artifacts import atomic_write
 from .forces import (ForceParams, decode_flat, encode_flat, init_params,
                      params_from_json, params_to_json)
-from .forcefield import (EPS, FieldContext, _accumulate, _block_rows, _csc_matvecs,
-                         _field_values, force_field, force_field_vjp, node_gain,
-                         prepare)
+from .forcefield import (FieldContext, _block_rows, _csc_matvecs, force_field,
+                         force_field_vjp, node_gain, prepare)
 from .graphs import NodeStatics, SignedGraph, compute_node_statics
 from .metrics import auc, f1_scores, predict, predict_prob
 from .simulate import (SimConfig, SimState, SimulationDivergedError, euler_step,
@@ -146,6 +144,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
+        if self.lr <= 0:
+            raise ValueError("lr must be positive")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in [0, 1)")
 
@@ -163,9 +163,8 @@ def _add_scaled(out: np.ndarray, a: np.ndarray, factor: float,
 class _Segment:
     """Steps start .. start + steps - 1 of the reverse sweep: the positions at
     the first, and what the replay of the others needs, the velocities there
-    (a copy the replay advances in place) and one entry per step whose force
-    it adds: that step's edge lengths, or None for a step whose field
-    `force_field` must evaluate again (tie-broken edges)."""
+    (a copy the replay advances in place) and the edge lengths of each step
+    whose force it adds."""
     start: int
     steps: int
     X: np.ndarray
@@ -176,12 +175,12 @@ class _Segment:
 def tape_floats(n_nodes: int, n_edges: int, k: int, n_steps: int, length: int,
                 semi_implicit: bool) -> int:
     """The floats an epoch of `n_steps` steps holds for its reverse sweep in
-    segments of `length` steps, when no step has tie-broken edges: the final
-    positions, which the loss reads; per segment the positions at its first
-    step, a copy of the velocities there if it has more, and the m edge
-    lengths of each step whose force its replay adds, steps - 2 of them
-    (steps - 1 under the semi-implicit ordering); and the positions after the
-    first that the sweep replays of its largest segment."""
+    segments of `length` steps: the final positions, which the loss reads;
+    per segment the positions at its first step, a copy of the velocities
+    there if it has more, and the m edge lengths of each step whose force its
+    replay adds, steps - 2 of them (steps - 1 under the semi-implicit
+    ordering); and the positions after the first that the sweep replays of
+    its largest segment."""
     def segment(steps: int) -> int:
         return (n_nodes * k * (1 + (steps > 1))
                 + max(0, steps - 2 + semi_implicit) * n_edges)
@@ -212,45 +211,27 @@ def _taped_forward(graph: SignedGraph, statics: NodeStatics, params: ForceParams
     n_steps = sim_cfg.n_steps
     length = _segment_length(ctx.n_nodes, ctx.n_edges, state.X.shape[1], n_steps,
                              sim_cfg.semi_implicit)
-    # the replay of a segment recomputes its positions after the first: the
-    # explicit ordering's last one advances with velocities that need no
-    # further force, so it keeps the lengths of one step fewer
-    semi = int(sim_cfg.semi_implicit)
     segments: list[_Segment] = []
-    t = 0   # the step under way: the hooks get its start state, then its lengths
+    t0 = state.t_step
 
+    # the hooks get each step's lengths, then the state it reaches
     def keep_state(s: SimState) -> None:
+        t = s.t_step - t0
         if t < n_steps and t % length == 0:
             steps = min(length, n_steps - t)
             segments.append(_Segment(t, steps, s.X, s.V.copy() if steps > 1 else None, []))
 
-    def keep_lengths(dist) -> None:
-        if segments and t - segments[-1].start < segments[-1].steps - 2 + semi:
+    # the replay of a segment recomputes its positions after the first: the
+    # explicit ordering's last one advances with velocities that need no
+    # further force, so it keeps the lengths of one step fewer
+    def keep_lengths(dist: np.ndarray) -> None:
+        if len(segments[-1].lengths) < segments[-1].steps - 2 + sim_cfg.semi_implicit:
             segments[-1].lengths.append(dist)
-
-    def next_state(s: SimState) -> None:
-        nonlocal t
-        t += 1
-        keep_state(s)
 
     keep_state(state)
     final = simulate(state, graph, statics, params, sim_cfg, ctx=ctx,
-                     on_step=next_state, on_lengths=keep_lengths)
+                     on_step=keep_state, on_lengths=keep_lengths)
     return final, segments
-
-
-def _add_step_force(ctx: FieldContext, params: ForceParams, seed: int,
-                    dt_gain: np.ndarray, X: np.ndarray, lengths: np.ndarray | None,
-                    step: int, out: np.ndarray) -> None:
-    """Add dt times the force of step `step` at X into out, as `simulate` did,
-    with `dt_gain` the gain times dt: one product with the CSR values rebuilt
-    from the step's kept lengths, or, where it kept None, `force_field` again
-    at the step's seed and absolute step."""
-    if lengths is None:
-        force_field(ctx, params, X, seed=seed, step=step, out=out, gain=dt_gain)
-    else:
-        data, _ = _field_values(ctx, params, lengths, lengths < EPS, dt_gain)
-        _accumulate(out, ctx.lap_indptr, ctx.lap_indices, data, X)
 
 
 def _replay(seg: _Segment, ctx: FieldContext, params: ForceParams,
@@ -258,14 +239,14 @@ def _replay(seg: _Segment, ctx: FieldContext, params: ForceParams,
             ) -> list[tuple[np.ndarray, np.ndarray | None]]:
     """A segment's steps, first to last, each as its positions and the lengths
     the tape kept for it (None where it kept none).  The positions are its
-    start positions, then those `euler_step` recomputes from its start state,
-    bitwise the simulated ones."""
+    start positions, then those `euler_step` recomputes from its start state
+    with `force_field` at each step's kept lengths, bitwise the simulated ones."""
     positions = [seg.X]
     for j in range(seg.steps - 1):
-        X, add_force = positions[-1], None
-        if j < len(seg.lengths):
-            add_force = partial(_add_step_force, ctx, params, sim_cfg.seed, dt_gain, X,
-                                seg.lengths[j], t0 + seg.start + j)
+        X = positions[-1]   # the lambda reads X and j before they move on
+        add_force = None if j >= len(seg.lengths) else lambda V: force_field(
+            ctx, params, X, sim_cfg.seed, t0 + seg.start + j, out=V, gain=dt_gain,
+            lengths=seg.lengths[j])
         positions.append(euler_step(X, seg.V, sim_cfg, add_force))
     return list(zip(positions, seg.lengths + [None] * (seg.steps - len(seg.lengths))))
 

@@ -120,15 +120,31 @@ MUTANTS = [
     ("training.py", "_add_scaled(gV, gX, dt, buf)   # the adjoint of V1",
      "_add_scaled(gV, gX, 2 * dt, buf)   # the adjoint of V1",
      ["tests/test_training.py::test_semi_implicit_gradients_match_fd"]),
-    # the tape keeps the lengths of step a + 1 of each segment, and the
-    # replay reads them for step a
-    ("training.py", "t - segments[-1].start < segments[-1].steps - 2 + semi",
-     "0 < t - segments[-1].start < segments[-1].steps - 1 + semi",
+    # the tape keeps the lengths of one step fewer per segment, so the replay
+    # adds no force at the last step whose positions it recomputes
+    ("training.py", "< segments[-1].steps - 2 + sim_cfg.semi_implicit",
+     "< segments[-1].steps - 3 + sim_cfg.semi_implicit",
      ["tests/test_training.py::test_segmented_tape_is_bitwise_the_full_tape"]),
-    # the replay rebuilds each step's values from the next kept step's lengths
-    ("training.py", "seg.lengths[j], t0 + seg.start + j)",
-     "seg.lengths[(j + 1) % len(seg.lengths)], t0 + seg.start + j)",
+    # the tape keeps the lengths of one step more per segment than its replay reads
+    ("training.py", "if len(segments[-1].lengths) < segments[-1].steps",
+     "if len(segments[-1].lengths) <= segments[-1].steps",
+     ["tests/test_training.py::test_bench_tape_bytes_are_the_arrays_the_tape_keeps"]),
+    # the replay evaluates each step's force at the next kept step's lengths
+    ("training.py", "lengths=seg.lengths[j])", "lengths=seg.lengths[(j + 1) % len(seg.lengths)])",
      ["tests/test_training.py::test_segmented_tape_is_bitwise_the_full_tape"]),
+    # the replay draws the tie-break units of a step within the epoch, not
+    # of the absolute step
+    ("training.py", "sim_cfg.seed, t0 + seg.start + j,", "sim_cfg.seed, seg.start + j,",
+     ["tests/test_training.py::test_segmented_tape_is_bitwise_the_full_tape"]),
+    # the field recomputes the lengths it was given
+    ("forcefield.py", "dist = _geometry(ctx, X)[0] if lengths is None else lengths",
+     "dist = _geometry(ctx, X)[0]",
+     ["tests/test_forcefield.py::test_force_field_given_the_lengths_computes_no_geometry"]),
+    # the field hands out no lengths for a step with tie-broken edges
+    ("forcefield.py", "        on_lengths(dist)\n",
+     "        on_lengths(None if tied.any() else dist)\n",
+     ["tests/test_forcefield.py::test_vjp_given_the_lengths_is_bitwise_the_vjp_without",
+      "tests/test_training.py::test_bench_tape_bytes_are_the_arrays_the_tape_keeps"]),
     # the sweep hands each VJP the lengths of another step of its segment
     ("training.py", "seg.lengths + [None] * (seg.steps - len(seg.lengths))",
      "[None] * (seg.steps - len(seg.lengths)) + seg.lengths",
@@ -137,7 +153,7 @@ MUTANTS = [
     ("training.py", "max(0, steps - 2 + semi_implicit) * n_edges)",
      "max(0, steps - 2 + semi_implicit) * (2 * n_edges + n_nodes))",
      ["tests/test_training.py::test_bench_tape_bytes_are_the_arrays_the_tape_keeps"]),
-    # the VJP takes lengths of another shape
+    # the operators take lengths of another shape
     ("forcefield.py", "if lengths is not None and np.shape(lengths) != (ctx.n_edges,):",
      "if False:",
      ["tests/test_forcefield.py::test_vjp_refuses_lengths_of_another_shape"]),

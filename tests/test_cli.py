@@ -703,33 +703,42 @@ def test_calibrate_key_is_rejected(toy_csv, tmp_path, capsys):
     assert not (tmp_path / "m2").exists()
 
 
-# simulation settings are checked before the manifest is written
+# simulation and training settings are checked before the manifest is written
 @pytest.mark.parametrize("argv", [
     *[[command, flag, value] for command in ("embed", "eval")
       for flag, value in (("--k", "0"), ("--dt", "-1"), ("--damping", "1.5"))],
     ["embed", "--mu", "0", "--trace", "trace.csv"],
+    ["train", "--lr", "-5"], ["train", "--lr", "0"], ["train", "--checkpoint-every", "-2"],
 ], ids=lambda argv: " ".join(argv[:3]))
 def test_bad_simulation_setting_exits_1_before_writing(argv, toy_csv, tmp_path,
                                                        monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     params = tmp_path / "p.json"
     params.write_text(params_to_json(init_params("spring", 0)))
-    assert run_cli(*argv, "--params", params, "--input", toy_csv,
+    model = ["--model", "spring"] if argv[0] == "train" else ["--params", params]
+    assert run_cli(*argv, *model, "--input", toy_csv,
                    "--format", "rating_csv", "--out", "out") == 1
-    assert f"{argv[1][2:]} must" in capsys.readouterr().err
+    assert f"{argv[1][2:].replace('-', '_')} must" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["p.json"]
 
 
-@pytest.mark.parametrize("source, flag, bad, good", [
-    *[pytest.param(source, "--mu", mu, "2.5", id=f"{source[2:]} mu {mu}")
+@pytest.mark.parametrize("source, flag, bad, good, said", [
+    *[pytest.param(source, "--mu", mu, "2.5", "mu must", id=f"{source[2:]} mu {mu}")
       for source in ("--params", "--embeddings") for mu in ("0", "-1")],
-    pytest.param("--params", "--seeds", ",", "1", id="params seeds ,"),
+    pytest.param("--params", "--seeds", ",", "1", "seeds must", id="params seeds ,"),
+    pytest.param("--params", "--threads", "0", "2", "threads must", id="params threads 0"),
+    *[pytest.param("--params", "--p-hidden", p, "0.5", said, id=f"params p-hidden {p}")
+      for p, said in [("2", "p_hidden must"), ("-0.5", "p_hidden must"),
+                      ("0", "p_hidden 0.0 hides none")]],
 ])
-def test_bad_eval_setting_exits_1_before_writing(source, flag, bad, good, tmp_path,
+def test_bad_eval_setting_exits_1_before_writing(source, flag, bad, good, said, tmp_path,
                                                   monkeypatch, capsys):
     # eval scores with the mu that LossConfig checks, on either path, and
-    # reads its seed list before it writes the manifest
+    # reads its seed list and worker count and draws each seed's split before
+    # it writes the manifest; the split settings act on a graph that hides no sign
     graph, _ = hidden_toy()
+    if flag == "--p-hidden":
+        graph = graph.with_observed(graph.true_sign)
     (tmp_path / "graph.txt").write_text(dump_graph(graph))
     (tmp_path / "p.json").write_text(params_to_json(init_params("spring", 0)))
     write_embeddings_text(tmp_path / "emb.txt",
@@ -739,7 +748,7 @@ def test_bad_eval_setting_exits_1_before_writing(source, flag, bad, good, tmp_pa
     monkeypatch.chdir(tmp_path)
     argv = ["eval", *inputs, "--graph", "graph.txt", flag]
     assert run_cli(*argv, bad, "--out", "bad") == 1
-    assert f"{flag[2:]} must" in capsys.readouterr().err
+    assert said in capsys.readouterr().err
     assert not (tmp_path / "bad").exists()
     assert run_cli(*argv, good, "--out", "good") == 0
 

@@ -674,37 +674,56 @@ def test_vjp_property_coincident_endpoints(seed, kind, k):
        st.integers(1, 4), st.booleans())
 @settings(max_examples=20, deadline=None)
 def test_vjp_given_the_lengths_is_bitwise_the_vjp_without(seed, kind, k, tied):
-    # training's reverse sweep hands a step's VJP the lengths that its forward
-    # call handed out; a call with tie-broken edges hands out None, so the
-    # tied case takes the lengths from the field's own geometry
+    # training's forward pass keeps the lengths each step's field handed out,
+    # tie-broken edges or not; its reverse sweep hands them to the replay's
+    # field and to the step's VJP
     graph, statics, X, w, params = small_instance(seed, kind, k)
     if tied:
         X = make_coincident(graph, X, np.random.default_rng(seed))
     ctx = prepare(graph, statics)
     kept = []
-    force_field(ctx, params, X, seed=seed, step=3, on_lengths=kept.append)
+    want = force_field(ctx, params, X, seed=seed, step=3, on_lengths=kept.append)
     lengths = forcefield._geometry(ctx, X)[0]
-    assert len(kept) == 1
-    assert kept[0] is None if tied else np.array_equal(kept[0], lengths)
+    assert len(kept) == 1 and np.array_equal(kept[0], lengths)
+    assert (lengths < EPS).any() == tied
+    got = force_field(ctx, params, X, seed=seed, step=3, lengths=lengths.copy(),
+                      on_lengths=kept.append)
+    assert np.array_equal(got, want) and np.array_equal(kept[1], lengths)
     want = force_field_vjp(ctx, params, X, w, seed=seed, step=3)
     got = force_field_vjp(ctx, params, X, w, seed=seed, step=3, lengths=lengths.copy())
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+def test_force_field_given_the_lengths_computes_no_geometry(monkeypatch):
+    ctx, model, X, _ = checked_case()
+    lengths = forcefield._geometry(ctx, X)[0]
+    want = force_field(ctx, model, X)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("force_field recomputed the lengths it was given")
+
+    monkeypatch.setattr(forcefield, "_geometry", refuse)
+    assert np.array_equal(force_field(ctx, model, X, lengths=lengths), want)
+
+
 @pytest.mark.parametrize("shape", [(599,), (601,), (600, 1)])
-def test_vjp_refuses_lengths_of_another_shape(shape):
+@pytest.mark.parametrize("entry", ["force_field", "force_field_vjp"])
+def test_vjp_refuses_lengths_of_another_shape(entry, shape):
     ctx, model, X, w = checked_case()
+    args = (X,) if entry == "force_field" else (X, w)
     assert ctx.n_edges == 600
     with pytest.raises(ValueError, match=rf"lengths have shape {re.escape(str(shape))}, "
                                          r"expected \(600,\)"):
-        force_field_vjp(ctx, model, X, w, lengths=np.ones(shape))
+        getattr(forcefield, entry)(ctx, model, *args, lengths=np.ones(shape))
 
 
-def test_vjp_refuses_lengths_that_are_not_float64():
+@pytest.mark.parametrize("entry", ["force_field", "force_field_vjp"])
+def test_vjp_refuses_lengths_that_are_not_float64(entry):
     ctx, model, X, w = checked_case()
+    args = (X,) if entry == "force_field" else (X, w)
     for lengths, got in [(np.ones(600, np.float32), "float32"), ([1.0] * 600, "list")]:
         with pytest.raises(ValueError, match=f"lengths are {got}, expected a float64 array"):
-            force_field_vjp(ctx, model, X, w, lengths=lengths)
+            getattr(forcefield, entry)(ctx, model, *args, lengths=lengths)
 
 
 @given(st.integers(0, 10 ** 6), st.integers(1, 4))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from graphspring import (SignedGraph, SimConfig, compute_node_statics, forcefield,
                          init_params, load_checkpoint, save_checkpoint, training)
-from graphspring.forcefield import node_gain, prepare
+from graphspring.forcefield import EPS, node_gain, prepare
 from graphspring.forces import SpringParams
 from graphspring.training import (AdamState, Checkpoint, EpochStats, LossConfig,
                                   TrainConfig, adam_step, clip_gradient, loss,
@@ -258,13 +258,11 @@ def test_a_segmented_epoch_holds_its_segment_tape_and_a_few_node_arrays(
     assert peak <= tape + 6 * n * k * 8 + 40 * 8 * graph.n_edges
 
 
-def held_for_the_sweep(graph, st, params, sim, ctx):
-    """The bytes of the arrays `loss_and_grad` holds for its reverse sweep:
-    what `_taped_forward` keeps, and the replayed positions of its largest
-    segment."""
-    from graphspring.simulate import init_state
-    final, segments = training._taped_forward(graph, st, params, sim,
-                                              init_state(graph.n_nodes, sim), ctx)
+def held_for_the_sweep(graph, st, params, sim, ctx, state0):
+    """The bytes of the arrays `loss_and_grad` holds for its reverse sweep
+    from state0: what `_taped_forward` keeps, and the replayed positions of
+    its largest segment."""
+    final, segments = training._taped_forward(graph, st, params, sim, state0, ctx)
     kept = [final.X] + [a for seg in segments for a in (seg.X, seg.V, *seg.lengths)
                         if a is not None]
     dt_gain = node_gain(ctx, params, sim.dt)
@@ -279,16 +277,21 @@ def test_bench_tape_bytes_are_the_arrays_the_tape_keeps(k, monkeypatch):
     # the count from the graph's sizes alone is what the tape holds at every
     # length, forced, and under either ordering; 1 to 7 steps end on every
     # remainder of a segment.  bench counts the explicit ordering at the
-    # rule's length, which is 1 at k = 2 and above 1 at k = 16 for 20 and 40 steps
-    from graphspring import bench
+    # rule's length, which is 1 at k = 2 and above 1 at k = 16 for 20 and 40
+    # steps.  An edge whose ends coincide at the start is tie-broken at the
+    # first steps, which keep their lengths like any other
+    from graphspring import SimState, bench
     graph, _ = hidden_toy(seed=4)
     st = statics_of(graph)
     ctx = prepare(graph, st)
     n, m = graph.n_nodes, graph.n_edges
     params = init_params("spring-nn", 1)
+    X0 = np.random.default_rng(8).uniform(-1, 1, (n, k))
+    X0[graph.v[0]] = X0[graph.u[0]]
+    state0 = SimState(X0, np.zeros((n, k)))
     for n_steps in (*range(1, 8), 20, 40):
         sim = SimConfig(k=k, n_steps=n_steps, seed=6)
-        held, segments = held_for_the_sweep(graph, st, params, sim, ctx)
+        held, segments = held_for_the_sweep(graph, st, params, sim, ctx, state0)
         assert bench.tape_bytes(n, m, k, n_steps) == held
         if n_steps >= 20:
             assert (len(segments) < n_steps) == (k == 16)
@@ -297,7 +300,7 @@ def test_bench_tape_bytes_are_the_arrays_the_tape_keeps(k, monkeypatch):
             sim = SimConfig(k=k, n_steps=n_steps, seed=6, semi_implicit=semi_implicit)
             for length in range(1, n_steps + 2):
                 monkeypatch.setattr(training, "_segment_length", lambda *args: length)
-                held, segments = held_for_the_sweep(graph, st, params, sim, ctx)
+                held, segments = held_for_the_sweep(graph, st, params, sim, ctx, state0)
                 assert len(segments) == -(-n_steps // length)
                 assert training.tape_floats(n, m, k, n_steps, length,
                                             semi_implicit) * 8 == held
@@ -655,7 +658,7 @@ def test_segmented_tape_is_bitwise_the_full_tape(kind, semi_implicit, k, monkeyp
             assert [seg.steps for seg in segments] == [
                 min(length, n_steps - start) for start in range(0, n_steps, length)]
             if segments and segments[0].lengths:
-                assert segments[0].lengths[0] is None   # the tie-broken step keeps no lengths
+                assert segments[0].lengths[0][e] < EPS   # the tie-broken step keeps its lengths
 
 
 def test_divergence_reports_epoch():
