@@ -1,21 +1,13 @@
 """Command-line front end: ingest, split, train, embed, eval, bench.
 
 Every command exits 0 on success, 1 on runtime failure, 2 on usage errors.
-train, embed, eval and bench write a manifest of the resolved run before
-their long work (ingest and split write theirs last, after their outputs),
-and resolve their configuration as CLI flags > --config JSON file > built-in
-defaults; re-running one of them with --from-manifest reproduces the
-original outputs.
-
-Each shared setting is declared in one place: the simulating commands (train,
-embed and eval) take their common flags from one parent parser and their
-common defaults from `SIM_DEFAULTS`, whose values come from the library's
-config classes.  `_start` is the one resolver of a run's input files: a flag
-wins over the manifest's `input_paths`, a file taken from the manifest must
-still have its recorded hash, and the new manifest records and hashes every
-file the run reads.  `_split` is the one rule by which train, embed and eval
-choose the signs a run hides.  bench has one setting, the repetitions: it
-times the fixed run of `bench.record` and writes the record to `bench.json`.
+`_start` is the one settings step of train, embed, eval and bench.  It
+resolves the settings (flags > --config file > defaults, or a manifest's with
+--from-manifest, which reproduces the run), checks those no library config
+holds against `CLI_RANGES`, builds the configs whose classes check the rest,
+and resolves and hashes the input files, all before the command writes its
+manifest (ingest and split write theirs last).  `_split` is the one rule by
+which train, embed and eval choose the signs a run hides.
 """
 
 from __future__ import annotations
@@ -71,6 +63,24 @@ BENCH_DEFAULTS = {"reps": 7}
 
 # the files a run may read, by the flag that names them
 INPUTS = ("input", "graph", "params", "embeddings", "hidden_edges", "resume")
+
+
+def _seed_list(text: str) -> list[int]:
+    """eval's comma list of seeds; empty when a token is not an integer."""
+    try:
+        return [int(tok) for tok in text.split(",") if tok != ""]
+    except ValueError:
+        return []
+
+
+# the values accepted by the settings that no library config holds
+CLI_RANGES = {
+    "checkpoint_every": (lambda v: v >= 0, "be nonnegative"),
+    "split_seed": (lambda v: isinstance(v, int), "be an integer or null"),
+    "seeds": (lambda v: bool(_seed_list(v)), "be a non-empty comma list of integers"),
+    "threads": (lambda v: v >= 1, "be at least 1"),
+    "reps": (lambda v: v >= 1, "be at least 1"),
+}
 
 
 def _open_text(path: str):
@@ -141,24 +151,38 @@ def _resolve(defaults: dict, args: argparse.Namespace, config_file: str | None,
             raise ValueError(f"config key {key!r}{source} has the wrong type: got "
                              f"{json.dumps(value)}, default {json.dumps(defaults[key])}")
     config.update(loaded)
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            config[key] = value
+    config.update((key, getattr(args, key)) for key in defaults
+                  if getattr(args, key, None) is not None)
     return config
 
 
-def _start(args: argparse.Namespace, defaults: dict) -> tuple[dict, dict, Path]:
-    """Settings, input files and output directory of a train, embed or eval run.
-
-    An input file's flag wins over the manifest's `input_paths`; the returned
-    inputs go to the new manifest, which hashes each of them.  A replay refuses
-    a file taken from the manifest whose hash is not the one recorded.
-    """
+def _start(args: argparse.Namespace, defaults: dict, out: str = "run") -> tuple:
+    """A run's settings, inputs and output directory, then its checked configs:
+    a `SimConfig` and `SplitSpec` (or None) per seed, the `LossConfig` and
+    train's `TrainConfig`.  An input file's flag wins over the manifest's, and
+    a replay refuses a file from the manifest whose recorded hash is not its own."""
     manifest = _load_manifest(args.from_manifest) if args.from_manifest else None
     config = _resolve(defaults, args, args.config, manifest)
     if "split_seed" in config and config["split_seed"] is None:
         config["split_seed"] = config["seed"]
+    for key, (accepts, rule) in CLI_RANGES.items():
+        if key in config and not accepts(config[key]):
+            raise ValueError(f"{key} must {rule}, not {json.dumps(config[key])}")
+    sims, splits, loss_cfg, train_cfg = [], [], None, None
+    if "k" in config:   # train, embed and eval simulate
+        seeds = _seed_list(config["seeds"]) if "seeds" in config else [config["seed"]]
+        sims = [SimConfig(k=config["k"], dt=config["dt"], damping=config["damping"],
+                          n_steps=config["n_steps"], seed=seed,
+                          semi_implicit=config["semi_implicit"]) for seed in seeds]
+        # eval draws a split with each of its seeds, train and embed with split_seed
+        p_hidden = config["p_hidden"]
+        splits = [None if p_hidden is None else SplitSpec(p_hidden, seed)
+                  for seed in (seeds if "seeds" in config else [config["split_seed"]])]
+        loss_cfg = LossConfig(mu=config["mu"])
+    if "model" in config:
+        train_cfg = TrainConfig(
+            epochs=config["epochs"], sim=sims[0], loss=loss_cfg, model_kind=config["model"],
+            lr=config["lr"], seed=config["seed"], val_fraction=config["val_fraction"])
     recorded = (manifest or {}).get("input_paths", {})
     inputs = {key: getattr(args, key) or recorded.get(key)
               for key in INPUTS if hasattr(args, key)}
@@ -168,15 +192,10 @@ def _start(args: argparse.Namespace, defaults: dict) -> tuple[dict, dict, Path]:
             if got != want:
                 raise ValueError(f"input {path} has SHA-256 {got}, but the "
                                  f"manifest recorded {want}")
-    config["format"] = args.format or (manifest or {}).get("config", {}).get(
-        "format", "plain")
-    return config, inputs, Path(args.out or "run")
-
-
-def _sim_config(config: dict, seed: int) -> SimConfig:
-    return SimConfig(k=config["k"], dt=config["dt"], damping=config["damping"],
-                     n_steps=config["n_steps"], seed=seed,
-                     semi_implicit=config["semi_implicit"])
+    if hasattr(args, "format"):
+        config["format"] = args.format or (manifest or {}).get("config", {}).get(
+            "format", "plain")
+    return config, inputs, Path(args.out or out), sims, splits, loss_cfg, train_cfg
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict,
@@ -192,9 +211,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict,
         "artifacts": {k: str(v) for k, v in artifacts.items()},
     }
     out_dir.mkdir(parents=True, exist_ok=True)
-    with atomic_write(out_dir / "manifest.json") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    _write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
 def _load_graph(paths: dict, fmt: str) -> SignedGraph:
@@ -205,17 +222,16 @@ def _load_graph(paths: dict, fmt: str) -> SignedGraph:
     if not paths.get("input"):
         raise ValueError("either --graph or --input is required")
     with _open_text(paths["input"]) as fh:
-        stage = load_edge_list(fh, fmt)
-    return to_undirected(stage)
+        return to_undirected(load_edge_list(fh, fmt))
 
 
-def _split(graph: SignedGraph, config: dict, seed: int) -> tuple[SignedGraph, np.ndarray]:
+def _split(graph: SignedGraph, spec: SplitSpec | None) -> tuple[SignedGraph, np.ndarray]:
     """How train, embed and eval choose the hidden signs: a graph that hides a
-    sign keeps its split, a null p_hidden hides none, else `seed` draws them."""
+    sign keeps its split, no spec (a null p_hidden) hides none, else it draws."""
     hidden = graph.hidden_edges()
-    if hidden.size or config["p_hidden"] is None:
+    if hidden.size or spec is None:
         return graph, hidden
-    return hide_signs(graph, SplitSpec(config["p_hidden"], seed))
+    return hide_signs(graph, spec)
 
 
 def _load_params(path: str):
@@ -256,8 +272,7 @@ def cmd_ingest(args) -> int:
 def cmd_split(args) -> int:
     out = Path(args.out or "run")
     graph = _load_graph(vars(args), args.format)
-    seed = args.seed if args.seed is not None else 0
-    split_seed = args.split_seed if args.split_seed is not None else seed
+    split_seed = args.split_seed if args.split_seed is not None else args.seed or 0
     hidden_graph, hidden = hide_signs(graph, SplitSpec(args.p_hidden, split_seed))
     out.mkdir(parents=True, exist_ok=True)
     _write_text(out / "graph_split.txt", dump_graph(hidden_graph))
@@ -270,16 +285,9 @@ def cmd_split(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config, inputs, out = _start(args, TRAIN_DEFAULTS)
-    graph, _ = _split(_load_graph(inputs, config["format"]), config,
-                      config["split_seed"])
-    train_cfg = TrainConfig(
-        epochs=config["epochs"], sim=_sim_config(config, config["seed"]),
-        loss=LossConfig(mu=config["mu"]), model_kind=config["model"], lr=config["lr"],
-        seed=config["seed"], val_fraction=config["val_fraction"])
+    config, inputs, out, _, splits, _, train_cfg = _start(args, TRAIN_DEFAULTS)
+    graph, _ = _split(_load_graph(inputs, config["format"]), splits[0])
     every = config["checkpoint_every"]
-    if every < 0:
-        raise ValueError(f"checkpoint_every must be nonnegative, not {every}")
     resume = load_checkpoint(inputs["resume"]) if inputs["resume"] else None
     if resume is not None:
         check_resume(resume, train_cfg)
@@ -305,8 +313,7 @@ def cmd_train(args) -> int:
         raise RuntimeError(f"{err}; saved the checkpoint of epoch {last_good.epoch} "
                            f"to {out / 'checkpoint.json'}") from err
 
-    with atomic_write(out / "params.json") as fh:
-        fh.write(params_to_json(params))
+    _write_text(out / "params.json", params_to_json(params))
     write_history_csv(out / "history.csv", history)
     if history:
         print(f"trained {config['model']} for {len(history)} epochs; "
@@ -315,18 +322,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    config, inputs, out = _start(args, EMBED_DEFAULTS)
+    config, inputs, out, (sim,), (split,), loss_cfg, _ = _start(args, EMBED_DEFAULTS)
     if not inputs["params"]:
         raise ValueError("--params is required")
 
     params = _load_params(inputs["params"])
-    graph, _ = _split(_load_graph(inputs, config["format"]), config,
-                      config["split_seed"])
+    graph, _ = _split(_load_graph(inputs, config["format"]), split)
     if inputs["hidden_edges"]:
         graph = _hide_listed(graph, inputs["hidden_edges"])
 
-    sim = _sim_config(config, config["seed"])
-    loss_cfg = LossConfig(mu=config["mu"]) if args.trace else None
     emb_name = "embeddings.bin" if config["binary"] else "embeddings.txt"
     artifacts = {"embeddings": out / emb_name, "meta": out / "embed_meta.json"}
     _write_manifest(out, "embed", config, inputs, artifacts)
@@ -352,10 +356,8 @@ def cmd_embed(args) -> int:
     final = simulate(state, graph, statics, params, sim, ctx=ctx, on_step=on_step)
     solver_ms = (time.perf_counter() - started) * 1000.0
 
-    if config["binary"]:
-        write_embeddings_binary(out / emb_name, final.X)
-    else:
-        write_embeddings_text(out / emb_name, final.X)
+    write = write_embeddings_binary if config["binary"] else write_embeddings_text
+    write(out / emb_name, final.X)
     meta = {"solver_ms": solver_ms, "n_steps": sim.n_steps, "k": sim.k,
             "n_nodes": graph.n_nodes, "n_edges": graph.n_edges}
     _write_text(out / "embed_meta.json", json.dumps(meta, indent=2) + "\n")
@@ -417,10 +419,9 @@ def _eval_one(hidden_graph: SignedGraph, hidden: np.ndarray, params, sim: SimCon
 
 
 def cmd_eval(args) -> int:
-    config, inputs, out = _start(args, EVAL_DEFAULTS)
+    config, inputs, out, sims, specs, loss_cfg, _ = _start(args, EVAL_DEFAULTS)
     if not (inputs["embeddings"] or inputs["params"]):
         raise ValueError("eval needs either --embeddings or --params")
-    loss_cfg = LossConfig(mu=config["mu"])   # checks mu before anything is written
     chash = _config_hash(config)
     graph = _load_graph(inputs, config["format"])
     if inputs["embeddings"]:
@@ -430,46 +431,42 @@ def cmd_eval(args) -> int:
         if X.shape[0] != graph.n_nodes:
             raise ValueError(f"embedding file {emb_path} has {X.shape[0]} rows, "
                              f"graph has {graph.n_nodes} nodes")
-        _write_manifest(out, "eval", config, inputs, {"report": out / "report.json"})
-        report = evaluate(graph, graph.hidden_edges(), X, loss_cfg.mu, seed=None,
-                          config_hash=chash)
-        _write_text(out / "report.json", report.to_json())
-        table = report.to_table()
+        splits = [(graph, graph.hidden_edges())]
+        artifacts = {"report": out / "report.json"}
     else:
         params = _load_params(inputs["params"])
-        seeds = [int(tok) for tok in config["seeds"].split(",") if tok != ""]
-        if not seeds:
-            raise ValueError(f"seeds must list at least one seed, not {config['seeds']!r}")
-        if config["threads"] < 1:
-            raise ValueError(f"threads must be at least 1, not {config['threads']}")
-        sims = [_sim_config(config, s) for s in seeds]
-        splits = [_split(graph, config, s) for s in seeds]
-        for s, (_, hidden) in zip(seeds, splits):
-            if hidden.size == 0:
-                raise ValueError(f"no hidden edges to evaluate: p_hidden "
-                                 f"{config['p_hidden']} hides none at seed {s}")
-        _write_manifest(out, "eval", config, inputs,
-                        {"reports": out / "report_<seed>.json",
-                         "aggregate": out / "aggregate.json"})
+        splits = [_split(graph, spec) for spec in specs]
+        artifacts = {"reports": out / "report_<seed>.json",
+                     "aggregate": out / "aggregate.json"}
+    for sim, (split_graph, hidden) in zip(sims, splits):   # the AUC needs both signs
+        n_pos = int((graph.true_sign[hidden] == 1).sum())
+        if n_pos in (0, hidden.size):   # a split drawn here is a new graph
+            split = ("the graph's split" if split_graph is graph else
+                     f"the split of seed {sim.seed} (p_hidden {config['p_hidden']})")
+            raise ValueError(f"{split} hides {n_pos} positive and {hidden.size - n_pos} "
+                             "negative signs, but the AUC needs both")
+    _write_manifest(out, "eval", config, inputs, artifacts)
+    if inputs["embeddings"]:
+        reports = [evaluate(graph, splits[0][1], X, loss_cfg.mu, config_hash=chash)]
+        _write_text(out / "report.json", reports[0].to_json())
+    else:
         with concurrent.futures.ThreadPoolExecutor(config["threads"]) as pool:
             reports = list(pool.map(
                 lambda sim, split: _eval_one(*split, params, sim, loss_cfg, chash),
                 sims, splits))
-        for s, report in zip(seeds, reports):
-            _write_text(out / f"report_{s}.json", report.to_json())
+        for sim, report in zip(sims, reports):
+            _write_text(out / f"report_{sim.seed}.json", report.to_json())
         agg = aggregate_reports(reports)
         _write_text(out / "aggregate.json", json.dumps(agg, indent=2) + "\n")
-        table = reports[0].to_table() if len(reports) == 1 else aggregate_table(agg)
+    table = reports[0].to_table() if len(reports) == 1 else aggregate_table(agg)
     _write_text(out / "table.txt", table)
     print(table, end="")
     return 0
 
 
 def cmd_bench(args) -> int:
-    manifest = _load_manifest(args.from_manifest) if args.from_manifest else None
-    config = _resolve(BENCH_DEFAULTS, args, args.config, manifest)
-    out = Path(args.out if args.out else "bench")
-    _write_manifest(out, "bench", config, {}, {"bench": out / "bench.json"})
+    config, inputs, out, *_ = _start(args, BENCH_DEFAULTS, out="bench")
+    _write_manifest(out, "bench", config, inputs, {"bench": out / "bench.json"})
     record = bench.record(config["reps"])
     _write_text(out / "bench.json", json.dumps(record, indent=2) + "\n")
     for key, value in record.items():

@@ -67,8 +67,8 @@ class SimConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
         if not 0.0 <= self.damping < 1.0:
             raise ValueError("damping must be in [0, 1)")
         if self.n_steps < 0:

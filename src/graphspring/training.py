@@ -36,7 +36,7 @@ import numpy as np
 
 from . import rng
 from .artifacts import atomic_write
-from .forces import (ForceParams, decode_flat, encode_flat, init_params,
+from .forces import (MODEL_KINDS, ForceParams, decode_flat, encode_flat, init_params,
                      params_from_json, params_to_json)
 from .forcefield import (FieldContext, _block_rows, _csc_matvecs, force_field,
                          force_field_vjp, node_gain, prepare)
@@ -56,8 +56,8 @@ class LossConfig:
     mu: float = 2.5
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
+        if not 0 < self.mu < np.inf:
+            raise ValueError("mu must be positive and finite")
 
 
 def _loss_terms(graph: SignedGraph):
@@ -144,8 +144,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not 0 < self.lr < np.inf:
+            raise ValueError("lr must be positive and finite")
+        if self.model_kind not in MODEL_KINDS:
+            raise ValueError(f"model_kind must be one of {list(MODEL_KINDS)}, "
+                             f"not {self.model_kind!r}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in [0, 1)")
 

@@ -9,8 +9,8 @@ mutant and exits 1 if any survives or no longer applies.  Run it from anywhere:
 
     python tests/mutants.py
 
-A change to a VJP, the parser or the split rule adds its mutants here.  The
-file name keeps pytest from collecting it.
+A change to a VJP, the parser, the split rule or a setting's check adds its
+mutants here.  The file name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
@@ -26,9 +26,25 @@ ROOT = Path(__file__).resolve().parent.parent
 
 MUTANTS = [
     # the one split rule resamples a dump that already hides signs
-    ("cli.py", 'if hidden.size or config["p_hidden"] is None:',
-     'if config["p_hidden"] is None:',
+    ("cli.py", "if hidden.size or spec is None:", "if spec is None:",
      ["tests/test_cli.py::test_train_embed_and_eval_hide_the_same_signs"]),
+    # a run writes its manifest before the settings step checks its settings
+    ("cli.py", "    for key, (accepts, rule) in CLI_RANGES.items():\n",
+     '    _write_manifest(Path(args.out or out), "", config, {}, {})\n'
+     "    for key, (accepts, rule) in CLI_RANGES.items():\n",
+     ["tests/test_cli.py::test_bad_setting_exits_1_naming_it_before_writing"]),
+    # bench takes no repetitions, or fewer
+    ("cli.py", '    "reps": (lambda v: v >= 1, "be at least 1"),\n', "",
+     ["tests/test_cli.py::test_bad_setting_exits_1_naming_it_before_writing"]),
+    # eval scores hidden edges of one sign, which have no AUC
+    ("cli.py", "if n_pos in (0, hidden.size):", "if hidden.size == 0:",
+     ["tests/test_cli.py::test_bad_setting_exits_1_naming_it_before_writing"]),
+    # train takes a model kind that has no parameters, and fails after its manifest
+    ("training.py", "if self.model_kind not in MODEL_KINDS:", "if False:",
+     ["tests/test_cli.py::test_bad_setting_exits_1_naming_it_before_writing"]),
+    # a simulation takes a time step that is not a number
+    ("simulate.py", "if not 0 < self.dt < np.inf:", "if self.dt <= 0:",
+     ["tests/test_cli.py::test_bad_setting_exits_1_naming_it_before_writing"]),
     # a replay skips the hash comparison of its recorded inputs
     ("cli.py", "if got != want:", "if False:",
      ["tests/test_cli.py::test_replay_refuses_an_input_whose_hash_changed",

@@ -3,17 +3,19 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from graphspring import (SplitSpec, dump_graph, hide_signs, parse_graph_dump,
                          write_embeddings_text)
-from graphspring.cli import _hide_listed, _resolve, main
+from graphspring.cli import (BENCH_DEFAULTS, EMBED_DEFAULTS, EVAL_DEFAULTS, TRAIN_DEFAULTS,
+                             _hide_listed, _resolve, main)
 from graphspring.forces import SpringParams, init_params, params_to_json
 from graphspring.training import AdamState, Checkpoint, save_checkpoint
 
-from conftest import hidden_toy
+from conftest import hidden_toy, toy_graph
 
 
 @pytest.fixture(scope="module")
@@ -266,21 +268,6 @@ def test_unknown_config_key_rejected(toy_csv, tmp_path):
                                 "--out", tmp_path / "x")
     assert result.returncode == 1
     assert "bogus_option" in result.stderr
-
-
-@pytest.mark.parametrize("command,key,value", [
-    ("train", "k", "4"), ("train", "epochs", 1.5), ("train", "lr", "0.1"),
-    ("train", "semi_implicit", 1), ("train", "model", 3), ("train", "split_seed", "1"),
-    ("train", "checkpoint_every", "2"), ("embed", "p_hidden", True),
-    ("eval", "threads", "2"), ("eval", "seeds", 3), ("bench", "reps", "7"),
-])
-def test_config_value_of_wrong_type_exits_1_naming_the_key(command, key, value,
-                                                            tmp_path, capsys):
-    config = tmp_path / "conf.json"
-    config.write_text(json.dumps({key: value}))
-    assert run_cli(command, "--config", config, "--out", tmp_path / "o") == 1
-    assert f"config key '{key}'" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("default,value", [
@@ -703,54 +690,137 @@ def test_calibrate_key_is_rejected(toy_csv, tmp_path, capsys):
     assert not (tmp_path / "m2").exists()
 
 
-# simulation and training settings are checked before the manifest is written
-@pytest.mark.parametrize("argv", [
-    *[[command, flag, value] for command in ("embed", "eval")
-      for flag, value in (("--k", "0"), ("--dt", "-1"), ("--damping", "1.5"))],
-    ["embed", "--mu", "0", "--trace", "trace.csv"],
-    ["train", "--lr", "-5"], ["train", "--lr", "0"], ["train", "--checkpoint-every", "-2"],
-], ids=lambda argv: " ".join(argv[:3]))
-def test_bad_simulation_setting_exits_1_before_writing(argv, toy_csv, tmp_path,
-                                                       monkeypatch, capsys):
+# The settings step: each row is a run of a command with one setting at a bad
+# value, (command, setting, bad, good, said).  bad and good are flags added to
+# the command's quick run, or a dict for a --config file; the run with bad must
+# exit 1, print said ("<setting> must" unless given) and write nothing, and the
+# same run with good must exit 0.  Rows of a dict of the wrong JSON type are
+# caught when the settings are resolved, the others once they are checked.
+def _rows(command, setting, bads, good, said=None):
+    """A row per bad value."""
+    return [pytest.param(command, setting, bad, good, said or f"{setting} must",
+                         id=f"{command} " + (" ".join(bad) if isinstance(bad, list)
+                                             else json.dumps(bad)))
+            for bad in bads]
+
+
+def _flag_rows(command, setting, bads, good):
+    """A row per bad value of the setting's flag."""
+    flag = "--" + setting.replace("_", "-")
+    return _rows(command, setting, [[flag, bad] for bad in bads], [flag, good])
+
+
+def _sim_rows(command):
+    return [
+        *_flag_rows(command, "k", ["0", "-3"], "2"),
+        *_flag_rows(command, "dt", ["-1", "0", "nan", "inf"], "0.01"),
+        *_flag_rows(command, "damping", ["1.5", "1", "-0.1", "3"], "0.5"),
+        *_flag_rows(command, "n_steps", ["-1"], "0"),
+        *_flag_rows(command, "mu", ["0", "-1", "nan"], "2.5"),
+        *_flag_rows(command, "p_hidden", ["2", "-0.5"], "1"),
+        *_rows(command, "k", [{"k": "4"}], {"k": 2}, "config key 'k'"),
+    ]
+
+
+def _wrong_type(command, setting, bad, good):
+    return _rows(command, setting, [{setting: bad}], {setting: good},
+                 f"config key '{setting}'")
+
+
+SETTING_ROWS = [
+    *_sim_rows("train"),
+    *_rows("train", "model", [{"model": "foo"}], {"model": "spring"}, "model_kind must"),
+    *_wrong_type("train", "model", 3, "spring"),
+    *_flag_rows("train", "lr", ["-5", "0", "inf"], "0.1"),
+    *_wrong_type("train", "lr", "0.1", 0.1),
+    *_flag_rows("train", "epochs", ["0"], "2"),
+    *_wrong_type("train", "epochs", 1.5, 2),
+    *_flag_rows("train", "val_fraction", ["1", "-0.1"], "0.2"),
+    *_flag_rows("train", "checkpoint_every", ["-2"], "1"),
+    *_wrong_type("train", "checkpoint_every", "2", 2),
+    *_rows("train", "split_seed", [{"split_seed": 1.5}], {"split_seed": 4}),
+    *_wrong_type("train", "split_seed", "1", 1),
+    *_wrong_type("train", "semi_implicit", 1, True),
+    *_sim_rows("embed"),
+    *_rows("embed", "mu", [["--mu", "0", "--trace", "trace.csv"]], ["--mu", "2.5"]),
+    *_rows("embed", "split_seed", [{"split_seed": 0.5}], {"split_seed": 0}),
+    *_wrong_type("embed", "p_hidden", True, None),
+    *[row for source in ("eval --params", "eval --embeddings") for row in [
+        *_sim_rows(source),
+        *_flag_rows(source, "seeds", [",", "", "1,x", "1 2"], "1,,2"),
+        *_wrong_type(source, "seeds", 3, "3"),
+        *_flag_rows(source, "threads", ["0", "-1"], "2"),
+        *_wrong_type(source, "threads", "2", 2)]],
+    # the hidden edges eval scores hold both signs, on both of its paths
+    *_rows("eval --params", "p_hidden", [["--graph", "shown.txt", "--p-hidden", "0"]],
+           ["--graph", "shown.txt"], "seed 0 (p_hidden 0.0) hides 0 positive and 0"),
+    *[row for seeds in ("2", "3", "4", "10", "1,5,3") for row in _rows(
+        "eval --params", "p_hidden",
+        [["--graph", "ten.txt", "--p-hidden", "0.15", "--seeds", seeds]],
+        ["--graph", "ten.txt", "--p-hidden", "0.15", "--seeds", "1,5"],
+        f"seed {seeds.split(',')[-1]} (p_hidden 0.15) hides")],
+    *_rows("eval --embeddings", "graph", [["--graph", "shown.txt"]],
+           ["--graph", "graph.txt"], "the graph's split hides 0 positive and 0"),
+    *_flag_rows("bench", "reps", ["0", "-3"], "1"),
+    *_wrong_type("bench", "reps", "7", 1),
+]
+
+QUICK_RUNS = {
+    "train": ["train", "--graph", "graph.txt", "--k", "3", "--n-steps", "2",
+              "--epochs", "1"],
+    "embed": ["embed", "--params", "p.json", "--graph", "graph.txt", "--k", "3",
+              "--n-steps", "2"],
+    "eval --params": ["eval", "--params", "p.json", "--graph", "graph.txt", "--k", "3",
+                      "--n-steps", "2"],
+    "eval --embeddings": ["eval", "--embeddings", "emb.txt", "--graph", "graph.txt"],
+    "bench": ["bench"],
+}
+
+
+@pytest.mark.parametrize("command, setting, bad, good, said", SETTING_ROWS)
+def test_bad_setting_exits_1_naming_it_before_writing(command, setting, bad, good, said,
+                                                      tmp_path, monkeypatch, capsys):
+    from graphspring import bench
+    for name, value in [("N_NODES", 60), ("N_EDGES", 200), ("K", 3), ("N_STEPS", 4)]:
+        monkeypatch.setattr(bench, name, value)
     monkeypatch.chdir(tmp_path)
-    params = tmp_path / "p.json"
-    params.write_text(params_to_json(init_params("spring", 0)))
-    model = ["--model", "spring"] if argv[0] == "train" else ["--params", params]
-    assert run_cli(*argv, *model, "--input", toy_csv,
-                   "--format", "rating_csv", "--out", "out") == 1
-    assert f"{argv[1][2:].replace('-', '_')} must" in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.json"]
-
-
-@pytest.mark.parametrize("source, flag, bad, good, said", [
-    *[pytest.param(source, "--mu", mu, "2.5", "mu must", id=f"{source[2:]} mu {mu}")
-      for source in ("--params", "--embeddings") for mu in ("0", "-1")],
-    pytest.param("--params", "--seeds", ",", "1", "seeds must", id="params seeds ,"),
-    pytest.param("--params", "--threads", "0", "2", "threads must", id="params threads 0"),
-    *[pytest.param("--params", "--p-hidden", p, "0.5", said, id=f"params p-hidden {p}")
-      for p, said in [("2", "p_hidden must"), ("-0.5", "p_hidden must"),
-                      ("0", "p_hidden 0.0 hides none")]],
-])
-def test_bad_eval_setting_exits_1_before_writing(source, flag, bad, good, said, tmp_path,
-                                                  monkeypatch, capsys):
-    # eval scores with the mu that LossConfig checks, on either path, and
-    # reads its seed list and worker count and draws each seed's split before
-    # it writes the manifest; the split settings act on a graph that hides no sign
+    # a dump whose hidden edges hold both signs, that dump with every sign
+    # shown, and ten edges of which p_hidden 0.15 hides one sign at seeds 2,
+    # 3, 4 and 10
     graph, _ = hidden_toy()
-    if flag == "--p-hidden":
-        graph = graph.with_observed(graph.true_sign)
-    (tmp_path / "graph.txt").write_text(dump_graph(graph))
-    (tmp_path / "p.json").write_text(params_to_json(init_params("spring", 0)))
-    write_embeddings_text(tmp_path / "emb.txt",
+    Path("graph.txt").write_text(dump_graph(graph))
+    Path("shown.txt").write_text(dump_graph(graph.with_observed(graph.true_sign)))
+    Path("ten.txt").write_text(dump_graph(toy_graph(n_nodes=6, n_edges=10)))
+    Path("p.json").write_text(params_to_json(init_params("spring", 0)))
+    write_embeddings_text("emb.txt",
                           np.random.default_rng(1).normal(0, 1, (graph.n_nodes, 3)))
-    inputs = {"--params": ["--params", "p.json", "--k", "3", "--n-steps", "4"],
-              "--embeddings": ["--embeddings", "emb.txt"]}[source]
-    monkeypatch.chdir(tmp_path)
-    argv = ["eval", *inputs, "--graph", "graph.txt", flag]
-    assert run_cli(*argv, bad, "--out", "bad") == 1
+    before = sorted(p.name for p in tmp_path.iterdir())
+
+    def argv(value, out):
+        if isinstance(value, dict):
+            Path(f"{out}.json").write_text(json.dumps(value))
+            value = ["--config", f"{out}.json"]
+        return [*QUICK_RUNS[command], *value, "--out", out]
+
+    assert run_cli(*argv(bad, "bad")) == 1
     assert said in capsys.readouterr().err
-    assert not (tmp_path / "bad").exists()
-    assert run_cli(*argv, good, "--out", "good") == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        before + (["bad.json"] if isinstance(bad, dict) else []))
+    assert run_cli(*argv(good, "good")) == 0
+
+
+def test_every_setting_with_a_range_has_a_row():
+    # the settings that take every value of their JSON type; any other setting
+    # of train, embed, eval or bench needs a row of a value out of its range
+    unranged = {"seed", "semi_implicit", "binary"}
+    defaults = {"train": TRAIN_DEFAULTS, "embed": EMBED_DEFAULTS,
+                "eval --params": EVAL_DEFAULTS, "eval --embeddings": EVAL_DEFAULTS,
+                "bench": BENCH_DEFAULTS}
+    for command, settings in defaults.items():
+        checked = {setting for row_command, setting, _, _, said in
+                   (row.values for row in SETTING_ROWS)
+                   if row_command == command and not said.startswith("config key")}
+        assert set(settings) - unranged <= checked, command
 
 
 def test_embed_trace_runs_one_simulation_and_keeps_the_embeddings(
