@@ -79,11 +79,11 @@ def median_ms(fn, repeats: int = 7) -> tuple[float, float]:
 
 
 def tape_bytes(n_nodes: int, n_edges: int, k: int, n_steps: int) -> int:
-    """The bytes an explicit-ordering epoch holds for its reverse sweep
-    (`training.tape_floats` at `training._segment_length`'s length), the
-    replayed positions of the segment being swept among them."""
-    length = _segment_length(n_nodes, n_edges, k, n_steps, semi_implicit=False)
-    return tape_floats(n_nodes, n_edges, k, n_steps, length, semi_implicit=False) * 8
+    """The bytes an epoch holds for its reverse sweep (`training.tape_floats`
+    at `training._segment_length`'s length), the replayed positions of the
+    segment being swept among them."""
+    length = _segment_length(n_nodes, n_edges, k, n_steps)
+    return tape_floats(n_nodes, n_edges, k, n_steps, length) * 8
 
 
 def timed_operations(n_nodes: int, n_edges: int, k: int) -> dict:

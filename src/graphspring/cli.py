@@ -77,7 +77,8 @@ def _seed_list(text: str) -> list[int]:
 CLI_RANGES = {
     "checkpoint_every": (lambda v: v >= 0, "be nonnegative"),
     "split_seed": (lambda v: isinstance(v, int), "be an integer or null"),
-    "seeds": (lambda v: bool(_seed_list(v)), "be a non-empty comma list of integers"),
+    "seeds": (lambda v: 0 < len(set(_seed_list(v))) == len(_seed_list(v)),
+              "be a non-empty comma list of distinct integers"),
     "threads": (lambda v: v >= 1, "be at least 1"),
     "reps": (lambda v: v >= 1, "be at least 1"),
 }
@@ -384,7 +385,7 @@ def _hide_listed(graph: SignedGraph, path: str) -> SignedGraph:
             if not tokens or tokens[0].startswith("#"):
                 continue
             try:
-                a, b = (np.int64(tok) for tok in tokens[:2])
+                a, b = (np.int64(tok) for tok in tokens)
             except (ValueError, OverflowError):
                 raise ValueError(f"{path}:{lineno}: expected two node ids 'u v', "
                                  f"got {line.strip()!r}") from None

@@ -8,13 +8,11 @@ fix for stiff springs; the default matches the plain explicit ordering.
 The force field adds dt times the force straight into the damped velocities,
 so a step writes no n x k force array.
 
-`euler_step` is that update, and `simulate` the only loop that runs it
-forward: embedding calls it directly, and training's forward pass calls it with
-hooks that keep some states and the edge lengths of some steps' fields.
-Training's reverse sweep replays the steps between kept states through the
-same `euler_step`, adding each kept step's force with the same `force_field`
-given those lengths, so the replayed positions are bitwise the simulated
-ones.
+`simulate` is the only loop that steps the system.  Embedding calls it
+directly.  Training's forward pass calls it a segment of steps at a time, with
+a hook that keeps the edge lengths of each step's field, and its reverse sweep
+replays a segment by calling it again from the segment's start state with those
+lengths, so the replayed positions are bitwise the simulated ones.
 """
 
 from __future__ import annotations
@@ -95,53 +93,40 @@ def init_state(n_nodes: int, config: SimConfig) -> SimState:
     return SimState(X, np.zeros((n_nodes, config.k)), 0)
 
 
-def euler_step(X: np.ndarray, V: np.ndarray, config: SimConfig,
-               add_force=None) -> np.ndarray:
-    """One damped Euler step from positions X and velocities V: returns the new
-    positions, a new array, and leaves the new velocities in V.
-
-    `add_force(V)` adds dt times the force at X into V once V is damped.
-    Without it the step computes the new positions alone and leaves V as it
-    was, which only the explicit ordering, whose positions advance with the
-    old velocities, allows.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not config.semi_implicit:
-            X1 = config.dt * V                  # the old velocities
-        if add_force is not None:
-            V *= 1.0 - config.damping
-            add_force(V)
-        if config.semi_implicit:
-            X1 = config.dt * V                  # the new ones
-        X1 += X
-    return X1
-
-
 def simulate(state: SimState, graph: SignedGraph, statics: NodeStatics,
              model: ForceParams, config: SimConfig, ctx: FieldContext | None = None,
-             on_step=None, on_lengths=None) -> SimState:
-    """Apply `config.n_steps` steps; `on_step(state)` is called after each.
+             on_step=None, on_lengths=None, lengths=()) -> SimState:
+    """Apply `config.n_steps` damped Euler steps; `on_step(state)` is called
+    after each.
 
     Each step allocates only its new position matrix.  The velocities live in
     one array, a copy of `state.V` updated in place: every state passed to
     `on_step` shares it, so a hook that keeps velocities must copy them.  The
     gain is evaluated once per call, and each step damps V and then adds
     dt times the force straight into it.  `on_lengths` goes to each step's
-    `force_field` call, before that step's `on_step`.  A step whose state sums
-    to a finite number is finite; only one that does not is checked entry by
-    entry.
+    `force_field` call, before that step's `on_step`; where `lengths[j]` is
+    given, step j's call takes it as `lengths=` instead of computing them.  A
+    step whose state sums to a finite number is finite; only one that does not
+    is checked entry by entry.
     """
     if ctx is None:
         ctx = prepare(graph, statics)
     V = state.V.copy()
     gain = node_gain(ctx, model, config.dt)
-    for _ in range(config.n_steps):
-        X1 = euler_step(state.X, V, config, lambda out: force_field(
-            ctx, model, state.X, seed=config.seed, step=state.t_step, out=out,
-            gain=gain, on_lengths=on_lengths))
-        # a sum of finite terms may overflow, but one with a non-finite term
-        # is never finite
+    for j in range(config.n_steps):
+        X = state.X
         with np.errstate(over="ignore", invalid="ignore"):
+            if not config.semi_implicit:
+                X1 = config.dt * V                  # the old velocities
+            V *= 1.0 - config.damping
+            force_field(ctx, model, X, seed=config.seed, step=state.t_step, out=V,
+                        gain=gain, on_lengths=on_lengths,
+                        lengths=lengths[j] if j < len(lengths) else None)
+            if config.semi_implicit:
+                X1 = config.dt * V                  # the new ones
+            X1 += X
+            # a sum of finite terms may overflow, but one with a non-finite
+            # term is never finite
             finite = np.isfinite(X1.sum() + V.sum())
         if not finite and not (np.isfinite(X1).all() and np.isfinite(V).all()):
             raise SimulationDivergedError(state.t_step + 1, worst_node(X1, V))

@@ -1,21 +1,20 @@
 """Loss, reverse-mode gradients through the unrolled simulation, and Adam.
 
-The forward pass is `simulate.simulate` with hooks that keep a tape in
-segments of L steps: each keeps the positions and velocities at its first
-step and the m edge lengths that `force_field` computed at its first L - 2
-steps (L - 1 under the semi-implicit ordering).  The backward pass walks the
-steps in reverse, applying the hand-derived vector-Jacobian products of the
-Euler update and of the force field, whose position gradient is added into
-the running one in place.  On reaching a segment it replays the positions in
-between through `simulate.euler_step`, adding each kept step's force with
-`force_field` at that step's lengths, bitwise the simulated ones; the VJPs
-of those steps read the same lengths instead of computing them again.  So
-every force an epoch adds goes through `force_field`.  L is the length whose
-tape holds the fewest floats (`tape_floats`, `_segment_length`): about 15
-steps at BitcoinOTC size, k = 64 and 120 steps, and 1, the plain tape of
-every position, where a step's lengths are not fewer floats than its
-positions (a dense graph at small k).  Gradients are flat vectors aligned
-with `params.flatten()`.
+The forward pass is `simulate.simulate` run a segment of L steps at a time,
+keeping a tape: each segment keeps the state it starts from and the m edge
+lengths that `force_field` computed at each of its steps but the last.  The
+backward pass walks the steps in reverse, applying the hand-derived
+vector-Jacobian products of the Euler update and of the force field, whose
+position gradient is added into the running one in place.  On reaching a
+segment it replays the positions in between with `simulate` again, from the
+segment's start state and at the kept lengths, bitwise the simulated ones; the
+VJPs of those steps read the same lengths instead of computing them again.
+The count of what the tape holds is the same under either ordering.  L is the
+length whose tape holds the fewest floats (`tape_floats`, `_segment_length`):
+about 15 steps at BitcoinOTC size, k = 64 and 120 steps, and 1, the plain tape
+of every position, where a step's lengths are not fewer floats than its
+positions (a dense graph at small k).  Gradients are flat vectors aligned with
+`params.flatten()`.
 
 The loss goes through its edges a block of forcefield.BLOCK_BYTES of edge
 vectors at a time, and adds its gradient into the (n, k) result with scipy's
@@ -38,12 +37,12 @@ from . import rng
 from .artifacts import atomic_write
 from .forces import (MODEL_KINDS, ForceParams, decode_flat, encode_flat, init_params,
                      params_from_json, params_to_json)
-from .forcefield import (FieldContext, _block_rows, _csc_matvecs, force_field,
-                         force_field_vjp, node_gain, prepare)
+from .forcefield import (FieldContext, _block_rows, _csc_matvecs, force_field_vjp,
+                         node_gain, prepare)
 from .graphs import NodeStatics, SignedGraph, compute_node_statics
 from .metrics import auc, f1_scores, predict, predict_prob
-from .simulate import (SimConfig, SimState, SimulationDivergedError, euler_step,
-                       init_state, simulate, worst_node)
+from .simulate import (SimConfig, SimState, SimulationDivergedError, init_state,
+                       simulate, worst_node)
 
 EPOCH_INIT_TAG = "epoch-init"
 VAL_TAG = "val-hide"
@@ -164,10 +163,10 @@ def _add_scaled(out: np.ndarray, a: np.ndarray, factor: float,
 
 @dataclass
 class _Segment:
-    """Steps start .. start + steps - 1 of the reverse sweep: the positions at
-    the first, and what the replay of the others needs, the velocities there
-    (a copy the replay advances in place) and the edge lengths of each step
-    whose force it adds."""
+    """Steps start .. start + steps - 1 of the reverse sweep: the state
+    `simulate` starts them from, whose velocities only a segment of more than
+    one step keeps, and the edge lengths of each step but the last, which the
+    replay of the positions after the first reads."""
     start: int
     steps: int
     X: np.ndarray
@@ -175,83 +174,63 @@ class _Segment:
     lengths: list
 
 
-def tape_floats(n_nodes: int, n_edges: int, k: int, n_steps: int, length: int,
-                semi_implicit: bool) -> int:
+def tape_floats(n_nodes: int, n_edges: int, k: int, n_steps: int, length: int) -> int:
     """The floats an epoch of `n_steps` steps holds for its reverse sweep in
     segments of `length` steps: the final positions, which the loss reads;
-    per segment the positions at its first step, a copy of the velocities
-    there if it has more, and the m edge lengths of each step whose force its
-    replay adds, steps - 2 of them (steps - 1 under the semi-implicit
-    ordering); and the positions after the first that the sweep replays of
-    its largest segment."""
+    per segment the positions at its first step, the velocities there if it
+    has more, and the m edge lengths of each step but its last; and the
+    positions after the first that the sweep replays of its largest segment."""
     def segment(steps: int) -> int:
-        return (n_nodes * k * (1 + (steps > 1))
-                + max(0, steps - 2 + semi_implicit) * n_edges)
+        return n_nodes * k * (1 + (steps > 1)) + (steps - 1) * n_edges
 
     full, rest = divmod(n_steps, length)
     window = max(0, min(length, n_steps) - 1)
     return n_nodes * k * (1 + window) + full * segment(length) + (rest > 0) * segment(rest)
 
 
-def _segment_length(n_nodes: int, n_edges: int, k: int, n_steps: int,
-                    semi_implicit: bool) -> int:
+def _segment_length(n_nodes: int, n_edges: int, k: int, n_steps: int) -> int:
     """The segment length in 1 .. n_steps whose tape holds the fewest floats
     (`tape_floats`), the shorter on a tie; 1 is the plain position tape.
     Longer segments keep fewer start states but replay more positions, and
     each replayed step keeps its edge lengths, so the least is near
-    sqrt(2 T (1 - m / (n k))) steps, and at 1 where a step's lengths are not
+    sqrt(T (2 - m / (n k))) steps, and at 1 where a step's lengths are not
     fewer floats than its positions."""
     return min(range(1, max(n_steps, 1) + 1),
-               key=lambda length: tape_floats(n_nodes, n_edges, k, n_steps, length,
-                                              semi_implicit))
+               key=lambda length: tape_floats(n_nodes, n_edges, k, n_steps, length))
 
 
 def _taped_forward(graph: SignedGraph, statics: NodeStatics, params: ForceParams,
                    sim_cfg: SimConfig, state: SimState, ctx: FieldContext
                    ) -> tuple[SimState, list[_Segment]]:
-    """`simulate` from `state`, keeping the tape of the reverse sweep: the
-    segments of every step, first step first."""
+    """`simulate` from `state` a segment at a time, keeping the tape of the
+    reverse sweep: the segments of every step, first step first."""
     n_steps = sim_cfg.n_steps
-    length = _segment_length(ctx.n_nodes, ctx.n_edges, state.X.shape[1], n_steps,
-                             sim_cfg.semi_implicit)
+    length = _segment_length(ctx.n_nodes, ctx.n_edges, state.X.shape[1], n_steps)
     segments: list[_Segment] = []
-    t0 = state.t_step
-
-    # the hooks get each step's lengths, then the state it reaches
-    def keep_state(s: SimState) -> None:
-        t = s.t_step - t0
-        if t < n_steps and t % length == 0:
-            steps = min(length, n_steps - t)
-            segments.append(_Segment(t, steps, s.X, s.V.copy() if steps > 1 else None, []))
-
-    # the replay of a segment recomputes its positions after the first: the
-    # explicit ordering's last one advances with velocities that need no
-    # further force, so it keeps the lengths of one step fewer
-    def keep_lengths(dist: np.ndarray) -> None:
-        if len(segments[-1].lengths) < segments[-1].steps - 2 + sim_cfg.semi_implicit:
-            segments[-1].lengths.append(dist)
-
-    keep_state(state)
-    final = simulate(state, graph, statics, params, sim_cfg, ctx=ctx,
-                     on_step=keep_state, on_lengths=keep_lengths)
-    return final, segments
+    for start in range(0, n_steps, length):
+        steps = min(length, n_steps - start)
+        # simulate advances a copy of V, so the state it starts from stays as it is
+        seg = _Segment(start, steps, state.X, state.V if steps > 1 else None, [])
+        state = simulate(state, graph, statics, params, replace(sim_cfg, n_steps=steps),
+                         ctx=ctx, on_lengths=seg.lengths.append)
+        del seg.lengths[steps - 1:]   # the replay stops at the last step's positions
+        segments.append(seg)
+    return state, segments
 
 
-def _replay(seg: _Segment, ctx: FieldContext, params: ForceParams,
-            sim_cfg: SimConfig, t0: int, dt_gain: np.ndarray
+def _replay(seg: _Segment, graph: SignedGraph, statics: NodeStatics,
+            params: ForceParams, sim_cfg: SimConfig, ctx: FieldContext, t0: int
             ) -> list[tuple[np.ndarray, np.ndarray | None]]:
     """A segment's steps, first to last, each as its positions and the lengths
-    the tape kept for it (None where it kept none).  The positions are its
-    start positions, then those `euler_step` recomputes from its start state
-    with `force_field` at each step's kept lengths, bitwise the simulated ones."""
+    the tape kept for it (None for the last).  The positions after the first
+    are `simulate`'s from the segment's start state, at the kept lengths,
+    bitwise the simulated ones."""
     positions = [seg.X]
-    for j in range(seg.steps - 1):
-        X = positions[-1]   # the lambda reads X and j before they move on
-        add_force = None if j >= len(seg.lengths) else lambda V: force_field(
-            ctx, params, X, sim_cfg.seed, t0 + seg.start + j, out=V, gain=dt_gain,
-            lengths=seg.lengths[j])
-        positions.append(euler_step(X, seg.V, sim_cfg, add_force))
-    return list(zip(positions, seg.lengths + [None] * (seg.steps - len(seg.lengths))))
+    if seg.steps > 1:
+        simulate(SimState(seg.X, seg.V, t0 + seg.start), graph, statics, params,
+                 replace(sim_cfg, n_steps=seg.steps - 1), ctx=ctx,
+                 on_step=lambda s: positions.append(s.X), lengths=seg.lengths)
+    return list(zip(positions, seg.lengths + [None]))
 
 
 def loss_and_grad(graph: SignedGraph, statics: NodeStatics, params: ForceParams,
@@ -278,7 +257,7 @@ def loss_and_grad(graph: SignedGraph, statics: NodeStatics, params: ForceParams,
     # gV += dt gX goes through this block of rows, not a whole (n, k) temporary
     buf = np.empty((_block_rows(*gX.shape), gX.shape[1]))
     dt, damp = sim_cfg.dt, sim_cfg.damping
-    gain, dt_gain = node_gain(ctx, params), node_gain(ctx, params, dt)
+    gain = node_gain(ctx, params)
     grad = np.zeros_like(params.flatten())
     window: list[tuple[np.ndarray, np.ndarray | None]] = []
 
@@ -291,7 +270,7 @@ def loss_and_grad(graph: SignedGraph, statics: NodeStatics, params: ForceParams,
         if not sim_cfg.semi_implicit:
             _add_scaled(gV, gX, dt, buf)
         if not window:
-            window = _replay(segments.pop(), ctx, params, sim_cfg, t0, dt_gain)
+            window = _replay(segments.pop(), graph, statics, params, sim_cfg, ctx, t0)
         X, lengths = window.pop()
         _, dtheta = force_field_vjp(ctx, params, X, w, seed=sim_cfg.seed, step=t0 + t,
                                     out=gX, gain=gain, lengths=lengths)

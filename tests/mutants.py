@@ -33,6 +33,13 @@ MUTANTS = [
      '    _write_manifest(Path(args.out or out), "", config, {}, {})\n'
      "    for key, (accepts, rule) in CLI_RANGES.items():\n",
      ["tests/test_cli.py::test_bad_setting_exits_1_naming_it_before_writing"]),
+    # eval takes a seed twice, and aggregates a run with itself
+    ("cli.py", "0 < len(set(_seed_list(v))) == len(_seed_list(v))", "bool(_seed_list(v))",
+     ["tests/test_cli.py::test_bad_setting_exits_1_naming_it_before_writing"]),
+    # a listed hidden edge's line may carry fields after its two ids
+    ("cli.py", "a, b = (np.int64(tok) for tok in tokens)",
+     "a, b = (np.int64(tok) for tok in tokens[:2])",
+     ["tests/test_cli.py::test_hidden_edges_file_must_list_graph_edges"]),
     # bench takes no repetitions, or fewer
     ("cli.py", '    "reps": (lambda v: v >= 1, "be at least 1"),\n', "",
      ["tests/test_cli.py::test_bad_setting_exits_1_naming_it_before_writing"]),
@@ -62,8 +69,12 @@ MUTANTS = [
     # the Euler update damps the velocities after adding the force, not before
     ("simulate.py",
      "            V *= 1.0 - config.damping\n"
-     "            add_force(V)\n",
-     "            add_force(V)\n"
+     "            force_field(ctx, model, X, seed=config.seed, step=state.t_step, out=V,\n"
+     "                        gain=gain, on_lengths=on_lengths,\n"
+     "                        lengths=lengths[j] if j < len(lengths) else None)\n",
+     "            force_field(ctx, model, X, seed=config.seed, step=state.t_step, out=V,\n"
+     "                        gain=gain, on_lengths=on_lengths,\n"
+     "                        lengths=lengths[j] if j < len(lengths) else None)\n"
      "            V *= 1.0 - config.damping\n",
      ["tests/test_simulate.py::test_one_step_is_the_damped_euler_update_of_the_public_force_field",
       "tests/test_acceptance.py::test_c05_two_body_oracle"]),
@@ -136,21 +147,24 @@ MUTANTS = [
     ("training.py", "_add_scaled(gV, gX, dt, buf)   # the adjoint of V1",
      "_add_scaled(gV, gX, 2 * dt, buf)   # the adjoint of V1",
      ["tests/test_training.py::test_semi_implicit_gradients_match_fd"]),
-    # the tape keeps the lengths of one step fewer per segment, so the replay
-    # adds no force at the last step whose positions it recomputes
-    ("training.py", "< segments[-1].steps - 2 + sim_cfg.semi_implicit",
-     "< segments[-1].steps - 3 + sim_cfg.semi_implicit",
-     ["tests/test_training.py::test_segmented_tape_is_bitwise_the_full_tape"]),
+    # the forward pass keeps the lengths of one step fewer per segment, which
+    # the replay then computes again
+    ("training.py", "del seg.lengths[steps - 1:]", "del seg.lengths[steps - 2:]",
+     ["tests/test_training.py::test_bench_tape_bytes_are_the_arrays_the_tape_keeps"]),
     # the tape keeps the lengths of one step more per segment than its replay reads
-    ("training.py", "if len(segments[-1].lengths) < segments[-1].steps",
-     "if len(segments[-1].lengths) <= segments[-1].steps",
+    ("training.py", "del seg.lengths[steps - 1:]", "del seg.lengths[steps:]",
      ["tests/test_training.py::test_bench_tape_bytes_are_the_arrays_the_tape_keeps"]),
     # the replay evaluates each step's force at the next kept step's lengths
-    ("training.py", "lengths=seg.lengths[j])", "lengths=seg.lengths[(j + 1) % len(seg.lengths)])",
+    ("training.py", "lengths=seg.lengths)", "lengths=seg.lengths[1:])",
      ["tests/test_training.py::test_segmented_tape_is_bitwise_the_full_tape"]),
-    # the replay draws the tie-break units of a step within the epoch, not
-    # of the absolute step
-    ("training.py", "sim_cfg.seed, t0 + seg.start + j,", "sim_cfg.seed, seg.start + j,",
+    # simulate evaluates step j's force at the lengths given for step j + 1
+    ("simulate.py", "lengths=lengths[j] if j < len(lengths) else None)",
+     "lengths=lengths[j + 1] if j + 1 < len(lengths) else None)",
+     ["tests/test_simulate.py::test_simulate_given_the_lengths_it_handed_out_is_bitwise_simulate_without",
+      "tests/test_training.py::test_segmented_tape_is_bitwise_the_full_tape"]),
+    # the replay starts at the segment's step within the epoch, not at the
+    # absolute step, and so draws other tie-break units
+    ("training.py", "SimState(seg.X, seg.V, t0 + seg.start)", "SimState(seg.X, seg.V, seg.start)",
      ["tests/test_training.py::test_segmented_tape_is_bitwise_the_full_tape"]),
     # the field recomputes the lengths it was given
     ("forcefield.py", "dist = _geometry(ctx, X)[0] if lengths is None else lengths",
@@ -162,12 +176,11 @@ MUTANTS = [
      ["tests/test_forcefield.py::test_vjp_given_the_lengths_is_bitwise_the_vjp_without",
       "tests/test_training.py::test_bench_tape_bytes_are_the_arrays_the_tape_keeps"]),
     # the sweep hands each VJP the lengths of another step of its segment
-    ("training.py", "seg.lengths + [None] * (seg.steps - len(seg.lengths))",
-     "[None] * (seg.steps - len(seg.lengths)) + seg.lengths",
+    ("training.py", "zip(positions, seg.lengths + [None])",
+     "zip(positions, [None] + seg.lengths)",
      ["tests/test_training.py::test_segmented_tape_is_bitwise_the_full_tape"]),
     # the count keeps a replayed step's 2m + n CSR values, not its m lengths
-    ("training.py", "max(0, steps - 2 + semi_implicit) * n_edges)",
-     "max(0, steps - 2 + semi_implicit) * (2 * n_edges + n_nodes))",
+    ("training.py", "(steps - 1) * n_edges", "(steps - 1) * (2 * n_edges + n_nodes)",
      ["tests/test_training.py::test_bench_tape_bytes_are_the_arrays_the_tape_keeps"]),
     # the operators take lengths of another shape
     ("forcefield.py", "if lengths is not None and np.shape(lengths) != (ctx.n_edges,):",
@@ -182,8 +195,9 @@ MUTANTS = [
     # the tape's count leaves out the positions the sweep replays
     ("training.py", "window = max(0, min(length, n_steps) - 1)", "window = 0",
      ["tests/test_training.py::test_bench_tape_bytes_are_the_arrays_the_tape_keeps"]),
-    # the count keeps the explicit ordering's values under the semi-implicit one
-    ("training.py", "max(0, steps - 2 + semi_implicit)", "max(0, steps - 2)",
+    # the count leaves out the lengths of a segment's last replayed step, as
+    # when the explicit ordering replayed its last position without a force
+    ("training.py", "(steps - 1) * n_edges", "max(0, steps - 2) * n_edges",
      ["tests/test_training.py::test_bench_tape_bytes_are_the_arrays_the_tape_keeps"]),
     # the rule never picks the plain tape
     ("training.py", "min(range(1, max(n_steps, 1) + 1),", "min(range(2, max(n_steps, 1) + 1),",

@@ -747,7 +747,7 @@ SETTING_ROWS = [
     *_wrong_type("embed", "p_hidden", True, None),
     *[row for source in ("eval --params", "eval --embeddings") for row in [
         *_sim_rows(source),
-        *_flag_rows(source, "seeds", [",", "", "1,x", "1 2"], "1,,2"),
+        *_flag_rows(source, "seeds", [",", "", "1,x", "1 2", "1,1"], "1,,2"),
         *_wrong_type(source, "seeds", 3, "3"),
         *_flag_rows(source, "threads", ["0", "-1"], "2"),
         *_wrong_type(source, "threads", "2", 2)]],
@@ -889,7 +889,10 @@ def test_hidden_edges_file_must_list_graph_edges(toy_csv, tmp_path, capsys):
             (f"{graph.u[0]} {graph.n_nodes + 3}\n", 1, "not an edge"),
             (f"{graph.u[0]} {graph.v[0]}\n\n{graph.u[1]}\n", 3, "expected two node ids"),
             ("7 x\n", 1, "expected two node ids"),
-            (f"{graph.u[0]} {2 ** 64}\n", 1, "expected two node ids")]:
+            (f"{graph.u[0]} {2 ** 64}\n", 1, "expected two node ids"),
+            (f"{graph.u[0]} {graph.v[0]} -1\n", 1, "expected two node ids"),
+            (f"{graph.u[0]} {graph.v[0]}\n{graph.u[1]} {graph.v[1]} garbage 7\n", 2,
+             "expected two node ids")]:
         listed.write_text(text)
         code = run_cli("embed", "--params", params, "--graph", ing / "graph.txt",
                        "--hidden-edges", listed, "--k", "2", "--n-steps", "1",

@@ -6,7 +6,7 @@ from graphspring import (SignedGraph, SimConfig, SimState,
                          read_embeddings_binary, read_embeddings_text,
                          simulate, write_embeddings_binary,
                          write_embeddings_text)
-from graphspring.forcefield import force_field, prepare
+from graphspring.forcefield import EPS, force_field, prepare
 from graphspring.forces import SpringParams, init_params
 from graphspring.simulate import mean_abs_velocity, worst_node
 
@@ -121,6 +121,40 @@ def test_simulate_leaves_the_input_state_untouched(semi_implicit):
     final = simulate(state, graph, statics_of(graph), SpringParams(beta=0.3), cfg)
     assert np.array_equal(state.X, X0) and np.array_equal(state.V, V0)
     assert final.t_step == 6 and not np.array_equal(final.V, V0)
+
+
+@pytest.mark.parametrize("semi_implicit", [False, True])
+@pytest.mark.parametrize("kind", ["spring", "spring-nn"])
+def test_simulate_given_the_lengths_it_handed_out_is_bitwise_simulate_without(
+        kind, semi_implicit):
+    # training's replay runs simulate again at the lengths its forward pass
+    # kept, for all of a run's steps or its first few.  A non-positive edge
+    # whose ends coincide and move alike is tie-broken at the first step, whose
+    # units depend on the absolute step
+    graph, _ = hidden_toy(seed=4)
+    st = statics_of(graph)
+    cfg = SimConfig(k=3, n_steps=6, seed=6, semi_implicit=semi_implicit)
+    model = init_params(kind, seed=1)
+    e = np.flatnonzero(graph.observed_sign != 1)[0]
+    rand = np.random.default_rng(8)
+    X0 = rand.uniform(-1, 1, (graph.n_nodes, cfg.k))
+    V0 = rand.normal(0, 0.5, X0.shape)
+    X0[graph.v[e]], V0[graph.v[e]] = X0[graph.u[e]], V0[graph.u[e]]
+    state0 = SimState(X0, V0, 5)
+
+    def run(**hooks):
+        states = []
+        simulate(state0, graph, st, model, cfg,
+                 on_step=lambda s: states.append((s.X, s.V.copy())), **hooks)
+        return states
+
+    lengths = []
+    want = run(on_lengths=lengths.append)
+    assert len(lengths) == cfg.n_steps and lengths[0][e] < EPS
+    for given in (lengths, lengths[:2]):
+        got = run(lengths=given)
+        assert all(np.array_equal(X, X_want) and np.array_equal(V, V_want)
+                   for (X, V), (X_want, V_want) in zip(got, want, strict=True))
 
 
 def test_composition_associative_bitwise():

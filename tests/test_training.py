@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from graphspring import (SignedGraph, SimConfig, compute_node_statics, forcefield,
                          init_params, load_checkpoint, save_checkpoint, training)
-from graphspring.forcefield import EPS, node_gain, prepare
+from graphspring.forcefield import EPS, prepare
 from graphspring.forces import SpringParams
 from graphspring.training import (AdamState, Checkpoint, EpochStats, LossConfig,
                                   TrainConfig, adam_step, clip_gradient, loss,
@@ -250,9 +250,9 @@ def test_a_segmented_epoch_holds_its_segment_tape_and_a_few_node_arrays(
     ctx = prepare(graph, statics)
     n, k = X.shape
     sim = SimConfig(k=k, n_steps=60, seed=1, semi_implicit=semi_implicit)
-    length = training._segment_length(n, graph.n_edges, k, sim.n_steps, semi_implicit)
+    length = training._segment_length(n, graph.n_edges, k, sim.n_steps)
     assert length > 1
-    tape = training.tape_floats(n, graph.n_edges, k, sim.n_steps, length, semi_implicit) * 8
+    tape = training.tape_floats(n, graph.n_edges, k, sim.n_steps, length) * 8
     peak = traced_peak(lambda: loss_and_grad(graph, statics, init_params(kind, 3), sim,
                                              LossConfig(), ctx=ctx))
     assert peak <= tape + 6 * n * k * 8 + 40 * 8 * graph.n_edges
@@ -265,21 +265,20 @@ def held_for_the_sweep(graph, st, params, sim, ctx, state0):
     final, segments = training._taped_forward(graph, st, params, sim, state0, ctx)
     kept = [final.X] + [a for seg in segments for a in (seg.X, seg.V, *seg.lengths)
                         if a is not None]
-    dt_gain = node_gain(ctx, params, sim.dt)
-    window = max((sum(X.nbytes for X, _ in training._replay(seg, ctx, params, sim, 0,
-                                                            dt_gain)[1:])
+    window = max((sum(X.nbytes for X, _ in training._replay(seg, graph, st, params, sim,
+                                                            ctx, 0)[1:])
                   for seg in segments), default=0)
     return sum(a.nbytes for a in kept) + window, segments
 
 
 @pytest.mark.parametrize("k", [2, 16])
 def test_bench_tape_bytes_are_the_arrays_the_tape_keeps(k, monkeypatch):
-    # the count from the graph's sizes alone is what the tape holds at every
-    # length, forced, and under either ordering; 1 to 7 steps end on every
-    # remainder of a segment.  bench counts the explicit ordering at the
-    # rule's length, which is 1 at k = 2 and above 1 at k = 16 for 20 and 40
-    # steps.  An edge whose ends coincide at the start is tie-broken at the
-    # first steps, which keep their lengths like any other
+    # the one count from the graph's sizes alone is what the tape holds at
+    # every length, forced, and under either ordering; 1 to 7 steps end on
+    # every remainder of a segment.  bench counts it at the rule's length,
+    # which is 1 at k = 2 and above 1 at k = 16 for 20 and 40 steps.  An edge
+    # whose ends coincide at the start is tie-broken at the first steps, which
+    # keep their lengths like any other
     from graphspring import SimState, bench
     graph, _ = hidden_toy(seed=4)
     st = statics_of(graph)
@@ -289,12 +288,13 @@ def test_bench_tape_bytes_are_the_arrays_the_tape_keeps(k, monkeypatch):
     X0 = np.random.default_rng(8).uniform(-1, 1, (n, k))
     X0[graph.v[0]] = X0[graph.u[0]]
     state0 = SimState(X0, np.zeros((n, k)))
-    for n_steps in (*range(1, 8), 20, 40):
-        sim = SimConfig(k=k, n_steps=n_steps, seed=6)
-        held, segments = held_for_the_sweep(graph, st, params, sim, ctx, state0)
-        assert bench.tape_bytes(n, m, k, n_steps) == held
-        if n_steps >= 20:
-            assert (len(segments) < n_steps) == (k == 16)
+    for semi_implicit in (False, True):
+        for n_steps in (*range(1, 8), 20, 40):
+            sim = SimConfig(k=k, n_steps=n_steps, seed=6, semi_implicit=semi_implicit)
+            held, segments = held_for_the_sweep(graph, st, params, sim, ctx, state0)
+            assert bench.tape_bytes(n, m, k, n_steps) == held
+            if n_steps >= 20:
+                assert (len(segments) < n_steps) == (k == 16)
     for semi_implicit in (False, True):
         for n_steps in range(1, 8):
             sim = SimConfig(k=k, n_steps=n_steps, seed=6, semi_implicit=semi_implicit)
@@ -302,20 +302,19 @@ def test_bench_tape_bytes_are_the_arrays_the_tape_keeps(k, monkeypatch):
                 monkeypatch.setattr(training, "_segment_length", lambda *args: length)
                 held, segments = held_for_the_sweep(graph, st, params, sim, ctx, state0)
                 assert len(segments) == -(-n_steps // length)
-                assert training.tape_floats(n, m, k, n_steps, length,
-                                            semi_implicit) * 8 == held
+                assert training.tape_floats(n, m, k, n_steps, length) * 8 == held
 
 
-@pytest.mark.parametrize("n_nodes, n_edges, k, n_steps, semi_implicit, want", [
-    (5881, 21492, 64, 120, False, 15),   # graphspring bench's graph
-    (10000, 100000, 8, 120, True, 1),    # perfbench's train-dense-spring8-semi
-    (4, 8, 4, 30, False, 5),             # tied with 6
+@pytest.mark.parametrize("n_nodes, n_edges, k, n_steps, want", [
+    (5881, 21492, 64, 120, 15),   # graphspring bench's graph
+    (10000, 100000, 8, 120, 1),   # perfbench's train-dense-spring8-semi
+    (4, 8, 4, 30, 6),             # 8 floats below 5 and 8
 ])
 def test_the_segment_length_is_the_argmin_of_the_count(n_nodes, n_edges, k, n_steps,
-                                                        semi_implicit, want):
-    length = training._segment_length(n_nodes, n_edges, k, n_steps, semi_implicit)
+                                                        want):
+    length = training._segment_length(n_nodes, n_edges, k, n_steps)
     assert length == want
-    count = [training.tape_floats(n_nodes, n_edges, k, n_steps, L, semi_implicit)
+    count = [training.tape_floats(n_nodes, n_edges, k, n_steps, L)
              for L in range(1, n_steps + 1)]
     # the least count, and the shortest length on a tie
     assert count[length - 1] == min(count) < min(count[:length - 1], default=np.inf)
