@@ -21,7 +21,7 @@ from .forces import init_params
 from .forcefield import force_field, force_field_vjp, node_gain, prepare
 from .graphs import SignedGraph, SplitSpec, compute_node_statics, hide_signs
 from .simulate import SimConfig, init_state, simulate
-from .training import (LossConfig, _segment_length, loss_and_grad, loss_with_grad,
+from .training import (LossConfig, _segment_lengths, loss_and_grad, loss_with_grad,
                        tape_floats)
 
 # the fixed run of every record: a BitcoinOTC-size graph, spring-nn, k = 64
@@ -79,11 +79,11 @@ def median_ms(fn, repeats: int = 7) -> tuple[float, float]:
 
 
 def tape_bytes(n_nodes: int, n_edges: int, k: int, n_steps: int) -> int:
-    """The bytes an epoch holds for its reverse sweep (`training.tape_floats`
-    at `training._segment_length`'s length), the replayed positions of the
-    segment being swept among them."""
-    length = _segment_length(n_nodes, n_edges, k, n_steps)
-    return tape_floats(n_nodes, n_edges, k, n_steps, length) * 8
+    """The most bytes an epoch holds at once for its reverse sweep
+    (`training.tape_floats` of `training._segment_lengths`'s schedule), the
+    replayed positions of the segment being swept among them."""
+    return tape_floats(n_nodes, n_edges, k,
+                       _segment_lengths(n_nodes, n_edges, k, n_steps)) * 8
 
 
 def timed_operations(n_nodes: int, n_edges: int, k: int) -> dict:
@@ -114,7 +114,8 @@ def timed_operations(n_nodes: int, n_edges: int, k: int) -> dict:
 
 def record(reps: int) -> dict:
     """Time the fixed run: each `<operation>_ms` is {"median", "iqr"} over `reps`
-    calls.  Memory: the bytes of the epoch's tape (`tape_bytes`), tracemalloc's
+    calls.  Memory: the segment lengths of the epoch's tape (`"segments"` in
+    the graph block) and its bytes (`tape_bytes`), tracemalloc's
     peak over one more (untimed, warm-up) epoch and the minor page faults per
     timed epoch."""
     import resource  # Unix only, like the page-fault count it reads
@@ -133,7 +134,8 @@ def record(reps: int) -> dict:
     timings.update((name, median_ms(fn, reps)) for name, fn in ops.items())
     return {
         "graph": {"n_nodes": N_NODES, "n_edges": N_EDGES, "seed": GRAPH_SEED,
-                  "model": MODEL, "k": K, "n_steps": N_STEPS},
+                  "model": MODEL, "k": K, "n_steps": N_STEPS,
+                  "segments": _segment_lengths(N_NODES, N_EDGES, K, N_STEPS)},
         "reps": reps,
         **{f"{name}_ms": {"median": median, "iqr": iqr}
            for name, (median, iqr) in timings.items()},

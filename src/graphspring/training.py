@@ -1,6 +1,6 @@
 """Loss, reverse-mode gradients through the unrolled simulation, and Adam.
 
-The forward pass is `simulate.simulate` run a segment of L steps at a time,
+The forward pass is `simulate.simulate` run a segment of steps at a time,
 keeping a tape: each segment keeps the state it starts from and the m edge
 lengths that `force_field` computed at each of its steps but the last.  The
 backward pass walks the steps in reverse, applying the hand-derived
@@ -9,11 +9,14 @@ position gradient is added into the running one in place.  On reaching a
 segment it replays the positions in between with `simulate` again, from the
 segment's start state and at the kept lengths, bitwise the simulated ones; the
 VJPs of those steps read the same lengths instead of computing them again.
-The count of what the tape holds is the same under either ordering.  L is the
-length whose tape holds the fewest floats (`tape_floats`, `_segment_length`):
-about 15 steps at BitcoinOTC size, k = 64 and 120 steps, and 1, the plain tape
-of every position, where a step's lengths are not fewer floats than its
-positions (a dense graph at small k).  Gradients are flat vectors aligned with
+The count of what the tape holds is the same under either ordering.  The
+segment lengths are the schedule whose sweep holds the fewest floats at once
+(`tape_floats`, `_segment_lengths`).  The sweep frees each segment once it
+has passed it, so the segments shorten toward the end of the epoch, where
+every earlier start state is still held: 24, 21, 18, ..., 3, 1, 1 steps at
+BitcoinOTC size, k = 64 and 120 steps, and all 1s, the plain tape of every
+position, where a step's lengths are not fewer floats than its positions (a
+dense graph at small k).  Gradients are flat vectors aligned with
 `params.flatten()`.
 
 The loss goes through its edges a block of forcefield.BLOCK_BYTES of edge
@@ -174,47 +177,71 @@ class _Segment:
     lengths: list
 
 
-def tape_floats(n_nodes: int, n_edges: int, k: int, n_steps: int, length: int) -> int:
-    """The floats an epoch of `n_steps` steps holds for its reverse sweep in
-    segments of `length` steps: the final positions, which the loss reads;
-    per segment the positions at its first step, the velocities there if it
-    has more, and the m edge lengths of each step but its last; and the
-    positions after the first that the sweep replays of its largest segment."""
-    def segment(steps: int) -> int:
-        return n_nodes * k * (1 + (steps > 1)) + (steps - 1) * n_edges
-
-    full, rest = divmod(n_steps, length)
-    window = max(0, min(length, n_steps) - 1)
-    return n_nodes * k * (1 + window) + full * segment(length) + (rest > 0) * segment(rest)
+def _kept_floats(n_nodes: int, n_edges: int, k: int, steps):
+    """The floats a segment of `steps` steps keeps until the sweep reaches it:
+    the positions at its first step, the velocities there if it has more, and
+    the m edge lengths of each step but its last.  `steps` may be an array."""
+    return n_nodes * k * (1 + (steps > 1)) + (steps - 1) * n_edges
 
 
-def _segment_length(n_nodes: int, n_edges: int, k: int, n_steps: int) -> int:
-    """The segment length in 1 .. n_steps whose tape holds the fewest floats
-    (`tape_floats`), the shorter on a tie; 1 is the plain position tape.
-    Longer segments keep fewer start states but replay more positions, and
-    each replayed step keeps its edge lengths, so the least is near
-    sqrt(T (2 - m / (n k))) steps, and at 1 where a step's lengths are not
-    fewer floats than its positions."""
-    return min(range(1, max(n_steps, 1) + 1),
-               key=lambda length: tape_floats(n_nodes, n_edges, k, n_steps, length))
+def tape_floats(n_nodes: int, n_edges: int, k: int, lengths) -> int:
+    """The most floats an epoch holds at once for its reverse sweep in
+    segments of `lengths` steps, first to last: the final positions, which the
+    loss reads, and, while the sweep replays a segment, what that segment and
+    every earlier one keeps (`_kept_floats`) and the positions after its first
+    that it replays.  The later segments are swept and gone."""
+    held = peak = n_nodes * k
+    for steps in lengths:
+        held += _kept_floats(n_nodes, n_edges, k, steps)
+        peak = max(peak, held + n_nodes * k * (steps - 1))
+    return int(peak)
+
+
+def _segment_lengths(n_nodes: int, n_edges: int, k: int, n_steps: int) -> list[int]:
+    """The segment lengths, first to last, whose tape holds the fewest floats
+    at once (`tape_floats`); all 1s is the plain position tape.  The sweep
+    frees each segment as it passes it, so the last segment is swept with
+    every start state alive and the first with only its own: the lengths
+    shorten toward the end.  h(t), the least peak of steps t .. T - 1 above
+    the final positions, is min over L of kept(L) + max(n k (L - 1), h(t + L))
+    with h(T) below every window, taking the shorter L on a tie; one
+    backward pass over t computes it, O(T^2) in all and vectorized over L.
+    Where a step's lengths are not fewer floats than its positions (a dense
+    graph at small k), every length is 1."""
+    steps = np.arange(1, n_steps + 1, dtype=np.int64)
+    kept = _kept_floats(n_nodes, n_edges, k, steps)
+    window = n_nodes * k * (steps - 1)
+    least = np.full(n_steps + 1, -1, dtype=np.int64)   # -1: below every window
+    first = np.zeros(n_steps, dtype=np.int64)
+    for t in range(n_steps - 1, -1, -1):
+        rest = n_steps - t
+        peak = kept[:rest] + np.maximum(window[:rest], least[t + 1:])
+        first[t] = np.argmin(peak)   # the first least, the shorter on a tie
+        least[t] = peak[first[t]]
+    lengths, t = [], 0
+    while t < n_steps:
+        lengths.append(int(first[t]) + 1)
+        t += lengths[-1]
+    return lengths
 
 
 def _taped_forward(graph: SignedGraph, statics: NodeStatics, params: ForceParams,
                    sim_cfg: SimConfig, state: SimState, ctx: FieldContext
                    ) -> tuple[SimState, list[_Segment]]:
     """`simulate` from `state` a segment at a time, keeping the tape of the
-    reverse sweep: the segments of every step, first step first."""
-    n_steps = sim_cfg.n_steps
-    length = _segment_length(ctx.n_nodes, ctx.n_edges, state.X.shape[1], n_steps)
+    reverse sweep: the segments of every step, first step first, of the
+    lengths `_segment_lengths` gives."""
     segments: list[_Segment] = []
-    for start in range(0, n_steps, length):
-        steps = min(length, n_steps - start)
+    start = 0
+    for steps in _segment_lengths(ctx.n_nodes, ctx.n_edges, state.X.shape[1],
+                                  sim_cfg.n_steps):
         # simulate advances a copy of V, so the state it starts from stays as it is
         seg = _Segment(start, steps, state.X, state.V if steps > 1 else None, [])
         state = simulate(state, graph, statics, params, replace(sim_cfg, n_steps=steps),
                          ctx=ctx, on_lengths=seg.lengths.append)
         del seg.lengths[steps - 1:]   # the replay stops at the last step's positions
         segments.append(seg)
+        start += steps
     return state, segments
 
 

@@ -186,6 +186,13 @@ MUTANTS = [
     ("forcefield.py", "if lengths is not None and np.shape(lengths) != (ctx.n_edges,):",
      "if False:",
      ["tests/test_forcefield.py::test_vjp_refuses_lengths_of_another_shape"]),
+    # a replayed step, given its lengths, checks the state its run checked
+    ("simulate.py", "finite = j < len(lengths) or np.isfinite(X1.sum() + V.sum())",
+     "finite = np.isfinite(X1.sum() + V.sum())",
+     ["tests/test_simulate.py::test_a_step_given_its_lengths_is_not_checked_and_the_next_one_is"]),
+    # the step after the given lengths, which computes its own, goes unchecked
+    ("simulate.py", "finite = j < len(lengths) or", "finite = j <= len(lengths) or",
+     ["tests/test_simulate.py::test_a_step_given_its_lengths_is_not_checked_and_the_next_one_is"]),
     # a step whose state sums to a non-finite number diverges, though every
     # entry is finite
     ("simulate.py",
@@ -193,15 +200,37 @@ MUTANTS = [
      "if not finite:",
      ["tests/test_simulate.py::test_a_finite_state_whose_sum_overflows_does_not_diverge"]),
     # the tape's count leaves out the positions the sweep replays
-    ("training.py", "window = max(0, min(length, n_steps) - 1)", "window = 0",
+    ("training.py", "peak = max(peak, held + n_nodes * k * (steps - 1))",
+     "peak = max(peak, held)",
+     ["tests/test_training.py::test_bench_tape_bytes_are_the_arrays_the_tape_keeps"]),
+    # the count holds every segment alive while the sweep replays the longest,
+    # as when every segment had one length
+    ("training.py",
+     "        peak = max(peak, held + n_nodes * k * (steps - 1))\n    return int(peak)",
+     "        peak = max(peak, n_nodes * k * steps)\n"
+     "    return int(held + peak - n_nodes * k)",
+     ["tests/test_training.py::test_bench_tape_bytes_are_the_arrays_the_tape_keeps"]),
+    # the count keeps the velocities of a one-step segment, which replays nothing
+    ("training.py", "n_nodes * k * (1 + (steps > 1))", "n_nodes * k * 2",
      ["tests/test_training.py::test_bench_tape_bytes_are_the_arrays_the_tape_keeps"]),
     # the count leaves out the lengths of a segment's last replayed step, as
     # when the explicit ordering replayed its last position without a force
     ("training.py", "(steps - 1) * n_edges", "max(0, steps - 2) * n_edges",
      ["tests/test_training.py::test_bench_tape_bytes_are_the_arrays_the_tape_keeps"]),
-    # the rule never picks the plain tape
-    ("training.py", "min(range(1, max(n_steps, 1) + 1),", "min(range(2, max(n_steps, 1) + 1),",
-     ["tests/test_training.py::test_the_segment_length_is_the_argmin_of_the_count"]),
+    # the rule never picks a one-step segment where a longer one fits
+    ("training.py", "first[t] = np.argmin(peak)",
+     "first[t] = np.argmin(peak[1:]) + 1 if rest > 1 else 0",
+     ["tests/test_training.py::test_the_schedule_has_the_least_count_of_every_schedule",
+      "tests/test_training.py::test_the_schedules_of_bench_and_the_dense_graph"]),
+    # the rule takes the longer segment on a tie
+    ("training.py", "first[t] = np.argmin(peak)",
+     "first[t] = peak.size - 1 - np.argmin(peak[::-1])",
+     ["tests/test_training.py::test_the_schedule_has_the_least_count_of_every_schedule"]),
+    # the schedule runs its segments shortest first, so the longest is swept
+    # with every start state alive
+    ("training.py", "    return lengths\n", "    return lengths[::-1]\n",
+     ["tests/test_training.py::test_the_schedule_has_the_least_count_of_every_schedule",
+      "tests/test_training.py::test_the_schedules_of_bench_and_the_dense_graph"]),
     # the bulk parser accepts a line break inside a line
     ("graphs.py", "            or ((byte == 10) & (after != 0)).any()\n", "",
      ["tests/test_graphs.py::test_loader_matches_the_line_by_line_oracle",

@@ -16,7 +16,8 @@ from graphspring import graphs, rng
 from graphspring.graphs import EdgeStage, GraphFormatError, SignedGraph
 from graphspring.metrics import predict_prob
 from graphspring.simulate import init_state, simulate
-from graphspring.training import LossConfig, _add_scaled, _loss_terms, loss_with_grad
+from graphspring.training import (LossConfig, _add_scaled, _loss_terms, loss_with_grad,
+                                  tape_floats)
 
 
 def spring_force(p: SpringParams, observed_sign: int, dist: float) -> float:
@@ -211,3 +212,23 @@ def loss_and_grad_full_tape(graph, statics, params, sim_cfg, loss_cfg,
                                     step=t0 + t, out=gX, gain=gain)
         grad += dtheta
     return value, grad, final
+
+
+def compositions(n_steps: int):
+    """Every schedule of segments of `n_steps` steps: each list of positive
+    lengths, first to last, that sums to it."""
+    if n_steps == 0:
+        yield []
+    for first in range(1, n_steps + 1):
+        for rest in compositions(n_steps - first):
+            yield [first, *rest]
+
+
+def least_tape_floats(n_nodes: int, n_edges: int, k: int, n_steps: int):
+    """By brute force over every schedule of `n_steps` steps: the least
+    `training.tape_floats`, and the shortest first segment (as a list of at
+    most one length) of the schedules that reach it."""
+    counts = [(tape_floats(n_nodes, n_edges, k, lengths), lengths[:1])
+              for lengths in compositions(n_steps)]
+    least = min(count for count, _ in counts)
+    return least, min(first for count, first in counts if count == least)

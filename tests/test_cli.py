@@ -927,8 +927,10 @@ def test_bench_writes_the_record_beside_its_manifest(tmp_path, monkeypatch, caps
     assert sorted(record) == sorted([
         "graph", "reps", *[f"{name}_ms" for name in timed], "tape_bytes",
         "peak_traced_mb", "minor_faults_per_epoch", "env"])
+    # 200 edge lengths outweigh 60 x 3 positions, so the plain tape of 4 + 1
     assert record["graph"] == {"n_nodes": 60, "n_edges": 200, "seed": 1,
-                               "model": "spring-nn", "k": 3, "n_steps": 4}
+                               "model": "spring-nn", "k": 3, "n_steps": 4,
+                               "segments": [1, 1, 1, 1]}
     assert record["reps"] == 2 and record["tape_bytes"] == 5 * 60 * 3 * 8
     for name in timed:
         assert sorted(record[f"{name}_ms"]) == ["iqr", "median"]

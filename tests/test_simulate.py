@@ -355,6 +355,27 @@ def test_a_finite_state_whose_sum_overflows_does_not_diverge():
         assert not np.isfinite(final.X.sum())
 
 
+def test_a_step_given_its_lengths_is_not_checked_and_the_next_one_is():
+    # a step given its lengths replays a step its run already checked, so
+    # simulate skips the check there: an infinite velocity passes the first
+    # step, given its lengths, and diverges at the second, which computes its
+    # own, and at the first without them
+    graph = two_body_graph(observed=0)
+    st = statics_of(graph)
+    params = SpringParams(a_neu=1.0, l_neu=1.0, beta=0.0)
+    cfg = SimConfig(k=2, dt=0.01, damping=0.05, n_steps=1, seed=0)
+    state = SimState(np.array([[0.0, 0.0], [2.0, 0.0]]),
+                     np.array([[np.inf, 0.0], [0.0, 0.0]]), 0)
+    lengths = [np.array([2.0])]
+    final = simulate(state, graph, st, params, cfg, lengths=lengths)
+    assert final.t_step == 1 and not np.isfinite(final.X).all()
+    with pytest.raises(SimulationDivergedError, match="step 1:"):
+        simulate(state, graph, st, params, cfg)
+    with pytest.raises(SimulationDivergedError, match="step 2:"):
+        simulate(state, graph, st, params, SimConfig(k=2, dt=0.01, damping=0.05,
+                                                     n_steps=2, seed=0), lengths=lengths)
+
+
 def test_worst_node_is_the_fastest_when_all_finite():
     X = np.zeros((3, 2))
     V = np.array([[1.0, 0.0], [0.0, -3.0], [2.0, 2.0]])

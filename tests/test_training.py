@@ -15,8 +15,8 @@ from graphspring.training import (AdamState, Checkpoint, EpochStats, LossConfig,
                                   train, write_history_csv)
 
 from conftest import hidden_toy, statics_of
-from oracles import (all_edges_loss_terms, loss_and_grad_full_tape,
-                     loss_with_grad_whole)
+from oracles import (all_edges_loss_terms, compositions, least_tape_floats,
+                     loss_and_grad_full_tape, loss_with_grad_whole)
 from test_forcefield import random_graph
 from test_forces import random_neural
 
@@ -241,44 +241,45 @@ def test_an_epoch_holds_its_tape_and_a_few_node_arrays(many_edges, kind):
 @pytest.mark.parametrize("kind", ["spring", "spring-nn"])
 def test_a_segmented_epoch_holds_its_segment_tape_and_a_few_node_arrays(
         many_edges, kind, semi_implicit):
-    # the rule picks segments of 10 steps under either ordering here; the
-    # count holds their start states, the edge lengths of the steps they replay
-    # and the positions of the segment being swept, and the full tape of 61
-    # positions would not fit this bound
+    # the schedule's segments hold more than one step under either ordering
+    # here; the count holds their start states, the edge lengths of the steps
+    # they replay and the positions of the segment being swept, and the full
+    # tape of 61 positions would not fit this bound
     graph, X = many_edges
     statics = compute_node_statics(graph)
     ctx = prepare(graph, statics)
     n, k = X.shape
     sim = SimConfig(k=k, n_steps=60, seed=1, semi_implicit=semi_implicit)
-    length = training._segment_length(n, graph.n_edges, k, sim.n_steps)
-    assert length > 1
-    tape = training.tape_floats(n, graph.n_edges, k, sim.n_steps, length) * 8
+    lengths = training._segment_lengths(n, graph.n_edges, k, sim.n_steps)
+    assert max(lengths) > 1
+    tape = training.tape_floats(n, graph.n_edges, k, lengths) * 8
     peak = traced_peak(lambda: loss_and_grad(graph, statics, init_params(kind, 3), sim,
                                              LossConfig(), ctx=ctx))
     assert peak <= tape + 6 * n * k * 8 + 40 * 8 * graph.n_edges
 
 
 def held_for_the_sweep(graph, st, params, sim, ctx, state0):
-    """The bytes of the arrays `loss_and_grad` holds for its reverse sweep
-    from state0: what `_taped_forward` keeps, and the replayed positions of
-    its largest segment."""
+    """The most bytes `loss_and_grad` holds at once for its reverse sweep from
+    state0: while it replays a segment, the final positions, the arrays
+    `_taped_forward` keeps of that segment and every earlier one, and the
+    positions the replay makes."""
     final, segments = training._taped_forward(graph, st, params, sim, state0, ctx)
-    kept = [final.X] + [a for seg in segments for a in (seg.X, seg.V, *seg.lengths)
-                        if a is not None]
-    window = max((sum(X.nbytes for X, _ in training._replay(seg, graph, st, params, sim,
-                                                            ctx, 0)[1:])
-                  for seg in segments), default=0)
-    return sum(a.nbytes for a in kept) + window, segments
+    held = peak = final.X.nbytes
+    for seg in segments:
+        held += sum(a.nbytes for a in (seg.X, seg.V, *seg.lengths) if a is not None)
+        replayed = training._replay(seg, graph, st, params, sim, ctx, 0)[1:]
+        peak = max(peak, held + sum(X.nbytes for X, _ in replayed))
+    return peak, segments
 
 
 @pytest.mark.parametrize("k", [2, 16])
 def test_bench_tape_bytes_are_the_arrays_the_tape_keeps(k, monkeypatch):
-    # the one count from the graph's sizes alone is what the tape holds at
-    # every length, forced, and under either ordering; 1 to 7 steps end on
-    # every remainder of a segment.  bench counts it at the rule's length,
-    # which is 1 at k = 2 and above 1 at k = 16 for 20 and 40 steps.  An edge
-    # whose ends coincide at the start is tie-broken at the first steps, which
-    # keep their lengths like any other
+    # the one count from the graph's sizes alone is what the tape holds under
+    # every schedule of 1 to 7 steps, forced, and under either ordering.
+    # bench counts it at the rule's schedule, which is all 1s at k = 2 and
+    # holds longer segments at k = 16 for 20 and 40 steps.  An edge whose ends
+    # coincide at the start is tie-broken at the first steps, which keep their
+    # lengths like any other
     from graphspring import SimState, bench
     graph, _ = hidden_toy(seed=4)
     st = statics_of(graph)
@@ -298,26 +299,50 @@ def test_bench_tape_bytes_are_the_arrays_the_tape_keeps(k, monkeypatch):
     for semi_implicit in (False, True):
         for n_steps in range(1, 8):
             sim = SimConfig(k=k, n_steps=n_steps, seed=6, semi_implicit=semi_implicit)
-            for length in range(1, n_steps + 2):
-                monkeypatch.setattr(training, "_segment_length", lambda *args: length)
+            for lengths in compositions(n_steps):
+                monkeypatch.setattr(training, "_segment_lengths", lambda *args: lengths)
                 held, segments = held_for_the_sweep(graph, st, params, sim, ctx, state0)
-                assert len(segments) == -(-n_steps // length)
-                assert training.tape_floats(n, m, k, n_steps, length) * 8 == held
+                assert [seg.steps for seg in segments] == lengths
+                assert training.tape_floats(n, m, k, lengths) * 8 == held
 
 
-@pytest.mark.parametrize("n_nodes, n_edges, k, n_steps, want", [
-    (5881, 21492, 64, 120, 15),   # graphspring bench's graph
-    (10000, 100000, 8, 120, 1),   # perfbench's train-dense-spring8-semi
-    (4, 8, 4, 30, 6),             # 8 floats below 5 and 8
+@pytest.mark.parametrize("n_nodes, n_edges, k", [
+    (4, 8, 4),      # a step's lengths are half its positions
+    (4, 16, 4),     # as many floats as its positions: ties
+    (30, 20, 8),    # a twelfth
+    (10, 200, 4),   # five times: the plain tape
 ])
-def test_the_segment_length_is_the_argmin_of_the_count(n_nodes, n_edges, k, n_steps,
-                                                        want):
-    length = training._segment_length(n_nodes, n_edges, k, n_steps)
-    assert length == want
-    count = [training.tape_floats(n_nodes, n_edges, k, n_steps, L)
-             for L in range(1, n_steps + 1)]
-    # the least count, and the shortest length on a tie
-    assert count[length - 1] == min(count) < min(count[:length - 1], default=np.inf)
+def test_the_schedule_has_the_least_count_of_every_schedule(n_nodes, n_edges, k):
+    # the least of every composition of 0 to 12 steps, by brute force, and
+    # the shortest first segment among the schedules that reach it
+    for n_steps in range(13):
+        lengths = training._segment_lengths(n_nodes, n_edges, k, n_steps)
+        assert sum(lengths) == n_steps and all(steps >= 1 for steps in lengths)
+        least, first = least_tape_floats(n_nodes, n_edges, k, n_steps)
+        assert training.tape_floats(n_nodes, n_edges, k, lengths) == least
+        assert lengths[:1] == first
+
+
+def test_the_schedules_of_bench_and_the_dense_graph():
+    from graphspring import bench
+    # graphspring bench's graph: segments that shorten toward the end hold
+    # 84.6 MB at once, against 112.6 MB for 8 segments of 15 steps
+    lengths = training._segment_lengths(5881, 21492, 64, 120)
+    assert lengths == [24, 21, 18, 15, 13, 10, 8, 6, 3, 1, 1]
+    assert bench.tape_bytes(5881, 21492, 64, 120) == 84_640_736
+    assert training.tape_floats(5881, 21492, 64, [15] * 8) * 8 == 112_600_064
+    # perfbench's train-dense-spring8-semi: a step's lengths are more floats
+    # than its positions, so the plain tape of every position
+    assert training._segment_lengths(10000, 100000, 8, 120) == [1] * 120
+    assert bench.tape_bytes(10000, 100000, 8, 120) == 121 * 10000 * 8 * 8
+
+
+def test_a_schedule_of_ten_thousand_steps_takes_under_a_second():
+    import time
+    started = time.perf_counter()
+    lengths = training._segment_lengths(5881, 21492, 64, 10_000)
+    assert time.perf_counter() - started < 1.0
+    assert sum(lengths) == 10_000 and lengths == sorted(lengths, reverse=True)
 
 
 # --- gradients through the simulation ------------------------------------------
@@ -625,9 +650,8 @@ def test_tape_length_equals_steps(monkeypatch):
 @pytest.mark.parametrize("semi_implicit", [False, True])
 @pytest.mark.parametrize("kind", ["spring", "spring-nn"])
 def test_segmented_tape_is_bitwise_the_full_tape(kind, semi_implicit, k, monkeypatch):
-    # every segment length from the plain tape (1) to one segment longer than
-    # the run, forced; 1 to 7 steps end the sweep on every remainder of a
-    # segment
+    # every schedule of 1 to 7 steps, forced, from the plain tape (all 1s) to
+    # one segment of the whole run
     from graphspring import SimState
     graph, _ = hidden_toy(seed=4)
     st = statics_of(graph)
@@ -646,16 +670,16 @@ def test_segmented_tape_is_bitwise_the_full_tape(kind, semi_implicit, k, monkeyp
         sim = SimConfig(k=k, n_steps=n_steps, seed=6, semi_implicit=semi_implicit)
         want = loss_and_grad_full_tape(graph, st, params, sim, LossConfig(),
                                        state0=state0, ctx=ctx)
-        for length in range(1, n_steps + 2):
-            monkeypatch.setattr(training, "_segment_length", lambda *args: length)
+        for lengths in compositions(n_steps):
+            monkeypatch.setattr(training, "_segment_lengths", lambda *args: lengths)
             value, grad, final = loss_and_grad(graph, st, params, sim, LossConfig(),
                                                state0=state0, ctx=ctx)
             assert value == want[0]
             assert np.array_equal(grad, want[1])
             assert np.array_equal(final.X, want[2].X) and np.array_equal(final.V, want[2].V)
             _, segments = training._taped_forward(graph, st, params, sim, state0, ctx)
-            assert [seg.steps for seg in segments] == [
-                min(length, n_steps - start) for start in range(0, n_steps, length)]
+            assert [(seg.start, seg.steps) for seg in segments] == [
+                (sum(lengths[:i]), steps) for i, steps in enumerate(lengths)]
             if segments and segments[0].lengths:
                 assert segments[0].lengths[0][e] < EPS   # the tie-broken step keeps its lengths
 
