@@ -220,10 +220,11 @@ def mlp_batch_vjp(p: MlpParams, x: np.ndarray, upstream: np.ndarray
     pre += p.b0[:, None]
     slope = (pre > 0) * p.w1[:, None]   # relu subgradient at 0 is 0
     hidden = np.maximum(pre, 0.0, out=pre)
-    d_hidden = slope * upstream
+    d_x0 = p.w0[:, 0] @ slope
+    d_hidden = np.multiply(slope, upstream, out=slope)   # slope is read above
     grad = np.concatenate([(d_hidden @ x).ravel(), d_hidden.sum(axis=1),
                            hidden @ upstream, [upstream.sum()]])
-    return p.w1 @ hidden + p.b1, grad, p.w0[:, 0] @ slope
+    return p.w1 @ hidden + p.b1, grad, d_x0
 
 
 def gain_batch(params: ForceParams, node_features: np.ndarray) -> np.ndarray:

@@ -6,9 +6,11 @@ lengths that `force_field` computed at each of its steps but the last.  The
 backward pass walks the steps in reverse, applying the hand-derived
 vector-Jacobian products of the Euler update and of the force field, whose
 position gradient is added into the running one in place.  On reaching a
-segment it replays the positions in between with `simulate` again, from the
-segment's start state and at the kept lengths, bitwise the simulated ones; the
-VJPs of those steps read the same lengths instead of computing them again.
+segment it replays the positions in between with `simulate`'s loop again, from
+the segment's start state and at the kept lengths, bitwise the simulated ones;
+the loop advances the segment's own velocities, which the sweep drops with the
+segment, and the VJPs of those steps read the same lengths instead of
+computing them again.
 The count of what the tape holds is the same under either ordering.  The
 segment lengths are the schedule whose sweep holds the fewest floats at once
 (`tape_floats`, `_segment_lengths`).  The sweep frees each segment once it
@@ -23,8 +25,9 @@ The loss goes through its edges a block of forcefield.BLOCK_BYTES of edge
 vectors at a time, and adds its gradient into the (n, k) result with scipy's
 CSC kernel, a column block of the edge incidence at a time, bitwise equal to
 one product with the whole incidence.  So an epoch's peak memory is
-`tape_floats`, which counts the positions the sweep replays, plus V, gX, gV,
-w and the VJP's per-edge scalars.
+`tape_floats`, which counts the positions the sweep replays and the velocities
+the replay advances, plus the final V, gX, gV, w and the VJP's per-edge
+scalars: 4.7 (n, k) arrays above the count on `graphspring bench`'s graph.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ from .forcefield import (FieldContext, _block_rows, _csc_matvecs, force_field_vj
                          node_gain, prepare)
 from .graphs import NodeStatics, SignedGraph, compute_node_statics
 from .metrics import auc, f1_scores, predict, predict_prob
-from .simulate import (SimConfig, SimState, SimulationDivergedError, init_state,
-                       simulate, worst_node)
+from .simulate import (SimConfig, SimState, SimulationDivergedError, _advance,
+                       init_state, simulate, worst_node)
 
 EPOCH_INIT_TAG = "epoch-init"
 VAL_TAG = "val-hide"
@@ -169,7 +172,8 @@ class _Segment:
     """Steps start .. start + steps - 1 of the reverse sweep: the state
     `simulate` starts them from, whose velocities only a segment of more than
     one step keeps, and the edge lengths of each step but the last, which the
-    replay of the positions after the first reads."""
+    replay of the positions after the first reads.  The replay advances V in
+    place, so a segment replays once."""
     start: int
     steps: int
     X: np.ndarray
@@ -245,17 +249,17 @@ def _taped_forward(graph: SignedGraph, statics: NodeStatics, params: ForceParams
     return state, segments
 
 
-def _replay(seg: _Segment, graph: SignedGraph, statics: NodeStatics,
-            params: ForceParams, sim_cfg: SimConfig, ctx: FieldContext, t0: int
-            ) -> list[tuple[np.ndarray, np.ndarray | None]]:
+def _replay(seg: _Segment, params: ForceParams, sim_cfg: SimConfig, ctx: FieldContext,
+            t0: int) -> list[tuple[np.ndarray, np.ndarray | None]]:
     """A segment's steps, first to last, each as its positions and the lengths
     the tape kept for it (None for the last).  The positions after the first
-    are `simulate`'s from the segment's start state, at the kept lengths,
-    bitwise the simulated ones."""
+    are `simulate`'s loop run again from the segment's start state, at the
+    kept lengths, bitwise the simulated ones.  The loop advances the segment's
+    own V, not a copy: the sweep drops the segment once this returns."""
     positions = [seg.X]
     if seg.steps > 1:
-        simulate(SimState(seg.X, seg.V, t0 + seg.start), graph, statics, params,
-                 replace(sim_cfg, n_steps=seg.steps - 1), ctx=ctx,
+        _advance(SimState(seg.X, seg.V, t0 + seg.start), seg.V, ctx, params,
+                 replace(sim_cfg, n_steps=seg.steps - 1),
                  on_step=lambda s: positions.append(s.X), lengths=seg.lengths)
     return list(zip(positions, seg.lengths + [None]))
 
@@ -271,13 +275,18 @@ def loss_and_grad(graph: SignedGraph, statics: NodeStatics, params: ForceParams,
     then the reverse sweep through every Euler update and force evaluation,
     replaying each segment's positions as it reaches them; a step's VJP reads
     the lengths the tape kept for it.  The initial state and the graph are
-    held fixed.
+    held fixed: a given `state0` is left as it is.
     """
     if ctx is None:
         ctx = prepare(graph, statics)
-    state = state0 if state0 is not None else init_state(graph.n_nodes, sim_cfg)
-    t0 = state.t_step
-    final, segments = _taped_forward(graph, statics, params, sim_cfg, state, ctx)
+    if state0 is None:
+        state0 = init_state(graph.n_nodes, sim_cfg)
+    else:
+        # the replay advances the first segment's V in place: this copy keeps
+        # the caller's as it is
+        state0 = SimState(state0.X, state0.V.copy(), state0.t_step)
+    t0 = state0.t_step
+    final, segments = _taped_forward(graph, statics, params, sim_cfg, state0, ctx)
 
     value, gX = loss_with_grad(graph, final.X, loss_cfg)
     gV, w = np.zeros_like(gX), np.empty_like(gX)
@@ -297,7 +306,7 @@ def loss_and_grad(graph: SignedGraph, statics: NodeStatics, params: ForceParams,
         if not sim_cfg.semi_implicit:
             _add_scaled(gV, gX, dt, buf)
         if not window:
-            window = _replay(segments.pop(), graph, statics, params, sim_cfg, ctx, t0)
+            window = _replay(segments.pop(), params, sim_cfg, ctx, t0)
         X, lengths = window.pop()
         _, dtheta = force_field_vjp(ctx, params, X, w, seed=sim_cfg.seed, step=t0 + t,
                                     out=gX, gain=gain, lengths=lengths)
@@ -409,10 +418,11 @@ def train(graph: SignedGraph, statics: NodeStatics | None, cfg: TrainConfig,
     for epoch in range(done, cfg.epochs):
         started = time.perf_counter()
         sim_cfg = replace(cfg.sim, seed=rng.derive_seed(cfg.seed, EPOCH_INIT_TAG, epoch))
-        # the previous epoch's final state is released only once this returns:
-        # freed before, it would leave the whole tape free at the top of the
-        # heap, which glibc's malloc gives back to the system, and each epoch
-        # would fault its tape in again page by page
+        # the previous epoch's final positions are released only once this
+        # returns: freed before, they would leave the whole tape free at the
+        # top of the heap, which glibc's malloc gives back to the system, and
+        # each epoch would fault its tape in again page by page.  Holding them
+        # is enough to stop that, so the velocities go with their epoch
         try:
             value, grad, final = loss_and_grad(train_graph, train_statics, params,
                                                sim_cfg, cfg.loss, ctx=ctx)
@@ -422,6 +432,7 @@ def train(graph: SignedGraph, statics: NodeStatics | None, cfg: TrainConfig,
         grad = clip_gradient(grad)
         adam, params = adam_step(adam, params, grad, cfg.lr)
         auc_l, f1_macro = _validation_metrics(graph, val_edges, final.X, cfg.loss.mu)
+        held, final = final.X, None
         wall_ms = (time.perf_counter() - started) * 1000.0
         stats = EpochStats(epoch + 1, value, auc_l, f1_macro, wall_ms)
         history.append(stats)

@@ -102,6 +102,15 @@ MUTANTS = [
       "tests/test_forcefield.py::test_vjp_matches_finite_differences",
       "tests/test_forcefield.py::test_vjp_property_central_differences",
       "tests/test_forcefield.py::test_vjp_at_kinks_matches_the_one_sided_difference"]),
+    # the MLP VJP forms d_hidden in slope's place before slope is read
+    ("forces.py",
+     "    d_x0 = p.w0[:, 0] @ slope\n"
+     "    d_hidden = np.multiply(slope, upstream, out=slope)   # slope is read above\n",
+     "    d_hidden = np.multiply(slope, upstream, out=slope)   # slope is read above\n"
+     "    d_x0 = p.w0[:, 0] @ slope\n",
+     ["tests/test_forces.py::test_batch_vjp_matches_central_differences",
+      "tests/test_forcefield.py::test_vjp_matches_finite_differences",
+      "tests/test_forcefield.py::test_vjp_property_central_differences"]),
     # the neutral spring's stiffness gradient lands in the wrong slot
     ("forces.py", "grad[4] = np.dot(upstream, dist - p.l_neu)",
      "grad[3] = np.dot(upstream, dist - p.l_neu)",
@@ -175,6 +184,14 @@ MUTANTS = [
      "        on_lengths(None if tied.any() else dist)\n",
      ["tests/test_forcefield.py::test_vjp_given_the_lengths_is_bitwise_the_vjp_without",
       "tests/test_training.py::test_bench_tape_bytes_are_the_arrays_the_tape_keeps"]),
+    # the replay advances a copy of the segment's V, which it drops anyway
+    ("training.py", "seg.V, ctx, params,", "seg.V.copy(), ctx, params,",
+     ["tests/test_training.py::test_a_replay_holds_its_positions_and_one_field_call"]),
+    # the replay advances the V of the caller's start state
+    ("training.py", "SimState(state0.X, state0.V.copy(), state0.t_step)",
+     "SimState(state0.X, state0.V, state0.t_step)",
+     ["tests/test_training.py::test_loss_and_grad_leaves_the_given_start_state_untouched",
+      "tests/test_training.py::test_segmented_tape_is_bitwise_the_full_tape"]),
     # the sweep hands each VJP the lengths of another step of its segment
     ("training.py", "zip(positions, seg.lengths + [None])",
      "zip(positions, [None] + seg.lengths)",

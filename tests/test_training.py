@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphspring import (SignedGraph, SimConfig, compute_node_statics, forcefield,
-                         init_params, load_checkpoint, save_checkpoint, training)
-from graphspring.forcefield import EPS, prepare
+from graphspring import (SignedGraph, SimConfig, SimState, compute_node_statics,
+                         forcefield, init_params, load_checkpoint, save_checkpoint,
+                         training)
+from graphspring.forcefield import EPS, force_field, node_gain, prepare
 from graphspring.forces import SpringParams
 from graphspring.training import (AdamState, Checkpoint, EpochStats, LossConfig,
                                   TrainConfig, adam_step, clip_gradient, loss,
@@ -223,9 +224,9 @@ def test_loss_with_grad_holds_no_loss_edge_by_dims_array(many_edges):
 
 @pytest.mark.parametrize("kind", ["spring", "spring-nn"])
 def test_an_epoch_holds_its_tape_and_a_few_node_arrays(many_edges, kind):
-    # above the tape an epoch holds V, gX, gV, w and the VJP's per-edge
-    # scalars: 8.3 (spring) and 9.9 (spring-nn) n x k arrays here, or 120 and
-    # 202 bytes per edge beyond 6 of them; the whole-array loss held 20.8
+    # above the tape an epoch holds the final V, gX, gV, w and the VJP's
+    # per-edge scalars: 7.6 (spring) and 8.8 (spring-nn) n x k arrays here, or
+    # 136 and 195 bytes per edge beyond 5 of them; the whole-array loss held 20.8
     graph, X = many_edges
     statics = compute_node_statics(graph)
     ctx = prepare(graph, statics)
@@ -234,7 +235,7 @@ def test_an_epoch_holds_its_tape_and_a_few_node_arrays(many_edges, kind):
     tape = (sim.n_steps + 1) * n * k * 8
     peak = traced_peak(lambda: loss_and_grad(graph, statics, init_params(kind, 3), sim,
                                              LossConfig(), ctx=ctx))
-    assert peak <= tape + 6 * n * k * 8 + 40 * 8 * graph.n_edges
+    assert peak <= tape + 5 * n * k * 8 + 40 * 8 * graph.n_edges
 
 
 @pytest.mark.parametrize("semi_implicit", [False, True])
@@ -244,7 +245,9 @@ def test_a_segmented_epoch_holds_its_segment_tape_and_a_few_node_arrays(
     # the schedule's segments hold more than one step under either ordering
     # here; the count holds their start states, the edge lengths of the steps
     # they replay and the positions of the segment being swept, and the full
-    # tape of 61 positions would not fit this bound
+    # tape of 61 positions would not fit this bound.  The peak comes at a VJP,
+    # 6.6 (spring) and 7.7 (spring-nn) n x k arrays above the count here,
+    # after the replay has dropped its segment's V
     graph, X = many_edges
     statics = compute_node_statics(graph)
     ctx = prepare(graph, statics)
@@ -255,7 +258,50 @@ def test_a_segmented_epoch_holds_its_segment_tape_and_a_few_node_arrays(
     tape = training.tape_floats(n, graph.n_edges, k, lengths) * 8
     peak = traced_peak(lambda: loss_and_grad(graph, statics, init_params(kind, 3), sim,
                                              LossConfig(), ctx=ctx))
-    assert peak <= tape + 6 * n * k * 8 + 40 * 8 * graph.n_edges
+    assert peak <= tape + 5 * n * k * 8 + 40 * 8 * graph.n_edges
+
+
+@pytest.mark.parametrize("kind", ["spring", "spring-nn"])
+def test_a_replay_holds_its_positions_and_one_field_call(many_edges, kind, monkeypatch):
+    # the replay advances the segment's own V: beyond the positions it makes it
+    # holds what one field call at the kept lengths holds, the gain and no copy
+    # of V, which would be one n x k array more than this bound.  The explicit
+    # ordering makes its last position before its last field call, so that
+    # call is the peak
+    graph, X = many_edges
+    statics = compute_node_statics(graph)
+    ctx = prepare(graph, statics)
+    n, k = X.shape
+    params = init_params(kind, 3)
+    sim = SimConfig(k=k, n_steps=4, seed=1)
+    monkeypatch.setattr(training, "_segment_lengths", lambda *args: [sim.n_steps])
+    _, (seg,) = training._taped_forward(graph, statics, params, sim,
+                                        SimState(X, np.zeros_like(X)), ctx)
+    out, gain = seg.V.copy(), node_gain(ctx, params, sim.dt)
+    field = max(traced_peak(lambda: force_field(ctx, params, seg.X, seed=sim.seed, step=j,
+                                                out=out, gain=gain, lengths=lengths))
+                for j, lengths in enumerate(seg.lengths))
+    peak = traced_peak(lambda: training._replay(seg, params, sim, ctx, 0))
+    assert peak <= (seg.steps - 1) * n * k * 8 + field + n * k * 8 // 2
+
+
+@pytest.mark.parametrize("semi_implicit", [False, True])
+def test_loss_and_grad_leaves_the_given_start_state_untouched(semi_implicit, monkeypatch):
+    # the replay advances the first segment's V in place, which is a copy of
+    # the caller's; the start state keeps velocities, so a replay that advanced
+    # them would show.  The plain tape and one segment of every step as well
+    graph, _ = hidden_toy(seed=4)
+    st = statics_of(graph)
+    rand = np.random.default_rng(3)
+    X0 = rand.uniform(-1, 1, (graph.n_nodes, 3))
+    V0 = rand.normal(0, 0.5, (graph.n_nodes, 3))
+    state0 = SimState(X0.copy(), V0.copy(), 2)
+    sim = SimConfig(k=3, n_steps=5, seed=6, semi_implicit=semi_implicit)
+    for lengths in ([3, 2], [1] * 5, [5]):
+        monkeypatch.setattr(training, "_segment_lengths", lambda *args: lengths)
+        loss_and_grad(graph, st, init_params("spring-nn", 1), sim, LossConfig(),
+                      state0=state0)
+        assert state0.X.tobytes() == X0.tobytes() and state0.V.tobytes() == V0.tobytes()
 
 
 def held_for_the_sweep(graph, st, params, sim, ctx, state0):
@@ -263,11 +309,13 @@ def held_for_the_sweep(graph, st, params, sim, ctx, state0):
     state0: while it replays a segment, the final positions, the arrays
     `_taped_forward` keeps of that segment and every earlier one, and the
     positions the replay makes."""
+    # the replay advances the first segment's V, which is state0's own here
+    state0 = SimState(state0.X, state0.V.copy(), state0.t_step)
     final, segments = training._taped_forward(graph, st, params, sim, state0, ctx)
     held = peak = final.X.nbytes
     for seg in segments:
         held += sum(a.nbytes for a in (seg.X, seg.V, *seg.lengths) if a is not None)
-        replayed = training._replay(seg, graph, st, params, sim, ctx, 0)[1:]
+        replayed = training._replay(seg, params, sim, ctx, 0)[1:]
         peak = max(peak, held + sum(X.nbytes for X, _ in replayed))
     return peak, segments
 
