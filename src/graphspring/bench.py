@@ -29,9 +29,9 @@ N_NODES, N_EDGES, GRAPH_SEED = 5881, 21492, 1
 MODEL, K, N_STEPS = "spring-nn", 64, 120
 
 
-def synthetic_graph(n_nodes: int, n_edges: int, seed: int,
-                    pos_fraction: float = 0.85, p_hidden: float = 0.2) -> SignedGraph:
-    """Random signed graph: a ring keeps every node connected, the rest is uniform."""
+def synthetic_graph(n_nodes: int, n_edges: int, seed: int) -> SignedGraph:
+    """Random signed graph: a ring keeps every node connected, the rest is uniform;
+    85% of the signs are positive, and a split of p_hidden 0.2 hides some."""
     if n_edges < n_nodes:
         raise ValueError("need at least n_nodes edges to keep every node connected")
     ring = np.arange(n_nodes, dtype=np.int64)
@@ -58,10 +58,9 @@ def synthetic_graph(n_nodes: int, n_edges: int, seed: int,
     u = all_codes // n_nodes
     v = all_codes % n_nodes
     sign_draw = rng.uniform01(seed, "bench-signs", np.arange(all_codes.size))
-    sign = np.where(sign_draw < pos_fraction, 1, -1).astype(np.int8)
-    graph = SignedGraph(n_nodes, u, v, sign, sign.copy())
-    if p_hidden > 0:
-        graph, _ = hide_signs(graph, SplitSpec(p_hidden, seed))
+    sign = np.where(sign_draw < 0.85, 1, -1).astype(np.int8)
+    graph, _ = hide_signs(SignedGraph(n_nodes, u, v, sign, sign.copy()),
+                          SplitSpec(0.2, seed))
     return graph
 
 

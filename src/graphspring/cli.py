@@ -36,7 +36,7 @@ from .simulate import (SimConfig, SimulationDivergedError, init_state,
                        read_embeddings_text, simulate, write_embeddings_binary,
                        write_embeddings_text)
 from .training import (LossConfig, TrainConfig, check_resume, load_checkpoint, loss,
-                       save_checkpoint, train, write_history_csv)
+                       save_checkpoint, train, training_graph, write_history_csv)
 
 # the library's defaults, each written once in its config class
 _TRAIN = TrainConfig()
@@ -287,7 +287,13 @@ def cmd_split(args) -> int:
 
 def cmd_train(args) -> int:
     config, inputs, out, _, splits, _, train_cfg = _start(args, TRAIN_DEFAULTS)
-    graph, _ = _split(_load_graph(inputs, config["format"]), splits[0])
+    loaded = _load_graph(inputs, config["format"])
+    graph, _ = _split(loaded, splits[0])
+    try:   # train checks this too, but only after the manifest
+        training_graph(graph, train_cfg)
+    except ValueError as err:
+        hid = "the graph's split" if graph is loaded else f"p_hidden {config['p_hidden']}"
+        raise ValueError(f"{hid} and val_fraction {config['val_fraction']}: {err}") from None
     every = config["checkpoint_every"]
     resume = load_checkpoint(inputs["resume"]) if inputs["resume"] else None
     if resume is not None:

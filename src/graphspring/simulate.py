@@ -9,13 +9,13 @@ The force field adds dt times the force straight into the damped velocities,
 so a step writes no n x k force array.
 
 `simulate`'s loop, `_advance`, is the only loop that steps the system.
-Embedding calls `simulate` directly.  Training's forward pass calls it a
-segment of steps at a time, with a hook that keeps the edge lengths of each
-step's field, and its reverse sweep replays a segment by running the loop
-again from the segment's start state with those lengths, so the replayed
-positions are bitwise the simulated ones.  `simulate` advances a copy of the
-velocities it is given; the replay, which drops the segment once its
-positions are out, lets the loop advance the segment's own.
+Embedding calls `simulate`, whose one hook sees each state.  Training drives
+the loop itself: its forward pass runs it a segment of steps at a time,
+keeping the edge lengths of each step's field through the loop's own hook,
+and its reverse sweep runs it again from a segment's start state at those
+lengths, so the replayed positions are bitwise the simulated ones.  The
+replay, which drops the segment once its positions are out, lets the loop
+advance the segment's own velocities; every other call advances a copy.
 """
 
 from __future__ import annotations
@@ -98,35 +98,30 @@ def init_state(n_nodes: int, config: SimConfig) -> SimState:
 
 def simulate(state: SimState, graph: SignedGraph, statics: NodeStatics,
              model: ForceParams, config: SimConfig, ctx: FieldContext | None = None,
-             on_step=None, on_lengths=None, lengths=()) -> SimState:
-    """Apply `config.n_steps` damped Euler steps; `on_step(state)` is called
-    after each.
-
-    The call allocates one velocity array, a copy of `state.V` (so `state`
-    stays as it is) that it updates in place, and each step only its new
-    position matrix.  Every state passed to `on_step` shares that velocity
-    array, so a hook that keeps velocities must copy them.  The gain is
-    evaluated once per call, and each step damps V and then adds dt times the
-    force straight into it.  `on_lengths` goes to each step's `force_field`
-    call, before that step's `on_step`; where `lengths[j]` is given, step j's
-    call takes it as `lengths=` instead of computing them.  A step whose state
-    sums to a finite number is finite; only one that does not is checked entry
-    by entry.  A step given its lengths is not checked at all: the lengths
-    come from a run that stepped the same state and checked it, and the step
-    replays that run's state bitwise, so the check would cost a pass over X
-    and V for nothing (training's replay gives every step).
-    """
+             on_step=None) -> SimState:
+    """Apply `config.n_steps` damped Euler steps to a copy of `state.V`, so
+    `state` stays as it is; `on_step(state)` is called after each.  Every
+    state it sees shares that one velocity array, so a hook that keeps
+    velocities must copy them.  Each step allocates only its new positions."""
     if ctx is None:
         ctx = prepare(graph, statics)
-    return _advance(state, state.V.copy(), ctx, model, config, on_step, on_lengths,
-                    lengths)
+    return _advance(state, state.V.copy(), ctx, model, config, on_step)
 
 
 def _advance(state: SimState, V: np.ndarray, ctx: FieldContext, model: ForceParams,
              config: SimConfig, on_step=None, on_lengths=None, lengths=()) -> SimState:
-    """`simulate` from `state`, advancing V, an array that holds its
-    velocities, in place instead of a copy: a caller that drops its start
-    state once the steps are out, as training's replay does, saves the copy."""
+    """`simulate`'s loop from `state`, advancing V, an array that holds its
+    velocities, in place: a caller that drops its start state once the steps
+    are out, as training's replay does, saves `simulate`'s copy.  The gain is
+    evaluated once per call, and each step damps V and then adds dt times the
+    force straight into it.  A step whose state sums to a finite number is
+    finite; only one that does not is checked entry by entry.
+    Training's tape has two more hooks.  `on_lengths` goes to each step's
+    `force_field` call, before that step's `on_step`; where `lengths[j]` is
+    given, step j's call takes it as `lengths=` instead of computing them, and
+    the step is not checked: it replays bitwise the state of a run that
+    stepped and checked it, so the check would cost a pass over X and V for
+    nothing (training's replay gives every step)."""
     gain = node_gain(ctx, model, config.dt)
     for j in range(config.n_steps):
         X = state.X

@@ -1,16 +1,15 @@
 """Loss, reverse-mode gradients through the unrolled simulation, and Adam.
 
-The forward pass is `simulate.simulate` run a segment of steps at a time,
-keeping a tape: each segment keeps the state it starts from and the m edge
-lengths that `force_field` computed at each of its steps but the last.  The
-backward pass walks the steps in reverse, applying the hand-derived
-vector-Jacobian products of the Euler update and of the force field, whose
-position gradient is added into the running one in place.  On reaching a
-segment it replays the positions in between with `simulate`'s loop again, from
-the segment's start state and at the kept lengths, bitwise the simulated ones;
-the loop advances the segment's own velocities, which the sweep drops with the
-segment, and the VJPs of those steps read the same lengths instead of
-computing them again.
+The forward pass drives `simulate`'s loop, `simulate._advance`, a segment of
+steps at a time, keeping a tape: each segment keeps its absolute first step,
+the state there and the m edge lengths that `force_field` computed at each of
+its steps but the last.  The backward pass walks the steps in reverse,
+applying the hand-derived vector-Jacobian products of the Euler update and of
+the force field, whose position gradient is added into the running one in
+place.  On reaching a segment it runs the loop again from the segment's start
+state at the kept lengths, advancing the segment's own velocities, which the
+sweep drops with it: the replayed positions are bitwise the simulated ones,
+and the VJPs of those steps read the same lengths instead of computing them.
 The count of what the tape holds is the same under either ordering.  The
 segment lengths are the schedule whose sweep holds the fewest floats at once
 (`tape_floats`, `_segment_lengths`).  The sweep frees each segment once it
@@ -25,9 +24,9 @@ The loss goes through its edges a block of forcefield.BLOCK_BYTES of edge
 vectors at a time, and adds its gradient into the (n, k) result with scipy's
 CSC kernel, a column block of the edge incidence at a time, bitwise equal to
 one product with the whole incidence.  So an epoch's peak memory is
-`tape_floats`, which counts the positions the sweep replays and the velocities
-the replay advances, plus the final V, gX, gV, w and the VJP's per-edge
-scalars: 4.7 (n, k) arrays above the count on `graphspring bench`'s graph.
+`tape_floats`, the replayed positions and advanced velocities included, plus
+the final V, gX, gV, w and the VJP's per-edge scalars: 4.7 (n, k) arrays
+above the count on `graphspring bench`'s graph.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from .forcefield import (FieldContext, _block_rows, _csc_matvecs, force_field_vj
 from .graphs import NodeStatics, SignedGraph, compute_node_statics
 from .metrics import auc, f1_scores, predict, predict_prob
 from .simulate import (SimConfig, SimState, SimulationDivergedError, _advance,
-                       init_state, simulate, worst_node)
+                       init_state, worst_node)
 
 EPOCH_INIT_TAG = "epoch-init"
 VAL_TAG = "val-hide"
@@ -73,7 +72,8 @@ def _loss_terms(graph: SignedGraph):
     n_pos = int((target == 1).sum())
     n_neg = target.size - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise ValueError("the visible edges must hold both positive and negative signs")
+        raise ValueError(f"the visible edges hold {n_pos} positive and {n_neg} negative "
+                         "signs, but the loss needs both")
     weight = np.where(target == 1, 1.0 / n_pos, 1.0 / n_neg)
     return edges, weight, target
 
@@ -169,11 +169,10 @@ def _add_scaled(out: np.ndarray, a: np.ndarray, factor: float,
 
 @dataclass
 class _Segment:
-    """Steps start .. start + steps - 1 of the reverse sweep: the state
-    `simulate` starts them from, whose velocities only a segment of more than
-    one step keeps, and the edge lengths of each step but the last, which the
-    replay of the positions after the first reads.  The replay advances V in
-    place, so a segment replays once."""
+    """Absolute steps start .. start + steps - 1 of the sweep: the state they
+    start from, whose V only a segment of more than one step keeps, and the
+    edge lengths of each step but the last, which the replay reads.  The
+    replay advances V in place, so a segment replays once."""
     start: int
     steps: int
     X: np.ndarray
@@ -229,36 +228,32 @@ def _segment_lengths(n_nodes: int, n_edges: int, k: int, n_steps: int) -> list[i
     return lengths
 
 
-def _taped_forward(graph: SignedGraph, statics: NodeStatics, params: ForceParams,
-                   sim_cfg: SimConfig, state: SimState, ctx: FieldContext
-                   ) -> tuple[SimState, list[_Segment]]:
-    """`simulate` from `state` a segment at a time, keeping the tape of the
-    reverse sweep: the segments of every step, first step first, of the
-    lengths `_segment_lengths` gives."""
+def _taped_forward(params: ForceParams, sim_cfg: SimConfig, state: SimState,
+                   ctx: FieldContext) -> tuple[SimState, list[_Segment]]:
+    """`sim_cfg.n_steps` steps from `state` a segment at a time, each on a copy
+    of V, so a segment's start state stays as it is: the tape of the reverse
+    sweep, segments of the lengths `_segment_lengths` gives, first step first."""
     segments: list[_Segment] = []
-    start = 0
     for steps in _segment_lengths(ctx.n_nodes, ctx.n_edges, state.X.shape[1],
                                   sim_cfg.n_steps):
-        # simulate advances a copy of V, so the state it starts from stays as it is
-        seg = _Segment(start, steps, state.X, state.V if steps > 1 else None, [])
-        state = simulate(state, graph, statics, params, replace(sim_cfg, n_steps=steps),
-                         ctx=ctx, on_lengths=seg.lengths.append)
+        seg = _Segment(state.t_step, steps, state.X, state.V if steps > 1 else None, [])
+        state = _advance(state, state.V.copy(), ctx, params,
+                         replace(sim_cfg, n_steps=steps), on_lengths=seg.lengths.append)
         del seg.lengths[steps - 1:]   # the replay stops at the last step's positions
         segments.append(seg)
-        start += steps
     return state, segments
 
 
-def _replay(seg: _Segment, params: ForceParams, sim_cfg: SimConfig, ctx: FieldContext,
-            t0: int) -> list[tuple[np.ndarray, np.ndarray | None]]:
+def _replay(seg: _Segment, params: ForceParams, sim_cfg: SimConfig,
+            ctx: FieldContext) -> list[tuple[np.ndarray, np.ndarray | None]]:
     """A segment's steps, first to last, each as its positions and the lengths
     the tape kept for it (None for the last).  The positions after the first
-    are `simulate`'s loop run again from the segment's start state, at the
-    kept lengths, bitwise the simulated ones.  The loop advances the segment's
-    own V, not a copy: the sweep drops the segment once this returns."""
+    are the loop run again from the segment's start state at the kept lengths,
+    bitwise the simulated ones, advancing the segment's own V, not a copy: the
+    sweep drops the segment once this returns."""
     positions = [seg.X]
     if seg.steps > 1:
-        _advance(SimState(seg.X, seg.V, t0 + seg.start), seg.V, ctx, params,
+        _advance(SimState(seg.X, seg.V, seg.start), seg.V, ctx, params,
                  replace(sim_cfg, n_steps=seg.steps - 1),
                  on_step=lambda s: positions.append(s.X), lengths=seg.lengths)
     return list(zip(positions, seg.lengths + [None]))
@@ -286,7 +281,7 @@ def loss_and_grad(graph: SignedGraph, statics: NodeStatics, params: ForceParams,
         # the caller's as it is
         state0 = SimState(state0.X, state0.V.copy(), state0.t_step)
     t0 = state0.t_step
-    final, segments = _taped_forward(graph, statics, params, sim_cfg, state0, ctx)
+    final, segments = _taped_forward(params, sim_cfg, state0, ctx)
 
     value, gX = loss_with_grad(graph, final.X, loss_cfg)
     gV, w = np.zeros_like(gX), np.empty_like(gX)
@@ -306,7 +301,7 @@ def loss_and_grad(graph: SignedGraph, statics: NodeStatics, params: ForceParams,
         if not sim_cfg.semi_implicit:
             _add_scaled(gV, gX, dt, buf)
         if not window:
-            window = _replay(segments.pop(), params, sim_cfg, ctx, t0)
+            window = _replay(segments.pop(), params, sim_cfg, ctx)
         X, lengths = window.pop()
         _, dtheta = force_field_vjp(ctx, params, X, w, seed=sim_cfg.seed, step=t0 + t,
                                     out=gX, gain=gain, lengths=lengths)
@@ -387,32 +382,36 @@ def _validation_metrics(graph: SignedGraph, val_edges: np.ndarray,
     return auc_l, macro
 
 
-def train(graph: SignedGraph, statics: NodeStatics | None, cfg: TrainConfig,
-          resume: "Checkpoint | None" = None,
-          on_epoch=None,
-          ) -> tuple[ForceParams, list[EpochStats]]:
-    """Optimize force parameters by gradient descent through the simulation.
+def training_graph(graph: SignedGraph, cfg: TrainConfig) -> tuple[SignedGraph, np.ndarray]:
+    """`graph` as the loss trains on it, and its validation edges: a stratified
+    share of the visible edges, re-hidden for the per-epoch metrics, which act
+    as neutral springs like any hidden edge.  Raises ValueError when the
+    visible edges left lack a sign."""
+    val_edges = _stratified_validation(graph, cfg.val_fraction, cfg.seed)
+    observed = graph.observed_sign.copy()
+    observed[val_edges] = 0
+    train_graph = graph.with_observed(observed)
+    _loss_terms(train_graph)
+    return train_graph, val_edges
 
-    A stratified share of the visible edges is re-hidden as a validation set
-    for the per-epoch metrics; those edges leave the loss domain (they act as
-    neutral springs, like any hidden edge).  Statics are recomputed on the
-    training view so no validation sign leaks into the features.  A resumed run
-    takes every setting from `cfg`; its model kind and epochs must fit the checkpoint.
-    """
+
+def train(graph: SignedGraph, statics: NodeStatics | None, cfg: TrainConfig,
+          resume: "Checkpoint | None" = None, on_epoch=None
+          ) -> tuple[ForceParams, list[EpochStats]]:
+    """Optimize force parameters by gradient descent through the simulation
+    on `training_graph`'s graph, whose statics are recomputed so no validation
+    sign leaks into the features.  A resumed run takes every setting from
+    `cfg`; its model kind and epochs must fit the checkpoint."""
     if resume is None:
         params = init_params(cfg.model_kind, rng.derive_seed(cfg.seed, "param-init"))
         resume = Checkpoint(params, AdamState.fresh(params.n_params), epoch=0)
     check_resume(resume, cfg)
     params, adam, done = resume.params, resume.adam, resume.epoch
 
-    val_edges = _stratified_validation(graph, cfg.val_fraction, cfg.seed)
-    observed = graph.observed_sign.copy()
-    observed[val_edges] = 0
-    train_graph = graph.with_observed(observed)
+    train_graph, val_edges = training_graph(graph, cfg)
     train_statics = compute_node_statics(train_graph) if (
         val_edges.size or statics is None) else statics
     ctx = prepare(train_graph, train_statics)
-    _loss_terms(train_graph)  # check both signs are visible up front
 
     history: list[EpochStats] = []
     for epoch in range(done, cfg.epochs):

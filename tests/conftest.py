@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,16 @@ def require_dataset(name: str) -> Path:
             f"dataset {name} not found; place {DATASETS[name][0]} under ./data "
             f"or set ${DATA_ENV} (see README)")
     return path
+
+
+def traced_peak(call) -> int:
+    """tracemalloc's peak, in bytes, over call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def toy_graph(n_nodes: int = 12, n_edges: int = 30, seed: int = 0,

@@ -33,6 +33,9 @@ MUTANTS = [
      '    _write_manifest(Path(args.out or out), "", config, {}, {})\n'
      "    for key, (accepts, rule) in CLI_RANGES.items():\n",
      ["tests/test_cli.py::test_bad_setting_exits_1_naming_it_before_writing"]),
+    # train leaves its manifest when the signs it trains on lack one
+    ("cli.py", "        training_graph(graph, train_cfg)\n", "        pass\n",
+     ["tests/test_cli.py::test_bad_setting_exits_1_naming_it_before_writing"]),
     # eval takes a seed twice, and aggregates a run with itself
     ("cli.py", "0 < len(set(_seed_list(v))) == len(_seed_list(v))", "bool(_seed_list(v))",
      ["tests/test_cli.py::test_bad_setting_exits_1_naming_it_before_writing"]),
@@ -171,9 +174,9 @@ MUTANTS = [
      "lengths=lengths[j + 1] if j + 1 < len(lengths) else None)",
      ["tests/test_simulate.py::test_simulate_given_the_lengths_it_handed_out_is_bitwise_simulate_without",
       "tests/test_training.py::test_segmented_tape_is_bitwise_the_full_tape"]),
-    # the replay starts at the segment's step within the epoch, not at the
-    # absolute step, and so draws other tie-break units
-    ("training.py", "SimState(seg.X, seg.V, t0 + seg.start)", "SimState(seg.X, seg.V, seg.start)",
+    # the forward records 0 as every segment's start, not its absolute step,
+    # so the replay draws other tie-break units
+    ("training.py", "seg = _Segment(state.t_step, steps,", "seg = _Segment(0, steps,",
      ["tests/test_training.py::test_segmented_tape_is_bitwise_the_full_tape"]),
     # the field recomputes the lengths it was given
     ("forcefield.py", "dist = _geometry(ctx, X)[0] if lengths is None else lengths",

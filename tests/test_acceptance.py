@@ -151,8 +151,9 @@ def test_transfer_protocol_smoke():
     """The criterion 3/4 pipeline runs end to end on synthetic stand-ins."""
     from graphspring.bench import synthetic_graph
 
-    train_graph = synthetic_graph(60, 240, seed=3, pos_fraction=0.8, p_hidden=0.0)
-    eval_graph = synthetic_graph(80, 320, seed=4, pos_fraction=0.8, p_hidden=0.0)
+    # the protocol draws its own splits, so every sign is shown
+    graphs = (synthetic_graph(60, 240, seed=3), synthetic_graph(80, 320, seed=4))
+    train_graph, eval_graph = (g.with_observed(g.true_sign) for g in graphs)
     cfg = TrainConfig(epochs=2, sim=SimConfig(k=4, n_steps=6), seed=1)
     agg, history = train_and_eval_transfer("spring-nn", train_graph, eval_graph,
                                            master_seed=1, cfg=cfg)

@@ -741,6 +741,15 @@ SETTING_ROWS = [
     *_rows("train", "split_seed", [{"split_seed": 1.5}], {"split_seed": 4}),
     *_wrong_type("train", "split_seed", "1", 1),
     *_wrong_type("train", "semi_implicit", 1, True),
+    # the signs train's loss reads, those the split and the validation edges
+    # leave visible, hold both; graph.txt keeps its own split
+    *[row for p_hidden in ("1", "0.999") for row in _rows(
+        "train", "p_hidden", [["--graph", "shown.txt", "--p-hidden", p_hidden]],
+        ["--graph", "shown.txt"],
+        f"p_hidden {float(p_hidden)} and val_fraction 0.1: the visible edges hold 0 "
+        "positive and 0 negative")],
+    *_rows("train", "val_fraction", [["--val-fraction", "0.99"]], ["--val-fraction", "0.5"],
+           "the visible edges hold 0 positive and 0 negative signs"),
     *_sim_rows("embed"),
     *_rows("embed", "mu", [["--mu", "0", "--trace", "trace.csv"]], ["--mu", "2.5"]),
     *_rows("embed", "split_seed", [{"split_seed": 0.5}], {"split_seed": 0}),

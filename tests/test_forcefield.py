@@ -2,7 +2,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,7 +17,7 @@ from graphspring.forcefield import EPS, force_field, force_field_vjp, prepare
 from graphspring.forces import (MlpParams, SpringParams, gain_batch, gain_batch_vjp,
                                 init_params)
 
-from conftest import hidden_toy
+from conftest import hidden_toy, traced_peak
 from oracles import (edge_force, neural_force, neural_gain, pair_distance,
                      spring_force, spring_gain, tie_break_unit)
 from test_forces import random_neural
@@ -499,17 +498,8 @@ def test_one_call_holds_no_edge_by_dims_array(kind):
     w = rand.normal(0, 1, X.shape)
     params = init_params(kind, seed=3)
     edge_by_dims = graph.n_edges * k * 8
-
-    def peak(call):
-        tracemalloc.start()
-        try:
-            call()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    assert peak(lambda: force_field_vjp(ctx, params, X, w)) < edge_by_dims
-    assert peak(lambda: force_field(ctx, params, X)) < edge_by_dims / 2
+    assert traced_peak(lambda: force_field_vjp(ctx, params, X, w)) < edge_by_dims
+    assert traced_peak(lambda: force_field(ctx, params, X)) < edge_by_dims / 2
 
 
 # --- invariances -----------------------------------------------------------------

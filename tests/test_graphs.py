@@ -1,6 +1,5 @@
 import gzip
 import io
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,7 +13,7 @@ from graphspring import (GraphFormatError, SignedGraph, SplitSpec,
 from graphspring import graphs
 from graphspring.graphs import EdgeStage, nearest_rank_percentile
 
-from conftest import toy_graph
+from conftest import toy_graph, traced_peak
 from oracles import load_edge_list_by_line, stage_back, to_undirected_by_unique
 from test_rng import uniform01_py
 
@@ -213,13 +212,9 @@ def test_loader_peak_memory_is_a_small_multiple_of_the_text():
     text = "".join(f"{s},{t},{r},{ts}\n" for (s, t), r, ts
                    in zip(ends.tolist(), rating.tolist(), stamp.tolist()))
     source = io.StringIO(text)
-    tracemalloc.start()
-    try:
-        stage = load_edge_list(source, "rating_csv")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert stage.n_edges == m
+    stages = []
+    peak = traced_peak(lambda: stages.append(load_edge_list(source, "rating_csv")))
+    assert stages[0].n_edges == m
     assert peak <= 4 * len(text)
 
 

@@ -8,7 +8,7 @@ from graphspring import (SignedGraph, SimConfig, SimState,
                          write_embeddings_text)
 from graphspring.forcefield import EPS, force_field, prepare
 from graphspring.forces import SpringParams, init_params
-from graphspring.simulate import mean_abs_velocity, worst_node
+from graphspring.simulate import _advance, mean_abs_velocity, worst_node
 
 from conftest import hidden_toy, statics_of
 
@@ -127,7 +127,7 @@ def test_simulate_leaves_the_input_state_untouched(semi_implicit):
 @pytest.mark.parametrize("kind", ["spring", "spring-nn"])
 def test_simulate_given_the_lengths_it_handed_out_is_bitwise_simulate_without(
         kind, semi_implicit):
-    # training's replay runs simulate again at the lengths its forward pass
+    # training's replay runs the loop again at the lengths its forward pass
     # kept, for all of a run's steps or its first few.  A non-positive edge
     # whose ends coincide and move alike is tie-broken at the first step, whose
     # units depend on the absolute step
@@ -141,10 +141,11 @@ def test_simulate_given_the_lengths_it_handed_out_is_bitwise_simulate_without(
     V0 = rand.normal(0, 0.5, X0.shape)
     X0[graph.v[e]], V0[graph.v[e]] = X0[graph.u[e]], V0[graph.u[e]]
     state0 = SimState(X0, V0, 5)
+    ctx = prepare(graph, st)
 
     def run(**hooks):
         states = []
-        simulate(state0, graph, st, model, cfg,
+        _advance(state0, state0.V.copy(), ctx, model, cfg,
                  on_step=lambda s: states.append((s.X, s.V.copy())), **hooks)
         return states
 
@@ -357,23 +358,24 @@ def test_a_finite_state_whose_sum_overflows_does_not_diverge():
 
 def test_a_step_given_its_lengths_is_not_checked_and_the_next_one_is():
     # a step given its lengths replays a step its run already checked, so
-    # simulate skips the check there: an infinite velocity passes the first
+    # the loop skips the check there: an infinite velocity passes the first
     # step, given its lengths, and diverges at the second, which computes its
     # own, and at the first without them
     graph = two_body_graph(observed=0)
-    st = statics_of(graph)
+    ctx = prepare(graph, statics_of(graph))
     params = SpringParams(a_neu=1.0, l_neu=1.0, beta=0.0)
     cfg = SimConfig(k=2, dt=0.01, damping=0.05, n_steps=1, seed=0)
     state = SimState(np.array([[0.0, 0.0], [2.0, 0.0]]),
                      np.array([[np.inf, 0.0], [0.0, 0.0]]), 0)
     lengths = [np.array([2.0])]
-    final = simulate(state, graph, st, params, cfg, lengths=lengths)
+    final = _advance(state, state.V.copy(), ctx, params, cfg, lengths=lengths)
     assert final.t_step == 1 and not np.isfinite(final.X).all()
     with pytest.raises(SimulationDivergedError, match="step 1:"):
-        simulate(state, graph, st, params, cfg)
+        _advance(state, state.V.copy(), ctx, params, cfg)
     with pytest.raises(SimulationDivergedError, match="step 2:"):
-        simulate(state, graph, st, params, SimConfig(k=2, dt=0.01, damping=0.05,
-                                                     n_steps=2, seed=0), lengths=lengths)
+        _advance(state, state.V.copy(), ctx, params,
+                 SimConfig(k=2, dt=0.01, damping=0.05, n_steps=2, seed=0),
+                 lengths=lengths)
 
 
 def test_worst_node_is_the_fastest_when_all_finite():

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +13,7 @@ from graphspring.training import (AdamState, Checkpoint, EpochStats, LossConfig,
                                   loss_and_grad, loss_with_grad, predict_prob,
                                   train, write_history_csv)
 
-from conftest import hidden_toy, statics_of
+from conftest import hidden_toy, statics_of, traced_peak
 from oracles import (all_edges_loss_terms, compositions, least_tape_floats,
                      loss_and_grad_full_tape, loss_with_grad_whole)
 from test_forcefield import random_graph
@@ -165,16 +163,6 @@ def test_loss_gradient_matches_fd():
 
 # --- the streamed loss -------------------------------------------------------------
 
-def traced_peak(call) -> int:
-    """tracemalloc's peak, in bytes, over call()."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("k, block_bytes", [(64, None), (5, 8 * 5 * 11)],
                          ids=["k64", "k5-11-rows"])
 def test_streamed_loss_matches_the_whole_array_oracle_bitwise(k, block_bytes, monkeypatch):
@@ -275,13 +263,12 @@ def test_a_replay_holds_its_positions_and_one_field_call(many_edges, kind, monke
     params = init_params(kind, 3)
     sim = SimConfig(k=k, n_steps=4, seed=1)
     monkeypatch.setattr(training, "_segment_lengths", lambda *args: [sim.n_steps])
-    _, (seg,) = training._taped_forward(graph, statics, params, sim,
-                                        SimState(X, np.zeros_like(X)), ctx)
+    _, (seg,) = training._taped_forward(params, sim, SimState(X, np.zeros_like(X)), ctx)
     out, gain = seg.V.copy(), node_gain(ctx, params, sim.dt)
     field = max(traced_peak(lambda: force_field(ctx, params, seg.X, seed=sim.seed, step=j,
                                                 out=out, gain=gain, lengths=lengths))
                 for j, lengths in enumerate(seg.lengths))
-    peak = traced_peak(lambda: training._replay(seg, params, sim, ctx, 0))
+    peak = traced_peak(lambda: training._replay(seg, params, sim, ctx))
     assert peak <= (seg.steps - 1) * n * k * 8 + field + n * k * 8 // 2
 
 
@@ -304,18 +291,18 @@ def test_loss_and_grad_leaves_the_given_start_state_untouched(semi_implicit, mon
         assert state0.X.tobytes() == X0.tobytes() and state0.V.tobytes() == V0.tobytes()
 
 
-def held_for_the_sweep(graph, st, params, sim, ctx, state0):
+def held_for_the_sweep(params, sim, ctx, state0):
     """The most bytes `loss_and_grad` holds at once for its reverse sweep from
     state0: while it replays a segment, the final positions, the arrays
     `_taped_forward` keeps of that segment and every earlier one, and the
     positions the replay makes."""
     # the replay advances the first segment's V, which is state0's own here
     state0 = SimState(state0.X, state0.V.copy(), state0.t_step)
-    final, segments = training._taped_forward(graph, st, params, sim, state0, ctx)
+    final, segments = training._taped_forward(params, sim, state0, ctx)
     held = peak = final.X.nbytes
     for seg in segments:
         held += sum(a.nbytes for a in (seg.X, seg.V, *seg.lengths) if a is not None)
-        replayed = training._replay(seg, params, sim, ctx, 0)[1:]
+        replayed = training._replay(seg, params, sim, ctx)[1:]
         peak = max(peak, held + sum(X.nbytes for X, _ in replayed))
     return peak, segments
 
@@ -340,7 +327,7 @@ def test_bench_tape_bytes_are_the_arrays_the_tape_keeps(k, monkeypatch):
     for semi_implicit in (False, True):
         for n_steps in (*range(1, 8), 20, 40):
             sim = SimConfig(k=k, n_steps=n_steps, seed=6, semi_implicit=semi_implicit)
-            held, segments = held_for_the_sweep(graph, st, params, sim, ctx, state0)
+            held, segments = held_for_the_sweep(params, sim, ctx, state0)
             assert bench.tape_bytes(n, m, k, n_steps) == held
             if n_steps >= 20:
                 assert (len(segments) < n_steps) == (k == 16)
@@ -349,7 +336,7 @@ def test_bench_tape_bytes_are_the_arrays_the_tape_keeps(k, monkeypatch):
             sim = SimConfig(k=k, n_steps=n_steps, seed=6, semi_implicit=semi_implicit)
             for lengths in compositions(n_steps):
                 monkeypatch.setattr(training, "_segment_lengths", lambda *args: lengths)
-                held, segments = held_for_the_sweep(graph, st, params, sim, ctx, state0)
+                held, segments = held_for_the_sweep(params, sim, ctx, state0)
                 assert [seg.steps for seg in segments] == lengths
                 assert training.tape_floats(n, m, k, lengths) * 8 == held
 
@@ -725,9 +712,9 @@ def test_segmented_tape_is_bitwise_the_full_tape(kind, semi_implicit, k, monkeyp
             assert value == want[0]
             assert np.array_equal(grad, want[1])
             assert np.array_equal(final.X, want[2].X) and np.array_equal(final.V, want[2].V)
-            _, segments = training._taped_forward(graph, st, params, sim, state0, ctx)
+            _, segments = training._taped_forward(params, sim, state0, ctx)
             assert [(seg.start, seg.steps) for seg in segments] == [
-                (sum(lengths[:i]), steps) for i, steps in enumerate(lengths)]
+                (5 + sum(lengths[:i]), steps) for i, steps in enumerate(lengths)]
             if segments and segments[0].lengths:
                 assert segments[0].lengths[0][e] < EPS   # the tie-broken step keeps its lengths
 
