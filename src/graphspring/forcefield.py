@@ -325,10 +325,6 @@ def force_field(ctx: FieldContext, model: ForceParams, X: np.ndarray,
     both operators at X take as `lengths` and do not compute again.
     """
     X, _ = _checked(ctx, X, None, gain, out, lengths)
-    if ctx.n_edges == 0:
-        if on_lengths is not None:
-            on_lengths(np.zeros(0))
-        return np.zeros_like(X) if out is None else out
     g = node_gain(ctx, model) if gain is None else gain
     dist = _geometry(ctx, X)[0] if lengths is None else lengths
     tied = dist < EPS
@@ -372,9 +368,6 @@ def force_field_vjp(ctx: FieldContext, model: ForceParams, X: np.ndarray,
     evaluates once.  `lengths` are as in `force_field`.
     """
     X, w = _checked(ctx, X, w, gain, out, lengths)
-    if ctx.n_edges == 0:
-        return (np.zeros_like(X) if out is None else out,
-                np.zeros(model.flatten().shape[0]))
     g = node_gain(ctx, model) if gain is None else gain
     dist, tied, s_u, s_v = _geometry(ctx, X, w, lengths)
     # a tie-broken edge acts as an edge of length 1 along its tie-break unit

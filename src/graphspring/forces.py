@@ -53,6 +53,10 @@ class SpringParams:
     kind = "spring"
     n_params = 7
 
+    def __post_init__(self):
+        if not np.isfinite(self.flatten()).all():
+            raise ValueError("spring parameters must be finite")
+
     def flatten(self) -> np.ndarray:
         return np.array([self.l_pos, self.l_neu, self.l_neg,
                          self.a_pos, self.a_neu, self.a_neg, self.beta], dtype=np.float64)

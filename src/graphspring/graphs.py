@@ -362,12 +362,6 @@ def to_undirected(stage: EdgeStage) -> SignedGraph:
     lo = np.minimum(stage.src[keep], stage.dst[keep])
     hi = np.maximum(stage.src[keep], stage.dst[keep])
     sgn = stage.sign[keep]
-
-    if lo.shape[0] == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return SignedGraph(stage.n_nodes, empty, empty,
-                           np.zeros(0, np.int8), np.zeros(0, np.int8), stage.raw_ids)
-
     code = lo * np.int64(stage.n_nodes) + hi
     # the order among a pair's duplicates does not matter to the minimum below
     order = np.argsort(code)
@@ -390,10 +384,7 @@ def hide_signs(graph: SignedGraph, spec: SplitSpec) -> tuple[SignedGraph, np.nda
     """
     if (graph.observed_sign != graph.true_sign).any():
         raise ValueError("hide_signs expects a graph whose signs are not yet hidden")
-    m = graph.n_edges
-    if m == 0:
-        return graph, np.zeros(0, dtype=np.int64)
-    draws = rng.uniform01(spec.seed, HIDE_TAG, np.arange(m))
+    draws = rng.uniform01(spec.seed, HIDE_TAG, np.arange(graph.n_edges))
     hidden = np.flatnonzero(draws < spec.p_hidden).astype(np.int64)
     observed = graph.true_sign.copy()
     observed[hidden] = 0

@@ -166,8 +166,9 @@ def write_embeddings_text(path, X: np.ndarray) -> None:
 
 
 def read_embeddings_text(path) -> np.ndarray:
-    """Read `write_embeddings_text`'s format; a malformed file raises ValueError
-    naming it and, for a bad header or row, the line."""
+    """Read `write_embeddings_text`'s format; a malformed file, or one holding a
+    value that is not finite, raises ValueError naming it and, for a bad header
+    or row, the line."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             n, k = (int(tok) for tok in fh.readline().split())
@@ -175,19 +176,23 @@ def read_embeddings_text(path) -> np.ndarray:
             raise ValueError(f"{path}:1: expected the header 'n k'") from None
         try:
             X = np.loadtxt(fh, dtype=np.float64, ndmin=2)
-        except ValueError as err:
+            err = None if np.isfinite(X).all() else "a value is not finite"
+        except ValueError as exc:
+            err = exc
+        if err is not None:
             # numpy's row numbers do not count the blank and comment lines it skips
             fh.seek(0)
             fh.readline()
             for lineno, line in enumerate(fh, 2):
                 row = line.split("#", 1)[0].split()
                 try:
-                    ok = len([float(tok) for tok in row]) in (0, k)
+                    values = [float(tok) for tok in row]
+                    ok = len(values) in (0, k) and np.isfinite(values).all()
                 except ValueError:
                     ok = False
                 if not ok:
-                    raise ValueError(f"{path}:{lineno}: expected {k} numbers") from None
-            raise ValueError(f"{path}: {err}") from None
+                    raise ValueError(f"{path}:{lineno}: expected {k} finite numbers")
+            raise ValueError(f"{path}: {err}")
     if X.shape != (n, k):
         raise ValueError(f"embedding file {path} header says {(n, k)}, data is {X.shape}")
     return X
@@ -203,6 +208,8 @@ def write_embeddings_binary(path, X: np.ndarray) -> None:
 
 
 def read_embeddings_binary(path) -> np.ndarray:
+    """Read `write_embeddings_binary`'s format; a malformed file raises ValueError
+    naming it and, for a value that is not finite, its row, counted from 0."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
@@ -216,6 +223,10 @@ def read_embeddings_binary(path) -> np.ndarray:
         if os.fstat(fh.fileno()).st_size - fh.tell() < 8 * n * k:
             raise ValueError(f"embedding file {path} is shorter than its {n} x {k} "
                              f"header says")
-        data = np.frombuffer(fh.read(8 * n * k), dtype="<f8")
-    return data.reshape(n, k).astype(np.float64)
+        X = np.frombuffer(fh.read(8 * n * k), dtype="<f8").reshape(n, k)
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise ValueError(f"embedding file {path}: row {bad[0]} holds a value that is "
+                         f"not finite")
+    return X.astype(np.float64)
 

@@ -89,7 +89,7 @@ def _streamed_loss(graph: SignedGraph, X: np.ndarray, cfg: LossConfig,
     u, v = graph.u[edges], graph.v[edges]
     m, k = edges.size, X.shape[1]
     # take and the kernel index X and grad unchecked: check the endpoints here
-    if m and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= X.shape[0]):
+    if min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= X.shape[0]:
         raise ValueError(f"an edge endpoint is not a row of X, which has shape {X.shape}")
     rows = _block_rows(m, k)
     terms = np.empty(m)
@@ -356,8 +356,6 @@ class EpochStats:
 def _stratified_validation(graph: SignedGraph, fraction: float,
                            seed: int) -> np.ndarray:
     """Pick ~fraction of visible edges per sign class, by smallest stream draw."""
-    if fraction <= 0:
-        return np.zeros(0, dtype=np.int64)
     draws = rng.uniform01(seed, VAL_TAG, np.arange(graph.n_edges))
     chosen = []
     for sign_val in (1, -1):
@@ -370,16 +368,13 @@ def _stratified_validation(graph: SignedGraph, fraction: float,
 
 def _validation_metrics(graph: SignedGraph, val_edges: np.ndarray,
                         X: np.ndarray, mu: float) -> tuple[float, float]:
+    """AUC-L and macro F1 on the validation edges (nan without any), which hold
+    both signs: each sign's share takes at least one of its visible edges."""
     if val_edges.size == 0:
         return float("nan"), float("nan")
     pred = predict(graph, val_edges, X, mu)
-    truth = pred.true_sign
-    _, macro, _, _ = f1_scores(truth, pred.pred_sign)
-    if (truth == 1).any() and (truth == -1).any():
-        auc_l = auc(pred, "L")
-    else:
-        auc_l = float("nan")
-    return auc_l, macro
+    _, macro, _, _ = f1_scores(pred.true_sign, pred.pred_sign)
+    return auc(pred, "L"), macro
 
 
 def training_graph(graph: SignedGraph, cfg: TrainConfig) -> tuple[SignedGraph, np.ndarray]:
@@ -499,8 +494,9 @@ def load_checkpoint(path) -> Checkpoint:
             raise ValueError("not a supported checkpoint file")
         params = params_from_json(json.dumps(doc["params"]))
         a, n = doc["adam"], params.n_params
-        if type(doc["epoch"]) is not int or type(a["t"]) is not int:
-            raise ValueError(f"epoch and adam.t must be integers, not "
+        if type(doc["epoch"]) is not int or type(a["t"]) is not int \
+                or min(doc["epoch"], a["t"]) < 0:
+            raise ValueError(f"epoch and adam.t must be integers of at least 0, not "
                              f"{json.dumps(doc['epoch'])} and {json.dumps(a['t'])}")
         adam = AdamState(decode_flat(a["m_b64"], n), decode_flat(a["v_b64"], n), a["t"])
         return Checkpoint(params=params, adam=adam, epoch=doc["epoch"])

@@ -140,8 +140,8 @@ MUTANTS = [
     ("forcefield.py", "if gain is not None and np.shape(gain) != (ctx.n_nodes,):",
      "if False:",
      ["tests/test_forcefield.py::test_a_gain_of_another_length_is_refused"]),
-    # the operators take an out the CSR kernel cannot write, and an edgeless
-    # call returns it
+    # the operators take an out the CSR kernel cannot write, on a graph with
+    # edges or without
     ("forcefield.py", "if out is not None and not (isinstance(out, np.ndarray)",
      "if False and not (isinstance(out, np.ndarray)",
      ["tests/test_forcefield.py::test_an_out_the_kernel_cannot_write_is_refused"]),
@@ -289,6 +289,26 @@ MUTANTS = [
     # the batched tie-break draws edge e's units at e + j*k, not e*k + j
     ("forcefield.py", "edges[:, None] * k + np.arange(k)", "edges[:, None] + np.arange(k) * k",
      ["tests/test_forcefield.py::test_tie_units_are_the_per_edge_units_bitwise"]),
+    # a checkpoint of a negative epoch or Adam step loads, and the run fails
+    # after its manifest
+    ("training.py", ' \\\n                or min(doc["epoch"], a["t"]) < 0:', ":",
+     ["tests/test_cli.py::test_malformed_input_file_exits_1_naming_the_file"
+      "[checkpoint-epoch-negative]",
+      "tests/test_cli.py::test_malformed_input_file_exits_1_naming_the_file"
+      "[checkpoint-t-negative]"]),
+    # a spring parameter file that holds a NaN loads
+    ("forces.py", "if not np.isfinite(self.flatten()).all():", "if False:",
+     ["tests/test_cli.py::test_malformed_input_file_exits_1_naming_the_file"
+      "[params-not-finite]"]),
+    # the text embedding reader takes a value that is not finite
+    ("simulate.py", 'err = None if np.isfinite(X).all() else "a value is not finite"',
+     "err = None",
+     ["tests/test_cli.py::test_malformed_input_file_exits_1_naming_the_file"
+      "[embeddings-not-finite]"]),
+    # the binary embedding reader takes a value that is not finite
+    ("simulate.py", "    if bad.size:", "    if False:",
+     ["tests/test_cli.py::test_malformed_input_file_exits_1_naming_the_file"
+      "[embeddings-binary-not-finite]"]),
 ]
 
 

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from graphspring import (SplitSpec, dump_graph, hide_signs, parse_graph_dump,
-                         write_embeddings_text)
+                         write_embeddings_binary, write_embeddings_text)
 from graphspring.cli import (BENCH_DEFAULTS, EMBED_DEFAULTS, EVAL_DEFAULTS, TRAIN_DEFAULTS,
                              _hide_listed, _resolve, main)
-from graphspring.forces import SpringParams, init_params, params_to_json
+from graphspring.forces import SpringParams, encode_flat, init_params, params_to_json
 from graphspring.training import AdamState, Checkpoint, save_checkpoint
 
 from conftest import hidden_toy, toy_graph
@@ -557,24 +557,35 @@ JSON_EDITS = {"params-without-data": lambda doc: doc.pop("data_b64"),
               "params-data-not-text": lambda doc: doc.update(data_b64=3),
               "params-version-true": lambda doc: doc.update(version=True),
               "params-n-params-float": lambda doc: doc.update(n_params=7.0),
+              "params-not-finite": lambda doc: doc.update(
+                  data_b64=encode_flat(np.r_[np.nan, SpringParams().flatten()[1:]])),
               "checkpoint-without-params": lambda doc: doc.pop("params"),
               "checkpoint-adam-not-object": lambda doc: doc.update(adam=[]),
               "checkpoint-epoch-text": lambda doc: doc.update(epoch="1"),
               "checkpoint-t-text": lambda doc: doc["adam"].update(t="1"),
+              "checkpoint-epoch-negative": lambda doc: doc.update(epoch=-1),
+              "checkpoint-t-negative": lambda doc: doc["adam"].update(t=-1),
               "checkpoint-version-true": lambda doc: doc.update(version=True)}
 # line edits that break an embedding text file; the last edited line is the bad one
 EMBEDDING_EDITS = {"embeddings-header": {1: "100"},
                    "embeddings-row": {3: "0 0 x"},
-                   "embeddings-row-after-comment": {2: "# note", 3: "0 0 x"}}
+                   "embeddings-row-after-comment": {2: "# note", 3: "0 0 x"},
+                   "embeddings-not-finite": {3: "0 nan inf"}}
 
 
-@pytest.mark.parametrize("case", [*JSON_EDITS, *EMBEDDING_EDITS])
+@pytest.mark.parametrize("case", [*JSON_EDITS, *EMBEDDING_EDITS,
+                                  "embeddings-binary-not-finite"])
 def test_malformed_input_file_exits_1_naming_the_file(case, tmp_path, capsys):
     graph, _ = hidden_toy()
     dump, path = tmp_path / "graph.txt", tmp_path / "bad"
     dump.write_text(dump_graph(graph))
     where = str(path)
-    if case in JSON_EDITS:
+    if case == "embeddings-binary-not-finite":
+        X, path = np.zeros((graph.n_nodes, 3)), tmp_path / "bad.bin"
+        X[2, 1], X[4, 0] = np.nan, np.inf
+        write_embeddings_binary(path, X)
+        argv, where = ["eval", "--embeddings", path], f"{path}: row 2 "
+    elif case in JSON_EDITS:
         if case.startswith("params"):
             path.write_text(params_to_json(SpringParams()))
             argv = ["embed", "--params", path]
@@ -594,7 +605,7 @@ def test_malformed_input_file_exits_1_naming_the_file(case, tmp_path, capsys):
     assert run_cli(*argv, "--graph", dump, "--k", "2", "--n-steps", "1",
                    "--out", tmp_path / "o") == 1
     err = capsys.readouterr().err
-    assert where in err and "Traceback" not in err, err
+    assert err.startswith("error: ") and where in err and "Traceback" not in err, err
     assert not (tmp_path / "o").exists()
 
 

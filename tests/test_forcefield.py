@@ -325,8 +325,8 @@ def test_vjp_refuses_an_out_that_aliases_X_or_w(aliased):
 @pytest.mark.parametrize("n_edges", [0, 600])
 @pytest.mark.parametrize("entry", ["force_field", "force_field_vjp"])
 def test_an_out_the_kernel_cannot_write_is_refused(entry, n_edges):
-    # the CSR kernel writes through a raw pointer; an edgeless call, which
-    # never reaches it, returned such an out unchanged with no error
+    # the CSR kernel writes through a raw pointer, and an edgeless call reaches
+    # it too
     graph = random_graph(n_edges, seed=11, n_nodes=200)
     ctx = prepare(graph, compute_node_statics(graph))
     _, model, X, w = checked_case()

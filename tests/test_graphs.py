@@ -240,6 +240,15 @@ def test_self_loops_dropped():
     assert g.n_edges == 1
 
 
+def test_a_stage_of_self_loops_gives_an_edgeless_graph():
+    stage = load_edge_list(["5 5 1", "9 9 -1"], "plain")
+    g = to_undirected(stage)
+    assert (g.n_nodes, g.n_edges) == (2, 0)
+    assert g.u.dtype == g.v.dtype == np.int64
+    assert g.true_sign.dtype == g.observed_sign.dtype == np.int8
+    assert g.raw_ids.tolist() == [5, 9]
+
+
 def test_edges_sorted_by_pair():
     g = to_undirected(load_edge_list(["5 3 1", "1 2 1", "4 1 -1"], "plain"))
     pairs = list(zip(g.u, g.v))
@@ -309,6 +318,13 @@ def test_hide_degenerate_probabilities():
     all_hidden, hidden = hide_signs(g, SplitSpec(1.0, seed=1))
     assert hidden.size == g.n_edges
     assert (all_hidden.observed_sign == 0).all()
+
+
+def test_hide_on_an_edgeless_graph_hides_nothing():
+    g = to_undirected(load_edge_list(["3 3 1"], "plain"))
+    hidden_graph, hidden = hide_signs(g, SplitSpec(0.5, seed=1))
+    assert hidden.dtype == np.int64 and hidden.size == 0
+    assert (hidden_graph.n_nodes, hidden_graph.n_edges) == (1, 0)
 
 
 def test_hide_matches_documented_stream():
